@@ -25,7 +25,8 @@ The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the
 123-avoiders (two catalytic variables driven by the insertion map; see
 perms.py).  Every spec is mass-checked against the Catalan numbers at
-construction time.
+construction time, and `verify_catalog` checks the whole catalog against the
+brute-force enumerators of perms.py.
 """
 from __future__ import annotations
 
@@ -35,7 +36,14 @@ from typing import Mapping, Sequence
 
 from .errors import UsageError
 from .multipoly import IndexPoly, MultiPoly, index_poly, norm_coeff
-from .perms import catalan_list
+from .perms import (
+    AV132,
+    DEFAULT_ORACLE_LIMIT,
+    brute_sigma_enum,
+    brute_weight_enum,
+    catalan_list,
+    parse_perm,
+)
 from .series import (
     SeriesBasis,
     TruncatedSeries,
@@ -581,3 +589,48 @@ def builtin_spec(family: str, statistic: str) -> FuncRecSpec:
     if key not in _CATALOG_CACHE:
         _CATALOG_CACHE[key] = _CATALOG_BUILDERS[key]()
     return _CATALOG_CACHE[key]
+
+
+# -- brute-force oracle ----------------------------------------------------
+
+
+def _read_off(joint: MultiPoly, spec: FuncRecSpec) -> MultiPoly:
+    """A spec's enumerator from the joint enumerator over pattern variables:
+    untracked patterns go to 1, each spec variable takes its pattern's exponent."""
+    names = [dict(spec.tracked)[v] for v in spec.variables]
+    kept = joint.specialize_ones(v for v in joint.variables if v not in names)
+    pos = [kept.variables.index(name) for name in names]
+    return MultiPoly(
+        spec.variables, {tuple(e[i] for i in pos): c for e, c in kept.terms.items()}
+    )
+
+
+def verify_catalog(max_n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> "dict[str, tuple | None]":
+    """Check every catalog spec's full-mode enumerators against brute force
+    for n = 0..max_n.
+
+    Maps each spec label, in catalog order, to None when all agree, else to
+    (first mismatching n, engine polynomial, brute-force polynomial).  Per n
+    the 132-avoiders are walked once: one enumerator counts every tracked
+    av132 pattern jointly, and each av132 spec's enumerator is read off it.
+    The av123 spec is checked against the (213, sigma1, sigma2) enumerator.
+    """
+    if max_n > limit:
+        raise UsageError(f"brute force is capped at n = {limit}; asked for {max_n}")
+    specs = [builtin_spec(family, stat) for family, stat in builtin_families()]
+    engine = {spec.label: eval_full(spec, max_n).values for spec in specs}
+    patterns = sorted({pat for spec in specs if spec.family == "av132" for _, pat in spec.tracked})
+    stats = [parse_perm(p) for p in patterns]
+    result: "dict[str, tuple | None]" = dict.fromkeys(engine)
+    for n in range(max_n + 1):
+        joint = brute_weight_enum(AV132, stats, n, patterns, limit)
+        for spec in specs:
+            if result[spec.label] is not None:
+                continue
+            if spec.family == "av132":
+                brute = _read_off(joint, spec)
+            else:
+                brute = brute_sigma_enum(n, limit)
+            if engine[spec.label][n] != brute:
+                result[spec.label] = (n, engine[spec.label][n], brute)
+    return result

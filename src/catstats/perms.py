@@ -11,17 +11,15 @@ of length m+1 from one of length m by freeing a front slot, letting the
 entries that are not right-to-left maxima slide forward along the chain of
 freed positions (first such entry into the front slot, each later one into
 the position the previous one vacated), bumping every value by 1 and writing
-the new smallest value 1 into the last vacated position.  The construction is
-picked from several candidate readings by exhaustive validation: the chosen
-reading must make (k, pi1, pi2) -> pi1-block + insert(pi2) a bijection onto
-the 123-avoiders of each size up to the validation bound.  See
-`insertion_map_reading`.
+the new smallest value 1 into the last vacated position.  That this makes
+(k, pi1, pi2) -> pi1-block + insert(pi2) a bijection onto the 123-avoiders of
+each size is checked exhaustively by `validate_insertion_reading`.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 from .errors import UsageError
 from .multipoly import MultiPoly
@@ -114,7 +112,7 @@ def classify_all_subsets(perm: Perm, k: int) -> "dict[Perm, int]":
     return out
 
 
-def _check_oracle_limit(n: int, limit: int) -> None:
+def check_oracle_limit(n: int, limit: int) -> None:
     if n > limit:
         raise UsageError(
             f"n = {n} exceeds the brute-force oracle limit {limit}; "
@@ -136,7 +134,7 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
         raise UsageError("avoider enumeration supports forbidden patterns 132 and 123 only")
     if n < 0:
         raise UsageError("n must be >= 0")
-    _check_oracle_limit(n, limit)
+    check_oracle_limit(n, limit)
     key = (forbidden, n)
     hit = _AVOIDER_CACHE.get(key)
     if hit is not None:
@@ -192,12 +190,6 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
     return result
 
 
-def enumerate_all(n: int, limit: int = 8):
-    """Every permutation of 1..n; only for small cross-checks."""
-    _check_oracle_limit(n, limit)
-    return tuple(permutations(range(1, n + 1)))
-
-
 # -- structure of 132-avoiders ---------------------------------------------
 
 
@@ -240,16 +232,6 @@ def _rl_maxima_mask(p: Perm) -> "list[bool]":
     return mask
 
 
-def _lr_maxima_mask(p: Perm) -> "list[bool]":
-    mask = [False] * len(p)
-    mx = 0
-    for i, v in enumerate(p):
-        if v > mx:
-            mask[i] = True
-            mx = v
-    return mask
-
-
 def _slide_into_front(p: Perm, keep: "list[bool]"):
     """Cyclic forward slide of the non-kept entries; returns the new perm.
 
@@ -272,59 +254,8 @@ def _slide_into_front(p: Perm, keep: "list[bool]"):
     return tuple(out)
 
 
-def _shift_once_literal(p: Perm, keep: "list[bool]"):
-    """Every non-kept entry moves exactly one slot forward; None on collision."""
-    m = len(p)
-    out = [0] * (m + 1)
-    for i in range(m):
-        if keep[i]:
-            out[i + 1] = p[i] + 1
-    last_freed = None
-    for i in range(m):
-        if not keep[i]:
-            if out[i] != 0:
-                return None
-            out[i] = p[i] + 1
-            last_freed = i + 1
-    out[last_freed if last_freed is not None else 0] = 1
-    return tuple(out)
-
-
 def _insert_rl_chain(p: Perm) -> Perm:
     return _slide_into_front(p, _rl_maxima_mask(p))
-
-
-def _insert_lr_chain(p: Perm) -> Perm:
-    return _slide_into_front(p, _lr_maxima_mask(p))
-
-
-def _insert_rl_literal(p: Perm):
-    return _shift_once_literal(p, _rl_maxima_mask(p))
-
-
-INSERTION_CANDIDATES = {
-    "rl-maxima-chain": _insert_rl_chain,
-    "lr-maxima-chain": _insert_lr_chain,
-    "rl-maxima-one-step": _insert_rl_literal,
-}
-
-_selected_insertion: "tuple[str, object] | None" = None
-
-
-def compose_123(k: int, left: Perm, right: Perm, insert=None) -> Perm:
-    """(k, left, right) -> left-block + insertion-image of right.
-
-    The left factor is placed on the top values, the insertion map rebuilds
-    the right factor with a fresh minimum; together with k this is the
-    decomposition the three-variable recurrence sums over.
-    """
-    if insert is None:
-        insert = _selected_insert_fn()
-    u = insert(right)
-    if u is None:
-        raise UsageError("insertion reading is not defined on this input")
-    shift = len(u)
-    return tuple(v + shift for v in left) + u
 
 
 def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_LIMIT):
@@ -339,8 +270,6 @@ def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_L
             for left in enumerate_avoiders(AV123, n - k, limit):
                 for right in enumerate_avoiders(AV123, k - 1, limit):
                     u = insert(right)
-                    if u is None:
-                        return False, f"undefined on {format_perm(right)}"
                     img = tuple(v + len(u) for v in left) + u
                     if img in seen:
                         return False, (
@@ -360,49 +289,29 @@ def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_L
     return True, "ok"
 
 
-def _selected_insert_fn():
-    global _selected_insertion
-    if _selected_insertion is None:
-        failures = []
-        for name, fn in INSERTION_CANDIDATES.items():
-            ok, diag = validate_insertion_reading(fn, 7)
-            if ok:
-                _selected_insertion = (name, fn)
-                break
-            failures.append(f"{name}: {diag}")
-        else:
-            raise RuntimeError(
-                "no insertion-map reading survives bijectivity validation:\n  "
-                + "\n  ".join(failures)
-            )
-    return _selected_insertion[1]
-
-
-def insertion_map_reading() -> str:
-    """Name of the validated reading (selects on first use)."""
-    _selected_insert_fn()
-    return _selected_insertion[0]
-
-
 def insertion_map(p: Perm) -> Perm:
-    """The validated insertion map; input must avoid 123."""
+    """The insertion map; input must avoid 123."""
     if contains(p, AV123):
         raise UsageError(f"{format_perm(p)} contains 123")
-    return _selected_insert_fn()(p)
+    return _insert_rl_chain(p)
 
 
 PAT_213 = (2, 1, 3)
 
 
+def _sigma_key(p: Perm) -> "tuple[int, int, int]":
+    """(213-count, sigma1, sigma2) of a 123-avoider; avoidance is not checked."""
+    u = _insert_rl_chain(p)
+    a0, a1, a2 = (count_occurrences(PAT_213, q) for q in (p, u, _insert_rl_chain(u)))
+    return a0, a1 - a0, (a2 - a1) - (a1 - a0)
+
+
 def sigma_stats(p: Perm) -> "tuple[int, int]":
     """First and second forward differences of the 213 count along the
     insertion-map orbit: the catalytic pair the 123-family recurrence tracks."""
-    u = insertion_map(p)
-    uu = insertion_map(u)
-    a0 = count_occurrences(PAT_213, p)
-    a1 = count_occurrences(PAT_213, u)
-    a2 = count_occurrences(PAT_213, uu)
-    return a1 - a0, (a2 - a1) - (a1 - a0)
+    if contains(p, AV123):
+        raise UsageError(f"{format_perm(p)} contains 123")
+    return _sigma_key(p)[1:]
 
 
 # -- brute-force weight enumerators ----------------------------------------
@@ -415,13 +324,22 @@ def brute_weight_enum(
     variables: "Sequence[str]",
     limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> MultiPoly:
-    """Sum over avoiders of prod_i var_i ^ (occurrences of stats[i])."""
+    """Sum over avoiders of prod_i var_i ^ (occurrences of stats[i]).
+
+    Each avoider gets one `classify_all_subsets` pass per distinct statistic
+    length, which counts every statistic of that length at once.
+    """
     if len(stats) != len(variables):
         raise UsageError("one variable per statistic, in the same order")
     variables = tuple(variables)
+    stats = [tuple(s) for s in stats]
+    lengths = sorted({len(s) for s in stats})
     terms: "dict[tuple, int]" = {}
     for p in enumerate_avoiders(forbidden, n, limit):
-        key = tuple(count_occurrences(s, p) for s in stats)
+        counts: "dict[Perm, int]" = {}
+        for k in lengths:
+            counts.update(classify_all_subsets(p, k))
+        key = tuple(counts.get(s, 0) for s in stats)
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(variables, terms)
 
@@ -430,7 +348,6 @@ def brute_sigma_enum(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> MultiPoly:
     """Weight enumerator of (213-count, sigma1, sigma2) over the 123-avoiders."""
     terms: "dict[tuple, int]" = {}
     for p in enumerate_avoiders(AV123, n, limit):
-        s1, s2 = sigma_stats(p)
-        key = (count_occurrences(PAT_213, p), s1, s2)
+        key = _sigma_key(p)
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(("t", "s1", "s2"), terms)

@@ -24,7 +24,6 @@ would be merged silently, and the report says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import UsageError
 from .perms import (
@@ -32,8 +31,8 @@ from .perms import (
     AV132,
     DEFAULT_ORACLE_LIMIT,
     catalan_list,
+    check_oracle_limit,
     classify_all_subsets,
-    contains,
     enumerate_avoiders,
     format_perm,
     standardize,
@@ -207,6 +206,33 @@ _EQUALITY_CAVEAT = (
 )
 
 
+def _census(family: str, k: int, prefix_len: int, sequences) -> CensusResult:
+    """Group (pattern, value sequence on sizes 0..prefix_len) pairs into
+    classes of equal sequences."""
+    groups: "dict[tuple, list]" = {}
+    for p, seq in sequences:
+        groups.setdefault(tuple(seq), []).append(p)
+    classes = []
+    for seq, members in groups.items():
+        members.sort()
+        classes.append(
+            CensusClass(
+                representative=members[0],
+                size=len(members),
+                patterns=tuple(members),
+                prefix=seq,
+            )
+        )
+    classes.sort(key=lambda c: c.representative)
+    return CensusResult(
+        family=family,
+        k=k,
+        prefix_len=prefix_len,
+        classes=tuple(classes),
+        caveat=_EQUALITY_CAVEAT.format(m=prefix_len + 1),
+    )
+
+
 def bona_census_132(k: int, prefix_len: int = 30, engine: "AverageEngine | None" = None) -> CensusResult:
     """Group the 132-avoiding length-k patterns by their total-occurrence
     sequences on sizes 0..prefix_len."""
@@ -218,28 +244,9 @@ def bona_census_132(k: int, prefix_len: int = 30, engine: "AverageEngine | None"
         engine = AverageEngine(prefix_len)
     elif engine.n_max < prefix_len:
         raise UsageError(f"engine only covers n <= {engine.n_max}")
-    groups: "dict[tuple, list]" = {}
-    for p in enumerate_avoiders(AV132, k, limit=max(k, DEFAULT_ORACLE_LIMIT)):
-        seq = engine.sequence(p)[: prefix_len + 1]
-        groups.setdefault(seq, []).append(p)
-    classes = []
-    for seq, members in groups.items():
-        members.sort()
-        classes.append(
-            CensusClass(
-                representative=members[0],
-                size=len(members),
-                patterns=tuple(members),
-                prefix=tuple(seq),
-            )
-        )
-    classes.sort(key=lambda c: c.representative)
-    return CensusResult(
-        family="av132",
-        k=k,
-        prefix_len=prefix_len,
-        classes=tuple(classes),
-        caveat=_EQUALITY_CAVEAT.format(m=prefix_len + 1),
+    patterns = enumerate_avoiders(AV132, k, limit=max(k, DEFAULT_ORACLE_LIMIT))
+    return _census(
+        "av132", k, prefix_len, ((p, engine.sequence(p)[: prefix_len + 1]) for p in patterns)
     )
 
 
@@ -250,37 +257,15 @@ def bona_census_123(k: int, n_max: int = 9, limit: int = DEFAULT_ORACLE_LIMIT) -
         raise UsageError("k must be >= 1")
     if n_max < k:
         raise UsageError(f"length-{k} patterns never occur below n = {k}; raise n_max")
-    totals: "dict[tuple, list]" = {
-        p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, k, limit=max(k, limit))
-    }
+    check_oracle_limit(n_max, limit)
+    totals: "dict[tuple, list]" = {p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, k, limit)}
     for n in range(n_max + 1):
         for perm in enumerate_avoiders(AV123, n, limit):
             for pat, cnt in classify_all_subsets(perm, k).items():
                 row = totals.get(pat)
                 if row is not None:
                     row[n] += cnt
-    groups: "dict[tuple, list]" = {}
-    for p, row in totals.items():
-        groups.setdefault(tuple(row), []).append(p)
-    classes = []
-    for seq, members in groups.items():
-        members.sort()
-        classes.append(
-            CensusClass(
-                representative=members[0],
-                size=len(members),
-                patterns=tuple(members),
-                prefix=tuple(seq),
-            )
-        )
-    classes.sort(key=lambda c: c.representative)
-    return CensusResult(
-        family="av123",
-        k=k,
-        prefix_len=n_max,
-        classes=tuple(classes),
-        caveat=_EQUALITY_CAVEAT.format(m=n_max + 1),
-    )
+    return _census("av123", k, n_max, totals.items())
 
 
 def partition_numbers(k_max: int) -> "list[int]":

@@ -13,7 +13,13 @@ from math import comb
 import pytest
 
 from catstats.abnormality import analyze, analyze_table, binomial_control_table
-from catstats.funcrec import builtin_families, builtin_spec, eval_full, eval_truncated
+from catstats.funcrec import (
+    builtin_families,
+    builtin_spec,
+    eval_full,
+    eval_truncated,
+    verify_catalog,
+)
 from catstats.guessing import (
     algebraic_residual,
     guess_algebraic,
@@ -24,12 +30,8 @@ from catstats.moments import moments_from_full, moments_from_truncated
 from catstats import perms
 from catstats.perms import (
     AV132,
-    INSERTION_CANDIDATES,
-    brute_sigma_enum,
-    brute_weight_enum,
     catalan_list,
-    insertion_map_reading,
-    parse_perm,
+    insertion_map,
     standardize,
     validate_insertion_reading,
 )
@@ -55,17 +57,7 @@ def test_criterion_01_masses_to_60_under_one_second():
 
 def test_criterion_02_full_enumerators_match_brute_force_to_10():
     start = time.monotonic()
-    for family, statistic in builtin_families():
-        spec = builtin_spec(family, statistic)
-        seq = eval_full(spec, 10)
-        tracked = dict(spec.tracked)
-        for n in range(11):
-            if family == "av132":
-                stats = [parse_perm(tracked[v]) for v in spec.variables]
-                oracle = brute_weight_enum(AV132, stats, n, spec.variables)
-            else:
-                oracle = brute_sigma_enum(n)
-            assert seq.values[n] == oracle, f"{spec.label} n={n}"
+    assert verify_catalog(10) == {f"{f}:{s}": None for f, s in builtin_families()}
     assert time.monotonic() - start < 600
 
 
@@ -232,23 +224,10 @@ def test_criterion_10_moment_pipeline_invariants():
             assert ss[4] >= (abs(ss[3]) + 1) ** 2, f"{spec.label} n={n}"
 
 
-def test_criterion_11_insertion_map_validation(monkeypatch):
-    selected = insertion_map_reading()
-    ok, diag = validate_insertion_reading(INSERTION_CANDIDATES[selected], 8)
-    assert (ok, diag) == (True, "ok")
+def test_criterion_11_insertion_map_validation():
+    assert validate_insertion_reading(insertion_map, 8) == (True, "ok")
 
-    for n in range(10):
-        assert eval_full(builtin_spec("av123", "213"), 9).values[n] == brute_sigma_enum(n)
-
-    broken = {
-        name: fn for name, fn in INSERTION_CANDIDATES.items() if name != selected
-    }
-    assert broken
-    for fn in broken.values():
-        ok, diag = validate_insertion_reading(fn, 6)
-        assert not ok and diag
-    monkeypatch.setattr(perms, "INSERTION_CANDIDATES", broken)
-    monkeypatch.setattr(perms, "_selected_insertion", None)
-    with pytest.raises(RuntimeError) as exc:
-        perms._selected_insert_fn()
-    assert "no insertion-map reading survives" in str(exc.value)
+    # a map that is not a bijection onto the 123-avoiders is rejected:
+    # prepending a new minimum turns any ascent into a 123
+    ok, diag = validate_insertion_reading(lambda p: (1,) + tuple(v + 1 for v in p), 6)
+    assert not ok and diag

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -130,6 +131,15 @@ def test_oracle_verify_small(capsys):
     rc, out, _ = run(capsys, "oracle", "verify", "--max-n", "5")
     assert rc == EXIT_OK
     assert "all 9 catalog specs match brute force" in out
+
+
+def test_census_123_refuses_oversize_n_before_enumerating(capsys):
+    start = time.monotonic()
+    rc, out, err = run(capsys, "census", "--family", "av123", "--k", "3", "--max-n", "13")
+    assert time.monotonic() - start < 1.0
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "limit 12" in err
 
 
 def test_out_dir_env_redirects_relative_paths(capsys, tmp_path, monkeypatch):

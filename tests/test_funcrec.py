@@ -9,14 +9,11 @@ from catstats.funcrec import (
     builtin_spec,
     eval_full,
     eval_truncated,
+    verify_catalog,
 )
-from catstats.perms import (
-    AV132,
-    brute_sigma_enum,
-    brute_weight_enum,
-    catalan_list,
-    parse_perm,
-)
+from catstats import funcrec
+from catstats.cli import EXIT_INTERNAL, main
+from catstats.perms import catalan_list
 from catstats.series import SeriesBasis, poly_to_series
 
 CATALOG = [
@@ -66,17 +63,29 @@ def test_masses_are_catalan_full():
 
 
 def test_full_matches_brute_force_oracle():
-    for family, statistic in CATALOG:
-        spec = builtin_spec(family, statistic)
-        seq = eval_full(spec, 7)
-        tracked = dict(spec.tracked)
-        for n in range(8):
-            if family == "av132":
-                stats = [parse_perm(tracked[v]) for v in spec.variables]
-                expected = brute_weight_enum(AV132, stats, n, spec.variables)
-            else:
-                expected = brute_sigma_enum(n)
-            assert seq.values[n] == expected, f"{family}:{statistic} n={n}"
+    assert verify_catalog(7) == {f"{f}:{s}": None for f, s in CATALOG}
+
+
+def test_verify_catalog_reports_first_mismatch(monkeypatch, capsys):
+    honest = funcrec.brute_sigma_enum
+
+    def perturbed(n, limit):
+        poly = honest(n, limit)
+        return poly + 1 if n == 3 else poly
+
+    monkeypatch.setattr(funcrec, "brute_sigma_enum", perturbed)
+    checks = verify_catalog(5)
+    n, engine, brute = checks["av123:213"]
+    assert n == 3
+    assert engine == eval_full(builtin_spec("av123", "213"), 3).values[3]
+    assert brute == engine + 1
+    assert [label for label, bad in checks.items() if bad] == ["av123:213"]
+
+    assert main(["oracle", "verify", "--max-n", "5"]) == EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert "av123:213    MISMATCH at n = 3" in out
+    assert "all 9 catalog specs" not in out
+    assert "oracle mismatch" in err
 
 
 def test_truncated_is_the_series_of_full():

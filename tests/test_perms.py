@@ -4,18 +4,15 @@ from math import comb
 import pytest
 
 from catstats.errors import UsageError
-from catstats import perms
 from catstats.perms import (
     AV123,
     AV132,
-    INSERTION_CANDIDATES,
     PAT_213,
     brute_sigma_enum,
     brute_weight_enum,
     catalan,
     catalan_list,
     classify_all_subsets,
-    compose_123,
     compose_132,
     contains,
     count_occurrences,
@@ -23,7 +20,6 @@ from catstats.perms import (
     enumerate_avoiders,
     format_perm,
     insertion_map,
-    insertion_map_reading,
     parse_perm,
     sigma_stats,
     standardize,
@@ -122,11 +118,8 @@ def test_decompose_132_rejects_non_avoider():
         decompose_132((1, 3, 2))
 
 
-def test_selected_insertion_reading():
-    assert insertion_map_reading() == "rl-maxima-chain"
-    ok, diag = validate_insertion_reading(INSERTION_CANDIDATES["rl-maxima-chain"], 8)
-    assert ok
-    assert diag == "ok"
+def test_insertion_map_passes_validation():
+    assert validate_insertion_reading(insertion_map, 8) == (True, "ok")
 
 
 def test_insertion_map_frozen_images():
@@ -152,25 +145,13 @@ def test_insertion_map_is_a_bijection_per_size():
             assert not contains(u, AV123)
 
 
-def test_broken_insertion_candidates_fail_validation():
-    for name in ("lr-maxima-chain", "rl-maxima-one-step"):
-        ok, diag = validate_insertion_reading(INSERTION_CANDIDATES[name], 6)
-        assert not ok
-        assert diag
-
-
-def test_all_candidates_failing_is_a_build_failure(monkeypatch):
-    broken = {
-        "lr-maxima-chain": INSERTION_CANDIDATES["lr-maxima-chain"],
-        "rl-maxima-one-step": INSERTION_CANDIDATES["rl-maxima-one-step"],
-    }
-    monkeypatch.setattr(perms, "INSERTION_CANDIDATES", broken)
-    monkeypatch.setattr(perms, "_selected_insertion", None)
-    with pytest.raises(RuntimeError) as exc:
-        perms._selected_insert_fn()
-    msg = str(exc.value)
-    assert "no insertion-map reading survives" in msg
-    assert "lr-maxima-chain" in msg and "rl-maxima-one-step" in msg
+def test_broken_insertion_maps_fail_validation():
+    # prepending a new minimum creates 123 from any ascent
+    ok, diag = validate_insertion_reading(lambda p: (1,) + tuple(v + 1 for v in p), 6)
+    assert not ok and "contains 123" in diag
+    # the decreasing permutation of the right length ignores its input
+    ok, diag = validate_insertion_reading(lambda p: tuple(range(len(p) + 1, 0, -1)), 6)
+    assert not ok and "collision" in diag
 
 
 def test_sigma_stats_match_their_definition():
@@ -187,6 +168,21 @@ def test_sigma_stats_match_their_definition():
 def test_brute_weight_enum_frozen_example():
     m = brute_weight_enum(AV132, [(2, 1)], 3, ["t"])
     assert {e[0]: c for e, c in m.terms.items()} == {0: 1, 1: 1, 2: 2, 3: 1}
+
+
+def test_brute_weight_enum_matches_per_statistic_counts():
+    # lengths 0, 2, 3 and 4 share one classification pass per length
+    stats = [(), (2, 1), (1, 3, 2), (1, 2), (2, 1, 3), (3, 1, 4, 2), (2, 1)]
+    variables = ["e", "a", "b", "c", "d", "f", "g"]
+    for forbidden in (AV132, AV123):
+        for n in range(8):
+            expected: dict = {}
+            for p in enumerate_avoiders(forbidden, n):
+                key = tuple(count_occurrences(s, p) for s in stats)
+                expected[key] = expected.get(key, 0) + 1
+            got = brute_weight_enum(forbidden, stats, n, variables)
+            assert got.variables == tuple(variables)
+            assert dict(got.terms) == expected, (forbidden, n)
 
 
 def test_brute_sigma_enum_matches_per_perm_stats():
