@@ -234,15 +234,17 @@ def cmd_average(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.family == "av132":
-        result = bona_census_132(args.k, prefix_len=args.prefix_len)
-    else:
-        result = bona_census_123(args.k, n_max=args.max_n)
     config = {"family": args.family, "k": args.k}
     if args.family == "av132":
-        config["prefix_len"] = args.prefix_len
+        if args.max_n is not None:
+            raise UsageError("--max-n applies to --family av123; av132 takes --prefix-len")
+        config["prefix_len"] = 30 if args.prefix_len is None else args.prefix_len
+        result = bona_census_132(args.k, prefix_len=config["prefix_len"])
     else:
-        config["max_n"] = args.max_n
+        if args.prefix_len is not None:
+            raise UsageError("--prefix-len applies to --family av132; av123 takes --max-n")
+        config["max_n"] = 9 if args.max_n is None else args.max_n
+        result = bona_census_123(args.k, n_max=config["max_n"])
     if args.format == "json":
         obj = _echo("census", config)
         obj["census"] = result.to_json_obj()
@@ -520,10 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="equality classes of A_p at pattern length k")
     p.add_argument("--family", choices=["av132", "av123"], default="av132")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prefix-len", type=int, default=30,
-                   help="av132: sequence prefix length used for classing")
-    p.add_argument("--max-n", type=int, default=9,
-                   help="av123: brute-force range for classing")
+    p.add_argument("--prefix-len", type=int,
+                   help="av132 only: sequence prefix length used for classing (default 30)")
+    p.add_argument("--max-n", type=int,
+                   help="av123 only: brute-force range for classing (default 9)")
     _add_common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_census)
 

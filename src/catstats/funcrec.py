@@ -19,7 +19,10 @@ Two evaluation modes share one spec.  Full mode carries entire polynomials
 about the all-ones point to a fixed total degree, which is all the moment
 pipeline ever reads; substitution images fix the all-ones point (monomials
 always do), so truncation commutes with the recurrence and the truncated
-values are exact initial segments, not approximations.
+values are exact initial segments, not approximations.  Such a substitution
+is a linear map on the coefficient vector; each distinct evaluated exponent
+matrix is built once per evaluation as a sparse operator and then applied at
+every (n, k) where it recurs.
 
 The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the
@@ -47,8 +50,9 @@ from .perms import (
 from .series import (
     SeriesBasis,
     TruncatedSeries,
+    apply_operator,
     binomial_series,
-    compose_prepared,
+    substitution_operator,
 )
 
 DEFAULT_FULL_LIMIT = 64
@@ -393,45 +397,30 @@ def eval_full(spec: FuncRecSpec, n_max: int, limit: int = DEFAULT_FULL_LIMIT) ->
 # -- truncated mode --------------------------------------------------------
 
 
-class _SubstPowers:
-    """Caches compose-ready image power lists keyed by evaluated exponents."""
+class _SubstOperators:
+    """Caches one substitution operator per evaluated exponent matrix.
 
-    def __init__(self, mat: SubstMatrix, basis: SeriesBasis):
-        self.mat = mat
+    The key is the matrix alone, so substitutions that coincide at different
+    (n, k), or on different sides of a term, share one operator.
+    """
+
+    def __init__(self, basis: SeriesBasis):
         self.basis = basis
         self.cache: dict = {}
         nv = len(basis.variables)
-        self.unit_rows = [tuple(1 if j == i else 0 for j in range(nv)) for i in range(nv)]
+        self.identity = tuple(tuple(1 if j == i else 0 for j in range(nv)) for i in range(nv))
 
-    def at(self, n: int, k: int):
-        key = tuple(tuple(e.eval(n, k) for e in row) for row in self.mat)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        basis = self.basis
-        cap = basis.cap
-        pows = []
-        for i, row in enumerate(key):
-            if row == self.unit_rows[i]:
-                pows.append(None)
-                continue
-            if any(e < 0 for e in row):
+    def apply(self, mat: SubstMatrix, n: int, k: int, s: TruncatedSeries) -> TruncatedSeries:
+        """`s` under the substitution `mat` evaluated at (n, k)."""
+        key = tuple(tuple(e.eval(n, k) for e in row) for row in mat)
+        if key == self.identity:
+            return s
+        op = self.cache.get(key)
+        if op is None:
+            if any(e < 0 for row in key for e in row):
                 raise UsageError(f"negative substitution exponent at (n={n}, k={k})")
-            img = None
-            for j, e in enumerate(row):
-                if e == 0:
-                    continue
-                f = binomial_series(basis, basis.variables[j], e)
-                img = f if img is None else img * f
-            if img is None:
-                img = TruncatedSeries.constant(basis, 1)
-            img = img - 1
-            plist = [TruncatedSeries.constant(basis, 1)]
-            for _ in range(cap):
-                plist.append(plist[-1] * img)
-            pows.append(plist)
-        self.cache[key] = pows
-        return pows
+            op = self.cache[key] = substitution_operator(self.basis, key)
+        return apply_operator(op, s)
 
 
 class _CoefSeries:
@@ -467,13 +456,12 @@ def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequenc
     if cap < 1:
         raise UsageError("cap must be >= 1")
     basis = SeriesBasis(spec.variables, cap)
-    left_pows = [None if t.left is None else _SubstPowers(t.left, basis) for t in spec.terms]
-    right_pows = [None if t.right is None else _SubstPowers(t.right, basis) for t in spec.terms]
+    subst = _SubstOperators(basis)
     coef_cache = _CoefSeries(basis)
     values = [TruncatedSeries.constant(basis, 1)]
     for n in range(1, n_max + 1):
         acc = TruncatedSeries(basis)
-        for ti, term in enumerate(spec.terms):
+        for term in spec.terms:
             for k in term.k_range(n):
                 coef = None
                 for atom in term.atoms:
@@ -483,11 +471,11 @@ def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequenc
                     piece = coef_cache.monomial_at(exps) * atom.scalar(n, k)
                     coef = piece if coef is None else coef + piece
                 lf = values[k - 1]
-                if left_pows[ti] is not None:
-                    lf = compose_prepared(lf, left_pows[ti].at(n, k))
+                if term.left is not None:
+                    lf = subst.apply(term.left, n, k, lf)
                 rf = values[n - k]
-                if right_pows[ti] is not None:
-                    rf = compose_prepared(rf, right_pows[ti].at(n, k))
+                if term.right is not None:
+                    rf = subst.apply(term.right, n, k, rf)
                 acc.add_inplace(coef * lf * rf)
         values.append(acc)
     return EnumeratorSequence(spec, "truncated", cap, values)

@@ -2,9 +2,14 @@
 
 A series lives in a SeriesBasis: the graded-lex-ordered list of all monomials
 in the deviation variables with total degree <= cap.  Coefficients are stored
-densely, indexed by that list, so multiplication walks a precomputed
-index-by-index product table instead of hashing exponent tuples.  Bases are
-interned per (variables, cap).
+densely, indexed by that list.  Each basis keeps, per monomial i, the list
+of (j, index of i*j) over the monomials j whose product with i stays within
+the cap, so multiplication walks only in-cap pairs instead of hashing
+exponent tuples.  Bases are interned per (variables, cap).
+
+A monomial substitution fixes the all-ones point, so composing a series with
+it is a linear map on the coefficient vector: `substitution_operator` builds
+that map once as a sparse matrix and `apply_operator` applies it.
 
 The intended reading everywhere in this package: the variables are deviations
 z_v = v - 1 from the all-ones point, and a series holds the Taylor expansion
@@ -28,11 +33,11 @@ def _monomials_upto(nvars: int, cap: int) -> "list[tuple[int, ...]]":
 
 
 class SeriesBasis:
-    """Shared monomial enumeration + product table for one (variables, cap)."""
+    """Shared monomial enumeration + in-cap product pairs for one (variables, cap)."""
 
     _interned: "dict[tuple, SeriesBasis]" = {}
 
-    __slots__ = ("variables", "cap", "monomials", "index", "prod")
+    __slots__ = ("variables", "cap", "monomials", "index", "pairs")
 
     def __new__(cls, variables: "tuple[str, ...]", cap: int):
         key = (tuple(variables), cap)
@@ -46,17 +51,16 @@ class SeriesBasis:
         self.cap = cap
         self.monomials = _monomials_upto(len(self.variables), cap)
         self.index = {e: i for i, e in enumerate(self.monomials)}
-        # prod[i][j] = index of monomial i*j, or -1 when past the cap
-        n = len(self.monomials)
-        self.prod = []
-        for ea in self.monomials:
-            row = []
-            for eb in self.monomials:
-                if sum(ea) + sum(eb) > cap:
-                    row.append(-1)
-                else:
-                    row.append(self.index[tuple(x + y for x, y in zip(ea, eb))])
-            self.prod.append(row)
+        # pairs[i] = [(j, index of monomial i*j)] for every j with i*j within the cap
+        degs = [sum(e) for e in self.monomials]
+        self.pairs = [
+            [
+                (j, self.index[tuple(x + y for x, y in zip(ea, eb))])
+                for j, eb in enumerate(self.monomials)
+                if da + degs[j] <= cap
+            ]
+            for ea, da in zip(self.monomials, degs)
+        ]
         cls._interned[key] = self
         return self
 
@@ -170,75 +174,19 @@ class TruncatedSeries:
             return out
         self._check(other)
         out = [0] * len(self.basis)
-        prod = self.basis.prod
+        pairs = self.basis.pairs
         bc = other.coeffs
         for i, a in enumerate(self.coeffs):
             if a:
-                row = prod[i]
-                for j, b in enumerate(bc):
+                for j, t in pairs[i]:
+                    b = bc[j]
                     if b:
-                        t = row[j]
-                        if t >= 0:
-                            out[t] += a * b
+                        out[t] += a * b
         s = TruncatedSeries(self.basis)
         s.coeffs = out
         return s
 
     __rmul__ = __mul__
-
-    def shift_monomial(self, exps) -> "TruncatedSeries":
-        """Multiply by a pure monomial (index remap, no coefficient products)."""
-        j = self.basis.index.get(tuple(exps))
-        if j is None:
-            raise UsageError(f"monomial {tuple(exps)} outside basis cap {self.basis.cap}")
-        if j == 0:
-            return self
-        out = [0] * len(self.basis)
-        prod = self.basis.prod
-        for i, a in enumerate(self.coeffs):
-            if a:
-                t = prod[i][j]
-                if t >= 0:
-                    out[t] = a
-        s = TruncatedSeries(self.basis)
-        s.coeffs = out
-        return s
-
-    # -- composition -------------------------------------------------------
-
-    def compose(self, images: "Mapping[str, TruncatedSeries]") -> "TruncatedSeries":
-        """Substitute series for variables.
-
-        Every image must share this basis and have zero constant term
-        (substitutions must fix the expansion point).  Variables missing
-        from `images` map to themselves.
-        """
-        basis = self.basis
-        img_list: "list[TruncatedSeries | None]" = []
-        for v in basis.variables:
-            img = images.get(v)
-            if img is None:
-                img_list.append(None)
-            else:
-                self._check(img)
-                if img.coeffs[0] != 0:
-                    raise UsageError(f"image of {v!r} has nonzero constant term")
-                img_list.append(img)
-        if all(img is None for img in img_list):
-            return self
-        pows = _prepare_powers(basis, img_list, self._max_exps())
-        return compose_prepared(self, pows)
-
-    def _max_exps(self) -> "list[int]":
-        nv = len(self.basis.variables)
-        mx = [0] * nv
-        for i, a in enumerate(self.coeffs):
-            if a:
-                e = self.basis.monomials[i]
-                for j in range(nv):
-                    if e[j] > mx[j]:
-                        mx[j] = e[j]
-        return mx
 
     def restrict(self, drop: "Iterable[str]") -> "TruncatedSeries":
         """Set the named original variables back to 1.
@@ -368,50 +316,43 @@ def poly_to_series(p: MultiPoly, basis: SeriesBasis) -> TruncatedSeries:
     return acc
 
 
-def _prepare_powers(basis, img_list, max_exps):
-    """Per variable: list of powers of its image, or None for identity."""
-    pows = []
-    for img, mx in zip(img_list, max_exps):
-        if img is None:
-            pows.append(None)
-        else:
-            p = [TruncatedSeries.constant(basis, 1)]
-            for _ in range(mx):
-                p.append(p[-1] * img)
-            pows.append(p)
-    return pows
+def substitution_operator(
+    basis: SeriesBasis, rows: "Sequence[Sequence[int]]"
+) -> "list[list[tuple[int, int]]]":
+    """The linear map of the monomial substitution v_i -> prod_j v_j^rows[i][j].
 
-
-def compose_prepared(s: TruncatedSeries, pows) -> TruncatedSeries:
-    """Composition with precomputed image powers (hot path of the evaluator).
-
-    `pows[i]` is either None (variable i maps to itself) or the power list of
-    its image series, long enough for every exponent appearing in `s`.
+    In deviation variables the image of z_i is image_i - 1, where image_i is
+    the series of the monomial v^rows[i] (an identity row sends z_i to
+    itself); it has no constant term, so the image of z^e is the truncated
+    product of (image_i - 1)^e_i.  Columns are built in graded order,
+    column(e) = column(e - u_i) * (image_i - 1) with i the first variable
+    in e, which is one series product per basis monomial.  The operator is
+    returned per source index as its (target index, coefficient) list.
+    Exponents must be >= 0.
     """
-    basis = s.basis
-    nv = len(basis.variables)
-    acc = TruncatedSeries(basis)
-    for idx, c in enumerate(s.coeffs):
-        if not c:
-            continue
-        exps = basis.monomials[idx]
-        factor = None
-        ident = [0] * nv
-        for i in range(nv):
-            e = exps[i]
-            if not e:
-                continue
-            if pows[i] is None:
-                ident[i] = e
-            else:
-                f = pows[i][e]
-                factor = f if factor is None else factor * f
-        if factor is None:
-            # pure identity monomial: contributes itself
-            acc.coeffs[idx] += c
-            continue
-        if any(ident):
-            factor = factor.shift_monomial(tuple(ident))
-        acc.add_inplace(factor * c)
-    acc.coeffs = [norm_coeff(c) if c else 0 for c in acc.coeffs]
-    return acc
+    devs = []
+    for row in rows:
+        img = TruncatedSeries.constant(basis, 1)
+        for v, e in zip(basis.variables, row):
+            if e:
+                img = img * binomial_series(basis, v, e)
+        devs.append(img - 1)
+    cols = [TruncatedSeries.constant(basis, 1)]
+    for e in basis.monomials[1:]:
+        i = next(i for i, x in enumerate(e) if x)
+        prev = basis.index[e[:i] + (e[i] - 1,) + e[i + 1:]]
+        cols.append(cols[prev] * devs[i])
+    return [[(t, c) for t, c in enumerate(col.coeffs) if c] for col in cols]
+
+
+def apply_operator(op: "list[list[tuple[int, int]]]", s: TruncatedSeries) -> TruncatedSeries:
+    """The image of `s` under an operator built by `substitution_operator`
+    over the same basis."""
+    out = [0] * len(s.basis)
+    for c, col in zip(s.coeffs, op):
+        if c:
+            for t, m in col:
+                out[t] += c * m
+    r = TruncatedSeries(s.basis)
+    r.coeffs = out
+    return r

@@ -142,6 +142,20 @@ def test_census_123_refuses_oversize_n_before_enumerating(capsys):
     assert err.startswith("error:") and "limit 12" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "av132", "--k", "2", "--max-n", "99"),
+        ("--family", "av123", "--k", "2", "--prefix-len", "12"),
+    ],
+)
+def test_census_rejects_the_other_familys_option(capsys, argv):
+    rc, out, err = run(capsys, "census", *argv)
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_out_dir_env_redirects_relative_paths(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CATSTATS_OUT_DIR", str(tmp_path))
     rc, out, err = run(

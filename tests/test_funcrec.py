@@ -1,18 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catstats.errors import UsageError
 from catstats.funcrec import (
+    CoefAtom,
     FuncRecSpec,
+    RecTerm,
     builtin_families,
     builtin_spec,
     eval_full,
     eval_truncated,
+    subst_matrix,
     verify_catalog,
 )
 from catstats import funcrec
 from catstats.cli import EXIT_INTERNAL, main
+from catstats.multipoly import IndexPoly, index_poly
 from catstats.perms import catalan_list
 from catstats.series import SeriesBasis, poly_to_series
 
@@ -98,6 +104,32 @@ def test_truncated_is_the_series_of_full():
         for n in range(8):
             want = poly_to_series(full.values[n], basis)
             assert trunc.values[n].to_wire() == want.to_wire(), f"{family}:{statistic} n={n}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CATALOG), st.integers(0, 9), st.integers(1, 8))
+def test_truncated_is_the_series_of_full_at_every_cap(family_stat, n, cap):
+    # up to cap 8, the width of the three-variable basis moment tables run at
+    spec = builtin_spec(*family_stat)
+    want = poly_to_series(eval_full(spec, n).values[n], SeriesBasis(spec.variables, cap))
+    assert eval_truncated(spec, n, cap).values[n] == want
+
+
+def test_negative_substitution_exponent_is_a_usage_error():
+    # t -> t^(20 - n) on the right factor passes the mass check (n <= 12)
+    # and first goes negative at n = 21, k = 1
+    right = subst_matrix(("t",), {"t": {"t": index_poly({(0, 0): 20, (1, 0): -1})}})
+    spec = FuncRecSpec(
+        "av132",
+        "synthetic",
+        ("t",),
+        [RecTerm(atoms=(CoefAtom(var_exps=(IndexPoly.ZERO,)),), right=right)],
+    )
+    assert eval_truncated(spec, 20, 2).masses() == catalan_list(20)
+    with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
+        eval_truncated(spec, 25, 2)
+    with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
+        eval_full(spec, 25)
 
 
 def test_frozen_small_enumerators():

@@ -8,9 +8,11 @@ from catstats.multipoly import MultiPoly
 from catstats.series import (
     SeriesBasis,
     TruncatedSeries,
+    apply_operator,
     binomial_coeffs,
     binomial_series,
     poly_to_series,
+    substitution_operator,
 )
 
 
@@ -67,27 +69,32 @@ def test_add_and_inplace(rng):
     assert tot.to_wire() == acc.to_wire()
 
 
-def test_shift_monomial_multiplies_by_deviation_monomial():
-    # shifting by dev exponents (2, 1) is multiplication by (t-1)^2 (q-1)
-    basis = SeriesBasis(("t", "q"), 6)
-    p = MultiPoly(("t", "q"), {(1, 0): 2, (0, 1): -3, (0, 0): 1})
-    s = poly_to_series(p, basis).shift_monomial((2, 1))
-    dev = MultiPoly(("t", "q"), {(1, 0): 1, (0, 0): -1}) ** 2 * MultiPoly(
-        ("t", "q"), {(0, 1): 1, (0, 0): -1}
-    )
-    assert s.to_poly() == p * dev
-
-
 def test_compose_matches_monomial_substitution():
-    # t -> t^2 q: in deviation form the image is the series of t^2 q - 1,
-    # which fixes the expansion point. Cap is generous so compose is exact.
+    # t -> t^2 q as an operator on the expansion about all-ones. The cap is
+    # above the degree of the substituted polynomial, so the image is exact.
     basis = SeriesBasis(("t", "q"), 8)
     p = MultiPoly(("t", "q"), {(2, 0): 1, (1, 1): -2, (0, 0): 3})
-    image = poly_to_series(
-        MultiPoly(("t", "q"), {(2, 1): 1, (0, 0): -1}), basis
-    )
-    composed = poly_to_series(p, basis).compose({"t": image})
-    assert composed.to_poly() == p.subst_monomial({"t": (2, 1)})
+    op = substitution_operator(basis, ((2, 1), (0, 1)))
+    composed = apply_operator(op, poly_to_series(p, basis))
+    want = p.subst_monomial({"t": (2, 1)})
+    assert composed == poly_to_series(want, basis)
+    assert composed.to_poly() == want
+
+
+def test_substitution_operator_three_variables(rng):
+    # the shape of av123:213's left substitution: s1 -> t s1, s2 -> s1 s2
+    variables = ("t", "s1", "s2")
+    rows = ((1, 0, 0), (1, 1, 0), (0, 1, 1))
+    for cap in (2, 4, 6):
+        basis = SeriesBasis(variables, cap)
+        op = substitution_operator(basis, rows)
+        for _ in range(5):
+            p = random_poly(rng, variables, n_terms=6, max_exp=2)
+            want = p.subst_monomial({"s1": rows[1], "s2": rows[2]})
+            assert apply_operator(op, poly_to_series(p, basis)) == poly_to_series(want, basis)
+    identity = substitution_operator(basis, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    s = poly_to_series(random_poly(rng, variables, max_exp=3), basis)
+    assert apply_operator(identity, s) == s
 
 
 def test_restrict_sets_variable_to_one(rng):
