@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 
 from .errors import DegenerateStatisticError, UsageError
 from .funcrec import builtin_spec, eval_truncated
@@ -238,6 +238,9 @@ def analyze_table(
     This is the single verdict path: analyze() feeds catalog statistics
     through it and synthetic controls enter here directly.
     """
+    for name, value in (("tau_skew", tau_skew), ("tau_kurt", tau_kurt), ("epsilon", epsilon)):
+        if not (isfinite(value) and value > 0):
+            raise UsageError(f"{name} must be a finite number > 0, got {value}")
     if table.r_max < 4:
         raise UsageError(f"verdicts need moments through r = 4, got r_max = {table.r_max}")
     n_top = table.rows[-1].n

@@ -71,7 +71,10 @@ def _resolve_out(path: str) -> str:
 def _emit(text: str, out: "str | None") -> None:
     if out:
         dest = _resolve_out(out)
-        atomic_write_text(dest, text)
+        try:
+            atomic_write_text(dest, text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {dest}: {exc.strerror or exc}") from None
         print(f"wrote {dest}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -14,31 +14,35 @@ exactly what splitting an avoider at its maximum produces: the statistic of
 the whole is an index-dependent affine combination of the statistics of the
 two parts, which exponent bookkeeping turns into monomial substitutions.
 
-Two evaluation modes share one spec.  Full mode carries entire polynomials
-(exponential-size output, exact).  Truncated mode carries Taylor expansions
-about the all-ones point to a fixed total degree, which is all the moment
-pipeline ever reads; substitution images fix the all-ones point (monomials
-always do), so truncation commutes with the recurrence and the truncated
-values are exact initial segments, not approximations.  Such a substitution
-is a linear map on the coefficient vector; each distinct evaluated exponent
-matrix is built once per evaluation as a sparse operator and then applied at
-every (n, k) where it recurs.
+One driver, `_recur`, walks the recurrence; it is handed the ring to work in
+(its unit, how to build a coefficient atom, how to apply a substitution) and
+evaluates each summand's exponents once.  Three rings use it.  The mass check
+runs it in the integers with every substitution the identity: at the all-ones
+point the recurrence must reproduce the Catalan numbers.  Full mode runs it in
+MultiPoly (exponential-size output, exact).  Truncated mode runs it in
+TruncatedSeries, Taylor expansions about the all-ones point to a fixed total
+degree, which is all the moment pipeline ever reads; substitution images fix
+the all-ones point (monomials always do), so truncation commutes with the
+recurrence and the truncated values are exact initial segments, not
+approximations.  There a substitution is a linear map on the coefficient
+vector, built once per distinct evaluated exponent matrix as a sparse
+operator and applied at every (n, k) where it recurs.
 
 The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the
 123-avoiders (two catalytic variables driven by the insertion map; see
-perms.py).  Every spec is mass-checked against the Catalan numbers at
-construction time, and `verify_catalog` checks the whole catalog against the
-brute-force enumerators of perms.py.
+perms.py).  Every spec is mass-checked at construction time, and
+`verify_catalog` checks the whole catalog against the brute-force
+enumerators of perms.py.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import UsageError
-from .multipoly import IndexPoly, MultiPoly, index_poly, norm_coeff
+from .multipoly import IndexPoly, MultiPoly, index_poly
 from .perms import (
     AV132,
     DEFAULT_ORACLE_LIMIT,
@@ -51,12 +55,11 @@ from .series import (
     SeriesBasis,
     TruncatedSeries,
     apply_operator,
-    binomial_series,
+    monomial_series,
     substitution_operator,
 )
 
 DEFAULT_FULL_LIMIT = 64
-MAX_EXPONENT = 2**31
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,6 @@ def subst_matrix(variables: "Sequence[str]", images: Mapping) -> SubstMatrix:
     return tuple(rows)
 
 
-def _identity_row(i: int, nv: int) -> tuple:
-    return tuple(IndexPoly.ONE if j == i else IndexPoly.ZERO for j in range(nv))
-
-
 class FuncRecSpec:
     """A validated functional recurrence for one (family, statistic) pair."""
 
@@ -150,6 +149,8 @@ class FuncRecSpec:
                 raise UsageError("k_low must be >= 1")
             if term.k_high is not None and term.k_high < term.k_low:
                 raise UsageError("k_high must be >= k_low")
+            if not term.atoms:
+                raise UsageError("a term needs at least one coefficient atom")
             for atom in term.atoms:
                 if len(atom.var_exps) != nv:
                     raise UsageError("atom exponent arity does not match variables")
@@ -167,104 +168,15 @@ class FuncRecSpec:
     def _mass_check(self, n_max: int = 12) -> None:
         """At the all-ones point the recurrence must reproduce the Catalan
         numbers; exponent data must also evaluate non-negative on the range."""
-        cats = catalan_list(n_max)
-        mass = [1]
-        for n in range(1, n_max + 1):
-            total = 0
-            for term in self.terms:
-                for k in term.k_range(n):
-                    for atom in term.atoms:
-                        for e in atom.var_exps:
-                            if e.eval(n, k) < 0:
-                                raise UsageError(
-                                    f"{self.label}: negative coefficient exponent at (n={n}, k={k})"
-                                )
-                    for mat in (term.left, term.right):
-                        if mat is not None:
-                            for row in mat:
-                                for e in row:
-                                    if e.eval(n, k) < 0:
-                                        raise UsageError(
-                                            f"{self.label}: negative substitution exponent at (n={n}, k={k})"
-                                        )
-                    scal = sum(atom.scalar(n, k) for atom in term.atoms)
-                    total += scal * mass[k - 1] * mass[n - k]
-            mass.append(total)
-            if total != cats[n]:
+        mass = _recur(self, n_max, 1, lambda scalar, exps: scalar, lambda value, rows: value)
+        for n, (total, want) in enumerate(zip(mass, catalan_list(n_max))):
+            if total != want:
                 raise UsageError(
-                    f"{self.label}: mass check failed at n = {n}: {total} != {cats[n]}"
+                    f"{self.label}: mass check failed at n = {n}: {total} != {want}"
                 )
 
     def __repr__(self):
         return f"FuncRecSpec({self.label}, vars={self.variables}, {len(self.terms)} terms)"
-
-    # -- exchange format ---------------------------------------------------
-
-    def to_wire(self) -> dict:
-        def mat_wire(mat):
-            if mat is None:
-                return None
-            return [[e.to_wire() for e in row] for row in mat]
-
-        return {
-            "family": self.family,
-            "statistic": self.statistic,
-            "variables": list(self.variables),
-            "tracked": [list(pair) for pair in self.tracked],
-            "terms": [
-                {
-                    "k_low": t.k_low,
-                    "k_high": t.k_high,
-                    "atoms": [
-                        {
-                            "factor": f"{Fraction(a.factor).numerator}/{Fraction(a.factor).denominator}",
-                            "n_deg": a.n_deg,
-                            "k_deg": a.k_deg,
-                            "var_exps": [e.to_wire() for e in a.var_exps],
-                        }
-                        for a in t.atoms
-                    ],
-                    "left": mat_wire(t.left),
-                    "right": mat_wire(t.right),
-                }
-                for t in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_wire(cls, obj: Mapping) -> "FuncRecSpec":
-        def mat_read(m):
-            if m is None:
-                return None
-            return tuple(tuple(IndexPoly.from_wire(e) for e in row) for row in m)
-
-        terms = []
-        for t in obj["terms"]:
-            atoms = tuple(
-                CoefAtom(
-                    var_exps=tuple(IndexPoly.from_wire(e) for e in a["var_exps"]),
-                    factor=norm_coeff(Fraction(a["factor"])),
-                    n_deg=a["n_deg"],
-                    k_deg=a["k_deg"],
-                )
-                for a in t["atoms"]
-            )
-            terms.append(
-                RecTerm(
-                    atoms=atoms,
-                    k_low=t["k_low"],
-                    k_high=t["k_high"],
-                    left=mat_read(t["left"]),
-                    right=mat_read(t["right"]),
-                )
-            )
-        return cls(
-            obj["family"],
-            obj["statistic"],
-            tuple(obj["variables"]),
-            terms,
-            tuple(tuple(pair) for pair in obj.get("tracked", [])),
-        )
 
 
 @dataclass
@@ -301,60 +213,55 @@ class EnumeratorSequence:
         return out
 
 
-# -- full mode -------------------------------------------------------------
+# -- the recurrence walk ---------------------------------------------------
 
 
-def _coef_poly(term: RecTerm, n: int, k: int, variables) -> MultiPoly:
-    terms: dict = {}
-    for atom in term.atoms:
-        exps = tuple(e.eval(n, k) for e in atom.var_exps)
-        if any(e < 0 for e in exps):
-            raise UsageError(f"negative exponent in coefficient at (n={n}, k={k})")
-        terms[exps] = terms.get(exps, 0) + atom.scalar(n, k)
-    return MultiPoly(variables, terms)
+def _recur(spec: FuncRecSpec, n_max: int, one, coefficient: Callable, substitute: Callable) -> list:
+    """Q_0 .. Q_n_max of `spec` in the ring whose unit is `one`.
 
-
-def _subst_images(mat: SubstMatrix, n: int, k: int, variables) -> "dict | None":
-    """Concrete exponent vectors at (n, k); None when the matrix acts as identity."""
-    nv = len(variables)
-    images = {}
-    for i, row in enumerate(mat):
-        exps = tuple(e.eval(n, k) for e in row)
-        if any(e < 0 for e in exps):
-            raise UsageError(f"negative substitution exponent at (n={n}, k={k})")
-        if exps != tuple(1 if j == i else 0 for j in range(nv)):
-            images[variables[i]] = exps
-    return images or None
-
-
-def _projected_degrees(spec: FuncRecSpec, n_max: int) -> "list[list[int]]":
-    """Per-variable degree bounds D[n][i] under the recurrence."""
+    `coefficient(scalar, exps)` is the ring element of one coefficient atom
+    at (n, k): its scalar times the monomial with exponent vector `exps`.
+    `substitute(value, rows)` applies a substitution whose evaluated exponent
+    matrix `rows` is not the identity.  Each summand's exponents are
+    evaluated once (constant ones once per walk), and a negative one is a
+    UsageError naming (n, k).  A unit coefficient is not multiplied in;
+    otherwise the product is formed as (coef * L) * R.
+    """
     nv = len(spec.variables)
-    D = [[0] * nv]
+    identity = tuple(tuple(int(i == j) for j in range(nv)) for i in range(nv))
+    walks = []
+    for term in spec.terms:
+        # the atoms' exponent vectors, then the rows of the left and right matrices
+        polys = [e for a in term.atoms for e in a.var_exps]
+        polys += [e for mat in (term.left, term.right) if mat is not None for row in mat for e in row]
+        walks.append((term, [e.eval(0, 0) if e.is_constant() else e for e in polys]))
+    zero = one * 0
+    values = [one]
     for n in range(1, n_max + 1):
-        best = [0] * nv
-        for term in spec.terms:
+        acc = zero
+        for term, polys in walks:
+            na = len(term.atoms)
             for k in term.k_range(n):
-                contrib = [0] * nv
-                for atom in term.atoms:
-                    for i, e in enumerate(atom.var_exps):
-                        contrib[i] = max(contrib[i], e.eval(n, k))
-                for mat, src in ((term.left, D[k - 1]), (term.right, D[n - k])):
-                    if mat is None:
-                        for i in range(nv):
-                            contrib[i] += src[i]
-                    else:
-                        for j in range(nv):
-                            add = 0
-                            for i in range(nv):
-                                if src[i]:
-                                    add += src[i] * mat[i][j].eval(n, k)
-                            contrib[j] += add
-                for i in range(nv):
-                    if contrib[i] > best[i]:
-                        best[i] = contrib[i]
-        D.append(best)
-    return D
+                ev = [e if type(e) is int else e.eval(n, k) for e in polys]
+                if min(ev) < 0:
+                    raise UsageError(f"{spec.label}: negative exponent at (n={n}, k={k})")
+                vecs = [tuple(ev[i:i + nv]) for i in range(0, len(ev), nv)]
+                mats = [tuple(vecs[i:i + nv]) for i in range(na, len(vecs), nv)]
+                lf, rf = values[k - 1], values[n - k]
+                if term.left is not None and mats[0] != identity:
+                    lf = substitute(lf, mats[0])
+                if term.right is not None and mats[-1] != identity:
+                    rf = substitute(rf, mats[-1])
+                scalars = [a.scalar(n, k) for a in term.atoms]
+                if scalars != [1] or any(vecs[0]):
+                    coef = None
+                    for scalar, exps in zip(scalars, vecs):
+                        piece = coefficient(scalar, exps)
+                        coef = piece if coef is None else coef + piece
+                    lf = coef * lf
+                acc = acc + lf * rf
+        values.append(acc)
+    return values
 
 
 def eval_full(spec: FuncRecSpec, n_max: int, limit: int = DEFAULT_FULL_LIMIT) -> EnumeratorSequence:
@@ -366,83 +273,15 @@ def eval_full(spec: FuncRecSpec, n_max: int, limit: int = DEFAULT_FULL_LIMIT) ->
             f"full mode is capped at n = {limit} by default; raise the limit "
             "explicitly, or use truncated mode for moment work"
         )
-    degs = _projected_degrees(spec, n_max)
-    worst = max((d for row in degs for d in row), default=0)
-    if worst >= MAX_EXPONENT:
-        raise UsageError(
-            f"projected exponent {worst} exceeds {MAX_EXPONENT}; use truncated mode"
-        )
     variables = spec.variables
-    values = [MultiPoly.one(variables)]
-    for n in range(1, n_max + 1):
-        acc = MultiPoly.zero(variables)
-        for term in spec.terms:
-            for k in term.k_range(n):
-                part = _coef_poly(term, n, k, variables)
-                lf = values[k - 1]
-                if term.left is not None:
-                    img = _subst_images(term.left, n, k, variables)
-                    if img:
-                        lf = lf.subst_monomial(img)
-                rf = values[n - k]
-                if term.right is not None:
-                    img = _subst_images(term.right, n, k, variables)
-                    if img:
-                        rf = rf.subst_monomial(img)
-                acc = acc + part * lf * rf
-        values.append(acc)
+    values = _recur(
+        spec,
+        n_max,
+        MultiPoly.one(variables),
+        lambda scalar, exps: MultiPoly.monomial(variables, exps, scalar),
+        lambda p, rows: p.subst_monomial(dict(zip(variables, rows))),
+    )
     return EnumeratorSequence(spec, "full", None, values)
-
-
-# -- truncated mode --------------------------------------------------------
-
-
-class _SubstOperators:
-    """Caches one substitution operator per evaluated exponent matrix.
-
-    The key is the matrix alone, so substitutions that coincide at different
-    (n, k), or on different sides of a term, share one operator.
-    """
-
-    def __init__(self, basis: SeriesBasis):
-        self.basis = basis
-        self.cache: dict = {}
-        nv = len(basis.variables)
-        self.identity = tuple(tuple(1 if j == i else 0 for j in range(nv)) for i in range(nv))
-
-    def apply(self, mat: SubstMatrix, n: int, k: int, s: TruncatedSeries) -> TruncatedSeries:
-        """`s` under the substitution `mat` evaluated at (n, k)."""
-        key = tuple(tuple(e.eval(n, k) for e in row) for row in mat)
-        if key == self.identity:
-            return s
-        op = self.cache.get(key)
-        if op is None:
-            if any(e < 0 for row in key for e in row):
-                raise UsageError(f"negative substitution exponent at (n={n}, k={k})")
-            op = self.cache[key] = substitution_operator(self.basis, key)
-        return apply_operator(op, s)
-
-
-class _CoefSeries:
-    """Caches the series of prod_i (1+z_i)^(E_i) keyed by evaluated exponents."""
-
-    def __init__(self, basis: SeriesBasis):
-        self.basis = basis
-        self.cache: dict = {}
-
-    def monomial_at(self, exps: tuple) -> TruncatedSeries:
-        hit = self.cache.get(exps)
-        if hit is not None:
-            return hit
-        out = None
-        for v, e in zip(self.basis.variables, exps):
-            if e:
-                f = binomial_series(self.basis, v, e)
-                out = f if out is None else out * f
-        if out is None:
-            out = TruncatedSeries.constant(self.basis, 1)
-        self.cache[exps] = out
-        return out
 
 
 def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequence:
@@ -456,28 +295,24 @@ def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequenc
     if cap < 1:
         raise UsageError("cap must be >= 1")
     basis = SeriesBasis(spec.variables, cap)
-    subst = _SubstOperators(basis)
-    coef_cache = _CoefSeries(basis)
-    values = [TruncatedSeries.constant(basis, 1)]
-    for n in range(1, n_max + 1):
-        acc = TruncatedSeries(basis)
-        for term in spec.terms:
-            for k in term.k_range(n):
-                coef = None
-                for atom in term.atoms:
-                    exps = tuple(e.eval(n, k) for e in atom.var_exps)
-                    if any(e < 0 for e in exps):
-                        raise UsageError(f"negative exponent in coefficient at (n={n}, k={k})")
-                    piece = coef_cache.monomial_at(exps) * atom.scalar(n, k)
-                    coef = piece if coef is None else coef + piece
-                lf = values[k - 1]
-                if term.left is not None:
-                    lf = subst.apply(term.left, n, k, lf)
-                rf = values[n - k]
-                if term.right is not None:
-                    rf = subst.apply(term.right, n, k, rf)
-                acc.add_inplace(coef * lf * rf)
-        values.append(acc)
+    # one operator per distinct evaluated matrix, shared by both sides of
+    # every term, and one series per distinct coefficient monomial
+    operators: dict = {}
+    monomials: dict = {}
+
+    def coefficient(scalar, exps):
+        mono = monomials.get(exps)
+        if mono is None:
+            mono = monomials[exps] = monomial_series(basis, exps)
+        return mono if scalar == 1 else mono * scalar
+
+    def substitute(s, rows):
+        op = operators.get(rows)
+        if op is None:
+            op = operators[rows] = substitution_operator(basis, rows)
+        return apply_operator(op, s)
+
+    values = _recur(spec, n_max, TruncatedSeries.constant(basis, 1), coefficient, substitute)
     return EnumeratorSequence(spec, "truncated", cap, values)
 
 

@@ -254,6 +254,8 @@ def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, n_start=
 def moments_from_full(seq, r_max: int = DEFAULT_R_MAX, var: str = "t") -> MomentTable:
     """Moment table from a full-mode EnumeratorSequence (catalytic variables
     are specialized to 1 first)."""
+    if r_max < 0:
+        raise UsageError(f"moment order r must be >= 0, got r = {r_max}")
     spec = seq.spec
     drop = [v for v in spec.variables if v != var]
     f_rows = []

@@ -7,8 +7,7 @@ Fraction normalization costs.
 
 Terms are a dict mapping exponent tuples (one entry per variable, order fixed
 by the `variables` tuple) to nonzero coefficients.  Equality is structural.
-Serialized and printed term order is graded lexicographic, ascending, so all
-exchange output is byte-stable.
+Printed term order is graded lexicographic, ascending.
 """
 from __future__ import annotations
 
@@ -297,19 +296,6 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {str(self)!r})"
 
-    def to_wire(self) -> dict:
-        return {
-            "variables": list(self.variables),
-            "terms": [[coeff_to_str(c), list(e)] for e, c in self.sorted_terms()],
-        }
-
-    @classmethod
-    def from_wire(cls, obj: Mapping) -> "MultiPoly":
-        return cls(
-            tuple(obj["variables"]),
-            {tuple(e): coeff_from_str(c) for c, e in obj["terms"]},
-        )
-
 
 class IndexPoly:
     """Integer polynomial in the recurrence indices n and k.
@@ -364,13 +350,6 @@ class IndexPoly:
                     mono += f"{sym}^{d}"
             bits.append(f"{c}{mono}" if mono else str(c))
         return f"IndexPoly({' + '.join(bits)})"
-
-    def to_wire(self) -> list:
-        return [[c, dn, dk] for (dn, dk), c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_wire(cls, obj) -> "IndexPoly":
-        return cls({(dn, dk): c for c, dn, dk in obj})
 
 
 IndexPoly.ZERO = IndexPoly()

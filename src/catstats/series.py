@@ -18,10 +18,10 @@ of a polynomial (or enumerator) around that point, truncated past the cap.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import UsageError
-from .multipoly import MultiPoly, coeff_to_str, coeff_from_str, norm_coeff
+from .multipoly import MultiPoly, norm_coeff
 
 
 def _monomials_upto(nvars: int, cap: int) -> "list[tuple[int, ...]]":
@@ -91,17 +91,6 @@ class TruncatedSeries:
     def constant(cls, basis: SeriesBasis, c) -> "TruncatedSeries":
         s = cls(basis)
         s.coeffs[0] = norm_coeff(c)
-        return s
-
-    @classmethod
-    def from_terms(cls, basis: SeriesBasis, terms: Mapping) -> "TruncatedSeries":
-        """Terms past the cap are rejected, not silently dropped."""
-        s = cls(basis)
-        for exps, c in terms.items():
-            i = basis.index.get(tuple(exps))
-            if i is None:
-                raise UsageError(f"monomial {tuple(exps)} outside basis cap {basis.cap}")
-            s.coeffs[i] = norm_coeff(c)
         return s
 
     def copy(self) -> "TruncatedSeries":
@@ -247,22 +236,6 @@ class TruncatedSeries:
     def __repr__(self):
         return f"TruncatedSeries(cap={self.basis.cap}, {self})"
 
-    def to_wire(self) -> dict:
-        return {
-            "variables": list(self.basis.variables),
-            "cap": self.basis.cap,
-            "terms": [
-                [coeff_to_str(c), list(e)]
-                for e, c in zip(self.basis.monomials, self.coeffs)
-                if c
-            ],
-        }
-
-    @classmethod
-    def from_wire(cls, obj: Mapping) -> "TruncatedSeries":
-        basis = SeriesBasis(tuple(obj["variables"]), obj["cap"])
-        return cls.from_terms(basis, {tuple(e): coeff_from_str(c) for c, e in obj["terms"]})
-
 
 # -- helpers ---------------------------------------------------------------
 
@@ -297,21 +270,23 @@ def binomial_series(basis: SeriesBasis, var: str, e: int) -> TruncatedSeries:
     return s
 
 
+def monomial_series(basis: SeriesBasis, exps: "Sequence[int]") -> TruncatedSeries:
+    """The monomial prod_i v_i^exps[i] as the series prod_i (1 + z_i)^exps[i]."""
+    out = None
+    for v, e in zip(basis.variables, exps):
+        if e:
+            f = binomial_series(basis, v, e)
+            out = f if out is None else out * f
+    return TruncatedSeries.constant(basis, 1) if out is None else out
+
+
 def poly_to_series(p: MultiPoly, basis: SeriesBasis) -> TruncatedSeries:
     """Taylor-expand a polynomial at the all-ones point: v_i -> 1 + z_i."""
     if p.variables != basis.variables:
         raise UsageError(f"variable mismatch: {p.variables} vs {basis.variables}")
     acc = TruncatedSeries(basis)
     for exps, c in p.terms.items():
-        term = None
-        for v, e in zip(basis.variables, exps):
-            if e:
-                f = binomial_series(basis, v, e)
-                term = f if term is None else term * f
-        if term is None:
-            acc.coeffs[0] += c
-        else:
-            acc.add_inplace(term * c)
+        acc.add_inplace(monomial_series(basis, exps) * c)
     acc.coeffs = [norm_coeff(c) if c else 0 for c in acc.coeffs]
     return acc
 
@@ -322,21 +297,15 @@ def substitution_operator(
     """The linear map of the monomial substitution v_i -> prod_j v_j^rows[i][j].
 
     In deviation variables the image of z_i is image_i - 1, where image_i is
-    the series of the monomial v^rows[i] (an identity row sends z_i to
-    itself); it has no constant term, so the image of z^e is the truncated
-    product of (image_i - 1)^e_i.  Columns are built in graded order,
+    `monomial_series` of rows[i] (an identity row sends z_i to itself); it
+    has no constant term, so the image of z^e is the truncated product of
+    (image_i - 1)^e_i.  Columns are built in graded order,
     column(e) = column(e - u_i) * (image_i - 1) with i the first variable
     in e, which is one series product per basis monomial.  The operator is
     returned per source index as its (target index, coefficient) list.
     Exponents must be >= 0.
     """
-    devs = []
-    for row in rows:
-        img = TruncatedSeries.constant(basis, 1)
-        for v, e in zip(basis.variables, row):
-            if e:
-                img = img * binomial_series(basis, v, e)
-        devs.append(img - 1)
+    devs = [monomial_series(basis, row) - 1 for row in rows]
     cols = [TruncatedSeries.constant(basis, 1)]
     for e in basis.monomials[1:]:
         i = next(i for i, x in enumerate(e) if x)

@@ -156,6 +156,42 @@ def test_census_rejects_the_other_familys_option(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    dest = tmp_path / "missing" / "x"
+    rc, out, err = run(
+        capsys,
+        "moments", "--family", "av132", "--stat", "12", "--max-n", "3", "--out", str(dest),
+    )
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dest}")
+    assert not dest.parent.exists()
+
+
+@pytest.mark.parametrize("option", ["--tau-skew", "--tau-kurt", "--epsilon"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_abnormal_thresholds_must_be_finite_and_positive(capsys, option, value):
+    rc, out, err = run(
+        capsys,
+        "abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "60",
+        "--format", "json", f"{option}={value}",
+    )
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: {option[2:].replace('-', '_')} must be a finite number > 0")
+
+
+def test_moments_full_rejects_a_negative_order(capsys):
+    argv = ("moments", "--family", "av132", "--stat", "21", "--max-n", "3", "--mode", "full")
+    rc, out, err = run(capsys, *argv, "--r", "-1")
+    assert rc == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: moment order r must be >= 0, got r = -1")
+    rc, out, _ = run(capsys, *argv, "--r", "0")
+    assert rc == EXIT_OK
+    assert out.splitlines()[-1] == "n=3  mass=5  (standardized moments need r_max >= 2)"
+
+
 def test_out_dir_env_redirects_relative_paths(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("CATSTATS_OUT_DIR", str(tmp_path))
     rc, out, err = run(

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,7 +101,7 @@ def test_truncated_is_the_series_of_full():
         basis = SeriesBasis(spec.variables, cap)
         for n in range(8):
             want = poly_to_series(full.values[n], basis)
-            assert trunc.values[n].to_wire() == want.to_wire(), f"{family}:{statistic} n={n}"
+            assert trunc.values[n] == want, f"{family}:{statistic} n={n}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -116,20 +114,31 @@ def test_truncated_is_the_series_of_full_at_every_cap(family_stat, n, cap):
 
 
 def test_negative_substitution_exponent_is_a_usage_error():
-    # t -> t^(20 - n) on the right factor passes the mass check (n <= 12)
-    # and first goes negative at n = 21, k = 1
-    right = subst_matrix(("t",), {"t": {"t": index_poly({(0, 0): 20, (1, 0): -1})}})
-    spec = FuncRecSpec(
-        "av132",
-        "synthetic",
-        ("t",),
-        [RecTerm(atoms=(CoefAtom(var_exps=(IndexPoly.ZERO,)),), right=right)],
-    )
-    assert eval_truncated(spec, 20, 2).masses() == catalan_list(20)
-    with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
-        eval_truncated(spec, 25, 2)
-    with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
-        eval_full(spec, 25)
+    # t^(20 - n), once in the right substitution t -> t^(20 - n) and once as
+    # the coefficient, passes the mass check (n <= 12) and first goes
+    # negative at n = 21, k = 1
+    e = index_poly({(0, 0): 20, (1, 0): -1})
+    terms = [
+        RecTerm(
+            atoms=(CoefAtom(var_exps=(IndexPoly.ZERO,)),),
+            right=subst_matrix(("t",), {"t": {"t": e}}),
+        ),
+        RecTerm(atoms=(CoefAtom(var_exps=(e,)),)),
+    ]
+    for term in terms:
+        spec = FuncRecSpec("av132", "synthetic", ("t",), [term])
+        assert eval_truncated(spec, 20, 2).masses() == catalan_list(20)
+        with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
+            eval_truncated(spec, 25, 2)
+        with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
+            eval_full(spec, 25)
+
+
+def test_mass_check_rejects_a_wrong_recurrence():
+    # Q_n = 2 * sum_k Q_(k-1) Q_(n-k) counts 2^n C_n objects, not C_n
+    atom = CoefAtom(var_exps=(IndexPoly.ZERO,), factor=2)
+    with pytest.raises(UsageError, match=r"av132:synthetic: mass check failed at n = 1: 2 != 1"):
+        FuncRecSpec("av132", "synthetic", ("t",), [RecTerm(atoms=(atom,))])
 
 
 def test_frozen_small_enumerators():
@@ -150,15 +159,6 @@ def test_pattern_equal_to_forbidden_is_trivial():
     for n, p in enumerate(seq.values):
         assert p.total_degree() == 0
         assert p.mass() == cats[n]
-
-
-def test_spec_wire_roundtrip():
-    for family, statistic in CATALOG:
-        spec = builtin_spec(family, statistic)
-        wire = spec.to_wire()
-        back = FuncRecSpec.from_wire(json.loads(json.dumps(wire)))
-        assert back.to_wire() == wire
-        assert back.label == spec.label
 
 
 def test_full_specialize_all_ones_gives_masses():

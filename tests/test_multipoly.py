@@ -4,7 +4,6 @@ import pytest
 
 from catstats.errors import UsageError
 from catstats.multipoly import (
-    IndexPoly,
     MultiPoly,
     coeff_from_str,
     coeff_to_str,
@@ -118,15 +117,9 @@ def test_sorted_terms_is_graded_lex():
     assert degrees == sorted(degrees)
 
 
-def test_wire_roundtrip(rng):
-    p = random_poly(rng) + MultiPoly.constant(("t", "q"), Fraction(1, 3))
-    assert MultiPoly.from_wire(p.to_wire()) == p
-
-
 def test_index_poly():
     ip = index_poly({(1, 0): 1, (0, 1): -1})  # n - k
     assert ip.eval(7, 3) == 4
     assert index_poly(5).eval(100, 100) == 5
     assert index_poly(5).is_constant()
     assert not ip.is_constant()
-    assert IndexPoly.from_wire(ip.to_wire()).eval(9, 2) == 7
