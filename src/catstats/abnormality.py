@@ -85,8 +85,7 @@ def limit_estimate(samples, ns=None, order: int = 1) -> "tuple[float, float]":
         raise UsageError(f"got {m} samples but {len(ns)} indices")
     if any(n <= 0 for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise UsageError("sample indices must be positive and strictly increasing")
-    if not 1 <= order <= m - 2:
-        raise UsageError(f"extrapolation order must be in 1..{m - 2}, got {order}")
+    _check_order(order, m)
 
     # Neville table at x = 1/n, evaluated at x = 0.  After depth j the column
     # entry p belongs to the sample window p .. p+j; depth 1 combines
@@ -101,6 +100,20 @@ def limit_estimate(samples, ns=None, order: int = 1) -> "tuple[float, float]":
     window = col[-3:]
     metric = max(abs(b - a) for a, b in zip(window, window[1:]))
     return float(col[-1]), float(metric)
+
+
+def _check_order(order: int, samples: int) -> None:
+    if not 1 <= order <= samples - 2:
+        raise UsageError(f"extrapolation order must be in 1..{samples - 2}, got {order}")
+
+
+def _check_settings(tau_skew, tau_kurt, epsilon, order: int, samples: int) -> None:
+    """Refuse verdict settings before anything is evaluated: thresholds must be
+    finite and > 0, and the order must fit `samples` checkpoints."""
+    for name, value in (("tau_skew", tau_skew), ("tau_kurt", tau_kurt), ("epsilon", epsilon)):
+        if not (isfinite(value) and value > 0):
+            raise UsageError(f"{name} must be a finite number > 0, got {value}")
+    _check_order(order, samples)
 
 
 @dataclass(frozen=True)
@@ -238,13 +251,11 @@ def analyze_table(
     This is the single verdict path: analyze() feeds catalog statistics
     through it and synthetic controls enter here directly.
     """
-    for name, value in (("tau_skew", tau_skew), ("tau_kurt", tau_kurt), ("epsilon", epsilon)):
-        if not (isfinite(value) and value > 0):
-            raise UsageError(f"{name} must be a finite number > 0, got {value}")
     if table.r_max < 4:
         raise UsageError(f"verdicts need moments through r = 4, got r_max = {table.r_max}")
     n_top = table.rows[-1].n
     cps = checkpoints(n_top) if sample_at is None else tuple(sample_at)
+    _check_settings(tau_skew, tau_kurt, epsilon, order, len(cps))
     evidence = []
     for r in range(3, table.r_max + 1):
         samples = []
@@ -303,10 +314,10 @@ def analyze(
     order: int = DEFAULT_ORDER,
 ) -> AbnormalityReport:
     """Run the truncated pipeline to n_max and judge statistic's limit shape."""
-    if n_max < MIN_N:
-        raise UsageError(f"abnormality analysis needs n_max >= {MIN_N}, got {n_max}")
+    cps = checkpoints(n_max)
     if r_max < 4:
         raise UsageError(f"abnormality analysis needs r_max >= 4, got {r_max}")
+    _check_settings(tau_skew, tau_kurt, epsilon, order, len(cps))
     spec = builtin_spec(family, statistic)
     seq = eval_truncated(spec, n_max, cap=r_max)
     table = moments_from_truncated(seq, r_max=r_max)

@@ -39,15 +39,8 @@ from .abnormality import (
 )
 from .errors import UsageError
 from .funcrec import builtin_spec, eval_full, eval_truncated, verify_catalog
-from .guessing import (
-    CLOSED_FORM_PARTS,
-    DEFAULT_HOLDOUT,
-    fit_closed_form,
-    guess_algebraic,
-    guess_p_recursive,
-)
+from .guessing import DEFAULT_HOLDOUT, fit_closed_form, guess_algebraic, guess_p_recursive
 from .moments import moments_from_full, moments_from_truncated
-from .multipoly import coeff_to_str, norm_coeff
 from .perms import DEFAULT_ORACLE_LIMIT, format_perm, parse_perm
 from .seqio import atomic_write_text, load_sequence, sequence_file
 from .splits import AverageEngine, bona_census_123, bona_census_132
@@ -154,6 +147,8 @@ def cmd_moments(args) -> int:
         seq = eval_full(spec, args.max_n)
         table = moments_from_full(seq, r_max=args.r)
     else:
+        if args.r < 1:
+            raise UsageError(f"truncated mode needs moment order r >= 1, got r = {args.r}")
         seq = eval_truncated(spec, args.max_n, cap=args.r)
         table = moments_from_truncated(seq, r_max=args.r)
     config = {
@@ -270,10 +265,6 @@ def cmd_census(args) -> int:
 # -- guess -----------------------------------------------------------------
 
 
-def _frac_str_list(values) -> "list[str]":
-    return [coeff_to_str(norm_coeff(v)) for v in values]
-
-
 def cmd_guess(args) -> int:
     seq = load_sequence(args.input)
     values = list(seq.values)
@@ -296,22 +287,7 @@ def cmd_guess(args) -> int:
             max_degree=args.max_degree,
             holdout=args.holdout,
         )
-        if fit is None:
-            print(
-                f"no recurrence of order <= {args.max_order}, degree <= "
-                f"{args.max_degree} fits {seq.name}",
-                file=sys.stderr,
-            )
-            return EXIT_NOT_FOUND
-        result = {
-            "kind": "p-recurrence",
-            "order": fit.order,
-            "degree": fit.degree,
-            "offset": fit.offset,
-            "coefficients": [list(q) for q in fit.coeffs],
-            "rendering": fit.render(),
-        }
-        rendering = fit.render()
+        missing = f"no recurrence of order <= {args.max_order}, degree <= {args.max_degree}"
     elif args.kind == "algebraic":
         if offset != 0:
             raise UsageError(
@@ -326,23 +302,9 @@ def cmd_guess(args) -> int:
             max_deg_z=args.max_deg_z,
             holdout=args.holdout,
         )
-        if fit is None:
-            print(
-                f"no algebraic equation with deg_y <= {args.max_deg_y}, deg_z <= "
-                f"{args.max_deg_z} fits {seq.name}",
-                file=sys.stderr,
-            )
-            return EXIT_NOT_FOUND
-        solved = fit.render_solved()
-        result = {
-            "kind": "algebraic",
-            "degree_y": fit.degree_y(),
-            "degree_z": fit.degree_z(),
-            "coefficients": [[[zd, yd], c] for (zd, yd), c in fit.coeffs],
-            "rendering": fit.render(),
-            "solved": solved,
-        }
-        rendering = solved or fit.render()
+        missing = (
+            f"no algebraic equation with deg_y <= {args.max_deg_y}, deg_z <= {args.max_deg_z}"
+        )
     else:
         config["degree"] = args.degree
         if offset == 0:
@@ -354,24 +316,14 @@ def cmd_guess(args) -> int:
         fit = fit_closed_form(
             values, offset=offset, degree=args.degree, holdout=args.holdout
         )
-        if fit is None:
-            print(
-                f"no closed form of degree <= {args.degree} over "
-                f"{{n^i 4^n, n^i c(n), n^i c(n-1), n^i}} fits {seq.name}",
-                file=sys.stderr,
-            )
-            return EXIT_NOT_FOUND
-        result = {
-            "kind": "closed-form",
-            "degree": fit.degree,
-            "offset": fit.offset,
-            "parts": {
-                part: _frac_str_list(coeffs)
-                for part, coeffs in zip(CLOSED_FORM_PARTS, fit.parts)
-            },
-            "rendering": fit.render(),
-        }
-        rendering = fit.render()
+        missing = (
+            f"no closed form of degree <= {args.degree} over "
+            "{n^i 4^n, n^i c(n), n^i c(n-1), n^i}"
+        )
+    if fit is None:
+        print(f"{missing} fits {seq.name}", file=sys.stderr)
+        return EXIT_NOT_FOUND
+    result = fit.to_json_obj()
     if args.format == "json":
         obj = _echo("guess", config)
         obj["result"] = result
@@ -380,7 +332,8 @@ def cmd_guess(args) -> int:
             obj["notes"] = notes
         text = _json_text(obj)
     else:
-        lines = [_header("guess", config).rstrip("\n"), rendering]
+        lines = [_header("guess", config).rstrip("\n")]
+        lines.append(result.get("solved") or result["rendering"])
         lines.append(f"verified on all {len(values)} terms ({args.holdout} held out)")
         lines += [f"note: {note}" for note in notes]
         text = "\n".join(lines) + "\n"

@@ -1,11 +1,15 @@
 """Fit exact models to sequences: P-recurrences, algebraic equations, closed forms.
 
-All three guessers follow the same discipline: set up an exact linear system
-on a training prefix, extract candidates from its nullspace (or the solver),
-then accept a candidate only if it survives on every term, including a
-holdout tail the fit never saw.  Search runs over (size, degree) bounds in
-graded-then-lexicographic order, so the first hit is minimal for that order.
-Nothing found within bounds returns None; that is an outcome, not an error.
+All three guessers run one pipeline.  `_prepare` normalizes the values and
+checks the holdout, the search bounds and the term count.  The recurrence and
+algebraic guessers walk their (size, degree) bounds with the one graded
+search `_graded` (by total weight, then size), so the first hit is minimal
+for that order; the closed form fits its one degree.  Each system is set up
+on a training prefix, candidates come from `linalg.nullspace`, and a
+candidate is accepted only through the code of its public verifier
+(`verify_recurrence`, `algebraic_residual`, `ClosedFormFit.evaluate`) on
+every term, including a holdout tail the fit never saw.  Nothing found
+within bounds returns None; that is an outcome, not an error.
 
 Normalization: coefficient vectors are scaled to coprime integers and the
 sign is fixed by the leading object (leading coefficient of the top-order
@@ -16,14 +20,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import UsageError
-from .linalg import integer_primitive, nullspace, solve
-from .multipoly import norm_coeff
+from .linalg import integer_primitive, nullspace
+from .multipoly import coeff_to_str, join_signed, norm_coeff
 from .perms import catalan_list
 
 DEFAULT_HOLDOUT = 10
+
+
+def _prepare(values: "Sequence", holdout: int, bounds, need: int, fits: str) -> list:
+    """Normalized values, after checking the holdout, the bounds and the term count.
+
+    `bounds` holds (name, value, least) triples; `need` is the term count the
+    largest system and the holdout take together, and `fits` says what it
+    is needed for in the message.
+    """
+    for name, value, least in (("holdout", holdout, 1), *bounds):
+        if value < least:
+            raise UsageError(f"{name} must be >= {least}")
+    values = [norm_coeff(v) for v in values]
+    if len(values) < need:
+        raise UsageError(f"need at least {need} {fits} with holdout {holdout}; got {len(values)}")
+    return values
+
+
+def _graded(max_size: int, max_degree: int):
+    """(size, degree) pairs with 1 <= size <= max_size and 0 <= degree <= max_degree,
+    by total weight, then by size."""
+    for weight in range(1, max_size + max_degree + 1):
+        for size in range(max(1, weight - max_degree), min(weight, max_size) + 1):
+            yield size, weight - size
 
 
 def _poly_eval(coeffs: "Sequence[int]", n: int):
@@ -33,33 +62,21 @@ def _poly_eval(coeffs: "Sequence[int]", n: int):
     return out
 
 
+def _term(c, mono: str) -> str:
+    """One signed term c*mono, with unit coefficients left implicit."""
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    return f"-{mono}" if c == -1 else f"{c}*{mono}"
+
+
 def _poly_str(coeffs: "Sequence", var: str = "n") -> str:
-    bits = []
-    for j in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[j]
-        if c == 0:
-            continue
-        if j == 0:
-            mono = ""
-        elif j == 1:
-            mono = var
-        else:
-            mono = f"{var}^{j}"
-        if mono and c == 1:
-            body = mono
-        elif mono and c == -1:
-            body = f"-{mono}"
-        elif mono:
-            body = f"{c}*{mono}"
-        else:
-            body = str(c)
-        if not bits:
-            bits.append(body)
-        elif body.startswith("-"):
-            bits.append(f"- {body[1:]}")
-        else:
-            bits.append(f"+ {body}")
-    return " ".join(bits) if bits else "0"
+    return join_signed(
+        _term(coeffs[j], "" if j == 0 else var if j == 1 else f"{var}^{j}")
+        for j in range(len(coeffs) - 1, -1, -1)
+        if coeffs[j]
+    )
 
 
 # -- P-recurrences ---------------------------------------------------------
@@ -83,21 +100,26 @@ class PRecurrence:
         return out
 
     def render(self) -> str:
-        bits = []
+        terms = []
         for i in range(self.order, -1, -1):
             q = self.coeffs[i]
             if not any(q):
                 continue
             arg = f"a(n+{i})" if i else "a(n)"
-            lead = next(c for c in reversed(q) if c)
-            sign = "-" if lead < 0 else "+"
-            body = _poly_str([-c for c in q] if lead < 0 else q)
-            if not bits:
-                chunk = f"({body})*{arg}" if sign == "+" else f"-({body})*{arg}"
-            else:
-                chunk = f"{sign} ({body})*{arg}"
-            bits.append(chunk)
-        return " ".join(bits) + " = 0"
+            neg = next(c for c in reversed(q) if c) < 0
+            body = _poly_str([-c for c in q] if neg else q)
+            terms.append(f"{'-' if neg else ''}({body})*{arg}")
+        return join_signed(terms) + " = 0"
+
+    def to_json_obj(self) -> dict:
+        return {
+            "kind": "p-recurrence",
+            "order": self.order,
+            "degree": self.degree,
+            "offset": self.offset,
+            "coefficients": [list(q) for q in self.coeffs],
+            "rendering": self.render(),
+        }
 
 
 def guess_p_recursive(
@@ -112,72 +134,44 @@ def guess_p_recursive(
     `values[i]` is the term at n = offset + i.  The final `holdout` windows
     take no part in the fit and only vote during verification.
     """
-    values = [norm_coeff(v) for v in values]
-    T = len(values)
-    need = (max_order + 1) * (max_degree + 1) + holdout + max_order
-    if T < need:
-        raise UsageError(
-            f"need at least {need} terms for bounds (order {max_order}, degree {max_degree}) "
-            f"with holdout {holdout}; got {T}"
-        )
-    if holdout < 1:
-        raise UsageError("holdout must be >= 1")
-    for weight in range(0, max_order + max_degree + 1):
-        for order in range(0, min(weight, max_order) + 1):
-            degree = weight - order
-            if degree > max_degree:
-                continue
-            if order < 1:
-                continue  # order 0 would say the sequence is identically 0
-            hit = _try_p_rec(values, offset, order, degree, holdout)
-            if hit is not None:
-                return hit
+    values = _prepare(
+        values, holdout, (("max_order", max_order, 1), ("max_degree", max_degree, 0)),
+        need=(max_order + 1) * (max_degree + 1) + holdout + max_order,
+        fits=f"terms for bounds (order {max_order}, degree {max_degree})",
+    )
+    for order, degree in _graded(max_order, max_degree):
+        w = degree + 1
+        train = len(values) - order - holdout
+        if train < (order + 1) * w:
+            continue  # fewer training windows than unknowns at these bounds
+        rows = []
+        for s in range(train):
+            n = offset + s
+            row = []
+            for i in range(order + 1):
+                a = values[s + i]
+                p = 1
+                for _ in range(w):
+                    row.append(a * p)
+                    p *= n
+            rows.append(row)
+        for vec in nullspace(rows, (order + 1) * w):
+            if not any(vec[order * w :]):
+                continue  # really lower order; the earlier search covers it
+            rec = _normalize_p_rec(vec, order, w, offset)
+            if verify_recurrence(rec, values, offset)[0]:
+                return rec
     return None
 
 
-def _try_p_rec(values, offset, order, degree, holdout) -> "PRecurrence | None":
-    T = len(values)
-    nwindows = T - order
-    if nwindows - holdout < (order + 1) * (degree + 1):
-        return None  # fewer training windows than unknowns at these bounds
-    ncols = (order + 1) * (degree + 1)
-    rows = []
-    for s in range(nwindows - holdout):
-        n = offset + s
-        row = []
-        for i in range(order + 1):
-            a = values[s + i]
-            p = 1
-            for _ in range(degree + 1):
-                row.append(a * p)
-                p *= n
-        rows.append(row)
-    for vec in nullspace(rows, ncols):
-        coeffs = tuple(
-            tuple(vec[i * (degree + 1) + j] for j in range(degree + 1))
-            for i in range(order + 1)
-        )
-        if not any(coeffs[order]):
-            continue  # really lower order; the earlier search covers it
-        cand = PRecurrence(order=order, degree=degree, coeffs=coeffs, offset=offset)
-        ok = all(cand.residual(values, s, offset) == 0 for s in range(nwindows))
-        if ok:
-            return _normalize_p_rec(cand, offset)
-    return None
-
-
-def _normalize_p_rec(rec: PRecurrence, offset: int) -> PRecurrence:
-    flat = [c for q in rec.coeffs for c in q]
-    ints = integer_primitive([Fraction(c) for c in flat])
-    top = rec.coeffs[-1]
-    lead_j = max(j for j, c in enumerate(top) if c)
-    w = len(rec.coeffs[0])
-    if ints[(len(rec.coeffs) - 1) * w + lead_j] < 0:
+def _normalize_p_rec(vec: "Sequence[Fraction]", order: int, w: int, offset: int) -> PRecurrence:
+    ints = integer_primitive(vec)
+    lead_j = max(j for j in range(w) if ints[order * w + j])
+    if ints[order * w + lead_j] < 0:
         ints = [-c for c in ints]
-    coeffs = tuple(tuple(ints[i * w : (i + 1) * w]) for i in range(len(rec.coeffs)))
-    degree = max((j for q in coeffs for j, c in enumerate(q) if c), default=0)
-    coeffs = tuple(q[: degree + 1] for q in coeffs)
-    return PRecurrence(order=rec.order, degree=degree, coeffs=coeffs, offset=offset)
+    degree = max(j for j in range(w) for i in range(order + 1) if ints[i * w + j])
+    coeffs = tuple(tuple(ints[i * w : i * w + degree + 1]) for i in range(order + 1))
+    return PRecurrence(order=order, degree=degree, coeffs=coeffs, offset=offset)
 
 
 def verify_recurrence(rec: PRecurrence, values: "Sequence", offset: int = 0):
@@ -208,14 +202,13 @@ class AlgebraicEquation:
         by_j: "dict[int, list]" = {}
         for (i, j), c in self.coeffs:
             by_j.setdefault(j, []).append((i, c))
-        bits = []
+        terms = []
         for j in sorted(by_j):
             group = by_j[j]
             zpoly = [0] * (max(i for i, _ in group) + 1)
             for i, c in group:
                 zpoly[i] = c
-            lead = next(c for c in reversed(zpoly) if c)
-            neg = lead < 0
+            neg = next(c for c in reversed(zpoly) if c) < 0
             if neg:
                 zpoly = [-c for c in zpoly]
             zs = _poly_str(zpoly, "z")
@@ -228,11 +221,8 @@ class AlgebraicEquation:
                 body = f"{zs}*{y}"
             else:
                 body = f"({zs})*{y}"
-            if not bits:
-                bits.append(f"-{body}" if neg else body)
-            else:
-                bits.append(f"{'-' if neg else '+'} {body}")
-        return " ".join(bits) + " = 0"
+            terms.append(f"-{body}" if neg else body)
+        return join_signed(terms) + " = 0"
 
     def render_solved(self) -> "str | None":
         """'y = ...' form when the y^1 coefficient is the constant -1 or 1."""
@@ -241,41 +231,33 @@ class AlgebraicEquation:
         if other_y1 or cy not in ({1}, {-1}):
             return None
         sgn = -1 if cy == {1} else 1
-        rest = [((i, j), sgn * c) for (i, j), c in self.coeffs if j != 1]
-        if not rest:
-            return "y = 0"
-        bits = []
-        for (i, j), c in sorted(rest, key=lambda t: (t[0][1], t[0][0])):
+        terms = []
+        for (j, i), c in sorted(((j, i), sgn * c) for (i, j), c in self.coeffs if j != 1):
             mono = "*".join(
                 ([f"z^{i}" if i > 1 else "z"] if i else []) + ([f"y^{j}" if j > 1 else "y"] if j else [])
             )
-            if not mono:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
-            if not bits:
-                bits.append(body)
-            elif body.startswith("-"):
-                bits.append(f"- {body[1:]}")
-            else:
-                bits.append(f"+ {body}")
-        return "y = " + " ".join(bits)
+            terms.append(_term(c, mono))
+        return "y = " + join_signed(terms)
+
+    def to_json_obj(self) -> dict:
+        return {
+            "kind": "algebraic",
+            "degree_y": self.degree_y(),
+            "degree_z": self.degree_z(),
+            "coefficients": [[[zd, yd], c] for (zd, yd), c in self.coeffs],
+            "rendering": self.render(),
+            "solved": self.render_solved(),
+        }
 
 
-def _series_mul(a: "list", b: "list", T: int) -> "list":
-    out = [0] * T
-    for i, x in enumerate(a):
-        if x:
-            top = min(T - i, len(b))
-            for j in range(top):
-                y = b[j]
-                if y:
-                    out[i + j] += x * y
-    return out
+def _powers(values: "Sequence", top: int) -> "list[list]":
+    """y^0, ..., y^top for y = sum values[m] z^m, truncated to len(values) terms."""
+    T = len(values)
+    powers = [[1] + [0] * (T - 1)]
+    for _ in range(top):
+        prev = powers[-1]
+        powers.append([sum(map(mul, prev[: m + 1], values[m::-1])) for m in range(T)])
+    return powers
 
 
 def guess_algebraic(
@@ -286,85 +268,39 @@ def guess_algebraic(
 ) -> "AlgebraicEquation | None":
     """Smallest (deg_y, deg_z) polynomial equation satisfied by the series
     y(z) = sum values[m] z^m, checked to order len(values)-1, or None."""
-    values = [norm_coeff(v) for v in values]
-    T = len(values)
-    need = (max_deg_y + 1) * (max_deg_z + 1) + holdout
-    if T < need:
-        raise UsageError(
-            f"need at least {need} series terms for bounds (deg_y {max_deg_y}, "
-            f"deg_z {max_deg_z}) with holdout {holdout}; got {T}"
-        )
-    if holdout < 1:
-        raise UsageError("holdout must be >= 1")
-    powers = [[1] + [0] * (T - 1)]
-    for _ in range(max_deg_y):
-        powers.append(_series_mul(powers[-1], values, T))
-    for weight in range(1, max_deg_y + max_deg_z + 1):
-        for dy in range(0, min(weight, max_deg_y) + 1):
-            dz = weight - dy
-            if dz > max_deg_z:
-                continue
-            if dy < 1:
+    values = _prepare(
+        values, holdout, (("max_deg_y", max_deg_y, 1), ("max_deg_z", max_deg_z, 0)),
+        need=(max_deg_y + 1) * (max_deg_z + 1) + holdout,
+        fits=f"series terms for bounds (deg_y {max_deg_y}, deg_z {max_deg_z})",
+    )
+    powers = _powers(values, max_deg_y)
+    train = len(values) - holdout
+    for dy, dz in _graded(max_deg_y, max_deg_z):
+        cols = [(j, i) for j in range(dy + 1) for i in range(dz + 1)]
+        if train < len(cols) + 1:
+            continue
+        rows = [[powers[j][m - i] if m >= i else 0 for j, i in cols] for m in range(train)]
+        for vec in nullspace(rows, len(cols)):
+            if not any(vec[dz + 1 :]):
                 continue  # no y at all cannot model the series
-            hit = _try_algebraic(values, powers, dy, dz, holdout)
-            if hit is not None:
-                return hit
-    return None
-
-
-def _try_algebraic(values, powers, dy, dz, holdout) -> "AlgebraicEquation | None":
-    T = len(values)
-    ncols = (dy + 1) * (dz + 1)
-    train = T - holdout
-    if train < ncols + 1:
-        return None
-    cols = [(j, i) for j in range(dy + 1) for i in range(dz + 1)]
-    rows = []
-    for m in range(train):
-        row = []
-        for j, i in cols:
-            row.append(powers[j][m - i] if m >= i else 0)
-        rows.append(row)
-    for vec in nullspace(rows, ncols):
-        if all(vec[p] == 0 for p, (j, _) in enumerate(cols) if j >= 1):
-            continue
-        ints = integer_primitive(vec)
-        # full-range check, holdout included
-        ok = True
-        for m in range(T):
-            s = 0
-            for p, (j, i) in enumerate(cols):
-                c = ints[p]
-                if c and m >= i:
-                    s += c * powers[j][m - i]
-            if s != 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        lead = max(((j, i) for p, (j, i) in enumerate(cols) if ints[p]), key=lambda t: (t[0] + t[1], t))
-        lead_pos = cols.index(lead)
-        if ints[lead_pos] < 0:
-            ints = [-c for c in ints]
-        coeffs = tuple(
-            sorted(((i, j), ints[p]) for p, (j, i) in enumerate(cols) if ints[p])
-        )
-        return AlgebraicEquation(coeffs=coeffs)
+            ints = integer_primitive(vec)
+            lead = max((t for t, c in zip(cols, ints) if c), key=lambda t: (t[0] + t[1], t))
+            if ints[cols.index(lead)] < 0:
+                ints = [-c for c in ints]
+            eq = AlgebraicEquation(coeffs=tuple(sorted(((i, j), c) for (j, i), c in zip(cols, ints) if c)))
+            if not any(algebraic_residual(eq, values)):
+                return eq
     return None
 
 
 def algebraic_residual(eq: AlgebraicEquation, values: "Sequence") -> "list":
     """Series coefficients of Phi(z, y(z)); all zero when the equation holds."""
     values = [norm_coeff(v) for v in values]
-    T = len(values)
-    max_j = eq.degree_y()
-    powers = [[1] + [0] * (T - 1)]
-    for _ in range(max_j):
-        powers.append(_series_mul(powers[-1], values, T))
-    out = [0] * T
+    powers = _powers(values, eq.degree_y())
+    out = [0] * len(values)
     for (i, j), c in eq.coeffs:
         pj = powers[j]
-        for m in range(i, T):
+        for m in range(i, len(values)):
             v = pj[m - i]
             if v:
                 out[m] += c * v
@@ -414,6 +350,18 @@ class ClosedFormFit:
                 bits.append(f"{ps}*{label}" if ps != "-1" else f"-{label}")
         return "a(n) = " + (" + ".join(bits) if bits else "0")
 
+    def to_json_obj(self) -> dict:
+        return {
+            "kind": "closed-form",
+            "degree": self.degree,
+            "offset": self.offset,
+            "parts": {
+                part: [coeff_to_str(norm_coeff(c)) for c in poly]
+                for part, poly in zip(CLOSED_FORM_PARTS, self.parts)
+            },
+            "rendering": self.render(),
+        }
+
 
 def fit_closed_form(
     values: "Sequence",
@@ -424,40 +372,33 @@ def fit_closed_form(
     """Exact fit over the span of {n^i 4^n, n^i c(n), n^i c(n-1), n^i}, or None.
 
     `values[s]` is the term at n = offset + s; offset must be >= 1 because
-    the basis involves c(n-1).
+    the basis involves c(n-1).  The fit is the solution of [A | b] with the
+    free unknowns at 0: the nullspace vector of the last free column, when
+    that column is b's, negated.
     """
-    values = [norm_coeff(v) for v in values]
     if offset < 1:
         raise UsageError("closed-form fits need offset >= 1 (the basis uses c(n-1))")
-    if degree < 0:
-        raise UsageError("degree must be >= 0")
-    T = len(values)
     ncols = 4 * (degree + 1)
-    if T < ncols + holdout:
-        raise UsageError(
-            f"need at least {ncols + holdout} terms for degree {degree} "
-            f"with holdout {holdout}; got {T}"
-        )
+    values = _prepare(values, holdout, (("degree", degree, 0),),
+                      need=ncols + holdout, fits=f"terms for degree {degree}")
+    T = len(values)
     cats = catalan_list(offset + T)
     rows = []
     for s in range(T - holdout):
         n = offset + s
-        base_vals = (4**n, cats[n], cats[n - 1], 1)
         row = []
-        for v in base_vals:
+        for v in (4**n, cats[n], cats[n - 1], 1):
             p = 1
             for _ in range(degree + 1):
                 row.append(v * p)
                 p *= n
-        rows.append(row)
-    x = solve(rows, values[: T - holdout], ncols)
-    if x is None:
-        return None
-    parts = tuple(
-        tuple(x[b * (degree + 1) + j] for j in range(degree + 1)) for b in range(4)
-    )
+        rows.append(row + [values[s]])
+    basis = nullspace(rows, ncols + 1)
+    if not basis or not basis[-1][ncols]:
+        return None  # b is a pivot column: the training system is inconsistent
+    x = [-c for c in basis[-1]]
+    parts = tuple(tuple(x[b * (degree + 1) : (b + 1) * (degree + 1)]) for b in range(4))
     fit = ClosedFormFit(degree=degree, parts=parts, offset=offset)
-    for s in range(T):
-        if fit.evaluate(offset + s, cats) != values[s]:
-            return None
-    return fit
+    if all(fit.evaluate(offset + s, cats) == values[s] for s in range(T)):
+        return fit
+    return None

@@ -1,10 +1,12 @@
-"""Exact linear algebra: fraction-free echelon reduction, nullspace, solve.
+"""Exact linear algebra: fraction-free echelon reduction and nullspace.
 
 Input rows may mix ints and Fractions; rows are scaled to integers first.
 The forward pass is one-step fraction-free elimination (divide by the
 previous pivot), which keeps every entry an integer minor of the original
 matrix instead of letting Fraction gcds dominate the runtime.  Back
-substitution happens over Fractions.
+substitution happens over Fractions, in `nullspace` only: an inhomogeneous
+system A x = b is solved as the nullspace of [A | b] (see
+`guessing.fit_closed_form`).
 
 Nullspace bases are canonical: free columns are taken in increasing column
 order and each basis vector has value 1 at its free column and 0 at the
@@ -91,27 +93,6 @@ def nullspace(rows: "Sequence[Sequence]", ncols: int) -> "list[list[Fraction]]":
             x[c] = -s / row[c]
         basis.append(x)
     return basis
-
-
-def solve(rows: "Sequence[Sequence]", rhs: "Sequence", ncols: int) -> "list[Fraction] | None":
-    """One exact solution of A x = b (free variables 0), or None if inconsistent."""
-    if len(rows) != len(rhs):
-        raise UsageError("rhs length does not match row count")
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat = _int_rows(aug, ncols + 1)
-    pivots = _echelon(mat, ncols + 1)
-    if any(c == ncols for _, c in pivots):
-        return None
-    x = [Fraction(0)] * (ncols + 1)
-    x[ncols] = Fraction(-1)  # so that sum row[j] x[j] = 0 encodes A x = b
-    for r, c in reversed(pivots):
-        s = Fraction(0)
-        row = mat[r]
-        for j in range(c + 1, ncols + 1):
-            if row[j] and x[j]:
-                s += row[j] * x[j]
-        x[c] = -s / row[c]
-    return x[:ncols]
 
 
 def integer_primitive(vec: "Sequence[Fraction]") -> "list[int]":

@@ -40,6 +40,20 @@ def coeff_from_str(s: str):
     return norm_coeff(Fraction(int(num), int(den) if den else 1))
 
 
+def join_signed(terms: Iterable[str]) -> str:
+    """Join signed terms as 'a - b + c': a later term's leading '-' becomes
+    its operator.  No terms read as '0'."""
+    out = []
+    for t in terms:
+        if not out:
+            out.append(t)
+        elif t.startswith("-"):
+            out.append("- " + t[1:])
+        else:
+            out.append("+ " + t)
+    return " ".join(out) or "0"
+
+
 def grlex_key(exps: tuple) -> tuple:
     return (sum(exps), exps)
 
@@ -269,8 +283,6 @@ class MultiPoly:
     # -- presentation ------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         chunks = []
         for exps, c in self.sorted_terms():
             mono = "*".join(
@@ -285,13 +297,8 @@ class MultiPoly:
                 body = "-" + mono
             else:
                 body = f"{c}{mono}" if isinstance(c, int) else f"{c}*{mono}"
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append("- " + body[1:])
-            else:
-                chunks.append("+ " + body)
-        return " ".join(chunks)
+            chunks.append(body)
+        return join_signed(chunks)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {str(self)!r})"

@@ -63,6 +63,20 @@ def test_limit_estimate_input_validation():
         limit_estimate([1.0] * 4, ns=[10, 20, 30, 40], order=3)
 
 
+@pytest.mark.parametrize(
+    "setting,message",
+    [({"epsilon": float("nan")}, "epsilon must be a finite number > 0"),
+     ({"order": 7}, "extrapolation order must be in 1..2, got 7")],
+)
+def test_analyze_checks_its_settings_before_evaluating(monkeypatch, setting, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated before the settings were checked")
+
+    monkeypatch.setattr("catstats.abnormality.eval_truncated", refuse)
+    with pytest.raises(UsageError, match=message):
+        analyze("av132", "321", 200, **setting)
+
+
 def test_binomial_control_is_inconclusive_with_exact_moments():
     tab = binomial_control_table(60)
     rep = analyze_table(tab)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catstats import __version__
 from catstats.cli import EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
@@ -109,6 +113,65 @@ def test_guess_algebraic_from_file(capsys, tmp_path):
     assert obj["result"]["solved"] == "y = 1 + z*y^2"
 
 
+GUESS_KINDS = ("p-recursive", "algebraic", "closed-form")
+# the search bounds each kind reads, with their least valid values
+GUESS_BOUNDS = {
+    "p-recursive": {"--max-order": 1, "--max-degree": 0},
+    "algebraic": {"--max-deg-y": 1, "--max-deg-z": 0},
+    "closed-form": {"--degree": 0},
+}
+
+
+@pytest.fixture(scope="module")
+def catalan41(tmp_path_factory):
+    path = tmp_path_factory.mktemp("guess") / "catalan41.json"
+    save_sequence(path, sequence_file("catalan", catalan_list(40)))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", GUESS_KINDS)
+@pytest.mark.parametrize("holdout", ["0", "-1", "-3"])
+def test_guess_rejects_a_holdout_below_one(capsys, catalan41, kind, holdout):
+    rc, out, err = run(capsys, "guess", "--kind", kind, "--input", catalan41, f"--holdout={holdout}")
+    assert (rc, out, err) == (EXIT_USAGE, "", "error: holdout must be >= 1\n")
+
+
+@pytest.mark.parametrize(
+    "kind,option,value",
+    [(kind, option, least - 1) for kind in GUESS_KINDS for option, least in GUESS_BOUNDS[kind].items()]
+    + [("p-recursive", "--max-order", -2)],
+)
+def test_guess_rejects_a_bound_below_its_least_value(capsys, catalan41, kind, option, value):
+    rc, out, err = run(capsys, "guess", "--kind", kind, "--input", catalan41, f"{option}={value}")
+    assert rc == EXIT_USAGE
+    assert out == ""
+    least = GUESS_BOUNDS[kind][option]
+    assert err == f"error: {option[2:].replace('-', '_')} must be >= {least}\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    kind=st.sampled_from(GUESS_KINDS),
+    holdout=st.integers(-3, 12),
+    bounds=st.fixed_dictionaries(
+        {opt: st.integers(-2, 4) for opt in ("--max-order", "--max-degree", "--max-deg-y",
+                                             "--max-deg-z", "--degree")}
+    ),
+)
+def test_guess_argv_ends_in_an_exit_code_not_a_traceback(catalan41, kind, holdout, bounds):
+    argv = ["guess", "--kind", kind, "--input", catalan41, f"--holdout={holdout}"]
+    argv += [f"{opt}={v}" for opt, v in bounds.items()]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NOT_FOUND)
+    if rc == EXIT_USAGE:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert holdout >= 1
+        assert all(bounds[opt] >= least for opt, least in GUESS_BOUNDS[kind].items())
+
+
 def test_abnormal_synthetic_control(capsys):
     rc, out, _ = run(
         capsys, "abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "60"
@@ -190,6 +253,15 @@ def test_moments_full_rejects_a_negative_order(capsys):
     rc, out, _ = run(capsys, *argv, "--r", "0")
     assert rc == EXIT_OK
     assert out.splitlines()[-1] == "n=3  mass=5  (standardized moments need r_max >= 2)"
+
+
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_moments_truncated_names_the_moment_order(capsys, r):
+    rc, out, err = run(
+        capsys, "moments", "--family", "av132", "--stat", "21", "--max-n", "3", "--r", r
+    )
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == f"error: truncated mode needs moment order r >= 1, got r = {r}\n"
 
 
 def test_out_dir_env_redirects_relative_paths(capsys, tmp_path, monkeypatch):

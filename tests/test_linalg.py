@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from catstats.linalg import integer_primitive, nullspace, solve
+from catstats.linalg import integer_primitive, nullspace
 
 
 def rref_rank(rows, ncols):
@@ -50,31 +50,6 @@ def test_nullspace_random_rank_nullity(rng):
             assert any(v)
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
-
-
-def test_solve_consistent_and_inconsistent():
-    x = solve([[2, 0], [0, 3]], [4, 9], 2)
-    assert x == [Fraction(2), Fraction(3)]
-    assert solve([[1, 1], [1, 1]], [1, 2], 2) is None
-    # underdetermined: free variable pinned at 0, still a valid solution
-    x = solve([[1, 1]], [5], 2)
-    assert x is not None
-    assert x[0] + x[1] == 5
-
-
-def test_solve_random_roundtrip(rng):
-    for _ in range(25):
-        ncols = rng.randrange(1, 5)
-        m = rng.randrange(1, 5)
-        target = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
-        rows = [
-            [Fraction(rng.randint(-4, 4)) for _ in range(ncols)] for _ in range(m)
-        ]
-        rhs = [sum(a * b for a, b in zip(r, target)) for r in rows]
-        x = solve(rows, rhs, ncols)
-        assert x is not None
-        for r, b in zip(rows, rhs):
-            assert sum(a * v for a, v in zip(r, x)) == b
 
 
 def test_integer_primitive():
