@@ -143,12 +143,13 @@ def cmd_wenum(args) -> int:
 
 def cmd_moments(args) -> int:
     spec = builtin_spec(args.family, args.stat)
+    least = 0 if args.mode == "full" else 1  # truncated mode evaluates to cap r
+    if args.r < least:
+        raise UsageError(f"moment order r must be >= {least}, got r = {args.r}")
     if args.mode == "full":
         seq = eval_full(spec, args.max_n)
         table = moments_from_full(seq, r_max=args.r)
     else:
-        if args.r < 1:
-            raise UsageError(f"truncated mode needs moment order r >= 1, got r = {args.r}")
         seq = eval_truncated(spec, args.max_n, cap=args.r)
         table = moments_from_truncated(seq, r_max=args.r)
     config = {

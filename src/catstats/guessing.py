@@ -234,7 +234,8 @@ class AlgebraicEquation:
         terms = []
         for (j, i), c in sorted(((j, i), sgn * c) for (i, j), c in self.coeffs if j != 1):
             mono = "*".join(
-                ([f"z^{i}" if i > 1 else "z"] if i else []) + ([f"y^{j}" if j > 1 else "y"] if j else [])
+                ([f"z^{i}" if i > 1 else "z"] if i else [])
+                + ([f"y^{j}" if j > 1 else "y"] if j else [])
             )
             terms.append(_term(c, mono))
         return "y = " + join_signed(terms)
@@ -287,7 +288,8 @@ def guess_algebraic(
             lead = max((t for t, c in zip(cols, ints) if c), key=lambda t: (t[0] + t[1], t))
             if ints[cols.index(lead)] < 0:
                 ints = [-c for c in ints]
-            eq = AlgebraicEquation(coeffs=tuple(sorted(((i, j), c) for (j, i), c in zip(cols, ints) if c)))
+            coeffs = sorted(((i, j), c) for (j, i), c in zip(cols, ints) if c)
+            eq = AlgebraicEquation(coeffs=tuple(coeffs))
             if not any(algebraic_residual(eq, values)):
                 return eq
     return None

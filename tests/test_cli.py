@@ -132,17 +132,25 @@ def catalan41(tmp_path_factory):
 @pytest.mark.parametrize("kind", GUESS_KINDS)
 @pytest.mark.parametrize("holdout", ["0", "-1", "-3"])
 def test_guess_rejects_a_holdout_below_one(capsys, catalan41, kind, holdout):
-    rc, out, err = run(capsys, "guess", "--kind", kind, "--input", catalan41, f"--holdout={holdout}")
+    rc, out, err = run(
+        capsys, "guess", "--kind", kind, "--input", catalan41, f"--holdout={holdout}"
+    )
     assert (rc, out, err) == (EXIT_USAGE, "", "error: holdout must be >= 1\n")
 
 
 @pytest.mark.parametrize(
     "kind,option,value",
-    [(kind, option, least - 1) for kind in GUESS_KINDS for option, least in GUESS_BOUNDS[kind].items()]
+    [
+        (kind, option, least - 1)
+        for kind in GUESS_KINDS
+        for option, least in GUESS_BOUNDS[kind].items()
+    ]
     + [("p-recursive", "--max-order", -2)],
 )
 def test_guess_rejects_a_bound_below_its_least_value(capsys, catalan41, kind, option, value):
-    rc, out, err = run(capsys, "guess", "--kind", kind, "--input", catalan41, f"{option}={value}")
+    rc, out, err = run(
+        capsys, "guess", "--kind", kind, "--input", catalan41, f"{option}={value}"
+    )
     assert rc == EXIT_USAGE
     assert out == ""
     least = GUESS_BOUNDS[kind][option]
@@ -154,8 +162,7 @@ def test_guess_rejects_a_bound_below_its_least_value(capsys, catalan41, kind, op
     kind=st.sampled_from(GUESS_KINDS),
     holdout=st.integers(-3, 12),
     bounds=st.fixed_dictionaries(
-        {opt: st.integers(-2, 4) for opt in ("--max-order", "--max-degree", "--max-deg-y",
-                                             "--max-deg-z", "--degree")}
+        {opt: st.integers(-2, 4) for least in GUESS_BOUNDS.values() for opt in least}
     ),
 )
 def test_guess_argv_ends_in_an_exit_code_not_a_traceback(catalan41, kind, holdout, bounds):
@@ -255,13 +262,21 @@ def test_moments_full_rejects_a_negative_order(capsys):
     assert out.splitlines()[-1] == "n=3  mass=5  (standardized moments need r_max >= 2)"
 
 
-@pytest.mark.parametrize("r", ["0", "-2"])
-def test_moments_truncated_names_the_moment_order(capsys, r):
+@pytest.mark.parametrize(
+    "mode,r,least", [("truncated", "0", 1), ("truncated", "-2", 1), ("full", "-1", 0)]
+)
+def test_moments_checks_the_order_before_evaluating(capsys, monkeypatch, mode, r, least):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated before the moment order was checked")
+
+    monkeypatch.setattr("catstats.cli.eval_full", refuse)
+    monkeypatch.setattr("catstats.cli.eval_truncated", refuse)
     rc, out, err = run(
-        capsys, "moments", "--family", "av132", "--stat", "21", "--max-n", "3", "--r", r
+        capsys, "moments", "--family", "av123", "--stat", "213", "--max-n", "64",
+        "--mode", mode, "--r", r,
     )
     assert (rc, out) == (EXIT_USAGE, "")
-    assert err == f"error: truncated mode needs moment order r >= 1, got r = {r}\n"
+    assert err == f"error: moment order r must be >= {least}, got r = {r}\n"
 
 
 def test_out_dir_env_redirects_relative_paths(capsys, tmp_path, monkeypatch):
