@@ -55,6 +55,17 @@ def _graded(max_size: int, max_degree: int):
             yield size, weight - size
 
 
+def _times_powers(v, n: int, count: int) -> list:
+    """[v, v*n, ..., v*n^(count-1)]: one row block of a system whose unknowns
+    are polynomials in n."""
+    out = []
+    p = 1
+    for _ in range(count):
+        out.append(v * p)
+        p *= n
+    return out
+
+
 def _poly_eval(coeffs: "Sequence[int]", n: int):
     out = 0
     for c in reversed(coeffs):
@@ -144,17 +155,10 @@ def guess_p_recursive(
         train = len(values) - order - holdout
         if train < (order + 1) * w:
             continue  # fewer training windows than unknowns at these bounds
-        rows = []
-        for s in range(train):
-            n = offset + s
-            row = []
-            for i in range(order + 1):
-                a = values[s + i]
-                p = 1
-                for _ in range(w):
-                    row.append(a * p)
-                    p *= n
-            rows.append(row)
+        rows = [
+            [x for i in range(order + 1) for x in _times_powers(values[s + i], offset + s, w)]
+            for s in range(train)
+        ]
         for vec in nullspace(rows, (order + 1) * w):
             if not any(vec[order * w :]):
                 continue  # really lower order; the earlier search covers it
@@ -388,12 +392,7 @@ def fit_closed_form(
     rows = []
     for s in range(T - holdout):
         n = offset + s
-        row = []
-        for v in (4**n, cats[n], cats[n - 1], 1):
-            p = 1
-            for _ in range(degree + 1):
-                row.append(v * p)
-                p *= n
+        row = [x for v in (4**n, cats[n], cats[n - 1], 1) for x in _times_powers(v, n, degree + 1)]
         rows.append(row + [values[s]])
     basis = nullspace(rows, ncols + 1)
     if not basis or not basis[-1][ncols]:
