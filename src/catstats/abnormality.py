@@ -116,6 +116,18 @@ def _check_settings(tau_skew, tau_kurt, epsilon, order: int, samples: int) -> No
     _check_order(order, samples)
 
 
+def _check_table_r(r_max: int) -> None:
+    if r_max < 4:
+        raise UsageError(f"verdicts need moments through r = 4, got r_max = {r_max}")
+
+
+def check_table_settings(n_max: int, r_max: int, *, tau_skew, tau_kurt, epsilon, order) -> None:
+    """Make analyze_table's refusals for a table of rows 0..n_max before the
+    table is built, with the same messages in the same order."""
+    _check_table_r(r_max)
+    _check_settings(tau_skew, tau_kurt, epsilon, order, len(checkpoints(n_max)))
+
+
 @dataclass(frozen=True)
 class AlphaSample:
     """One exact standardized-moment sample, float-rendered for display."""
@@ -251,8 +263,7 @@ def analyze_table(
     This is the single verdict path: analyze() feeds catalog statistics
     through it and synthetic controls enter here directly.
     """
-    if table.r_max < 4:
-        raise UsageError(f"verdicts need moments through r = 4, got r_max = {table.r_max}")
+    _check_table_r(table.r_max)
     n_top = table.rows[-1].n
     cps = checkpoints(n_top) if sample_at is None else tuple(sample_at)
     _check_settings(tau_skew, tau_kurt, epsilon, order, len(cps))

@@ -36,6 +36,7 @@ from .abnormality import (
     analyze,
     analyze_table,
     binomial_control_table,
+    check_table_settings,
 )
 from .errors import UsageError
 from .funcrec import builtin_spec, eval_full, eval_truncated, verify_catalog
@@ -346,28 +347,19 @@ def cmd_guess(args) -> int:
 
 
 def cmd_abnormal(args) -> int:
+    settings = {
+        "tau_skew": args.tau_skew,
+        "tau_kurt": args.tau_kurt,
+        "epsilon": args.epsilon,
+        "order": args.order,
+    }
     if args.family == "synthetic":
         if args.stat != "binomial":
             raise UsageError("the synthetic family only offers the binomial control")
-        table = binomial_control_table(args.n_max, args.r)
-        report = analyze_table(
-            table,
-            tau_skew=args.tau_skew,
-            tau_kurt=args.tau_kurt,
-            epsilon=args.epsilon,
-            order=args.order,
-        )
+        check_table_settings(args.n_max, args.r, **settings)
+        report = analyze_table(binomial_control_table(args.n_max, args.r), **settings)
     else:
-        report = analyze(
-            args.family,
-            args.stat,
-            args.n_max,
-            args.r,
-            tau_skew=args.tau_skew,
-            tau_kurt=args.tau_kurt,
-            epsilon=args.epsilon,
-            order=args.order,
-        )
+        report = analyze(args.family, args.stat, args.n_max, args.r, **settings)
     config = {
         "family": args.family,
         "stat": args.stat,

@@ -4,7 +4,8 @@ Permutations are tuples of 1-based values in one-line notation; the empty
 tuple is the length-0 permutation.  Everything here is exhaustive-by-design
 reference code: the functional-recurrence engine is checked against these
 enumerators on every build, so clarity beats speed, except where a loop is
-genuinely hot (avoider generation, subset classification).
+genuinely hot (avoider generation, and patterns of length 2 and 3, which are
+counted with integer arithmetic rather than by classifying subsets).
 
 The insertion map on 123-avoiders deserves a note.  It rebuilds a permutation
 of length m+1 from one of length m by freeing a front slot, letting the
@@ -112,6 +113,62 @@ def classify_all_subsets(perm: Perm, k: int) -> "dict[Perm, int]":
     return out
 
 
+def count_213(perm: Perm) -> int:
+    """Occurrences of 213 in O(n^2): for each entry v taken as the '2', the
+    later pairs made of an entry below v followed by an entry above v."""
+    total = 0
+    for i, v in enumerate(perm):
+        below = 0
+        for w in perm[i + 1 :]:
+            if w < v:
+                below += 1
+            else:
+                total += below
+    return total
+
+
+def short_pattern_counts(perm: Perm) -> "dict[Perm, int]":
+    """Occurrences of every pattern of length at most 3, in O(n^2).
+
+    The empty pattern occurs once and the pattern 1 n times.  For each middle
+    entry, let ls and lg count the smaller and larger entries to its left, rs
+    and rg those to its right.  Summed over the middle entry, ls gives 12,
+    ls*rg gives 123, lg*rs gives 321, lg*rg gives 213 + 312 (the middle is
+    smallest) and ls*rs gives 132 + 231 (the middle is largest).  213 is
+    counted directly and 132 is the 213 count of the reverse-complement; 312
+    and 231 follow by subtraction.
+    """
+    n = len(perm)
+    c12 = c123 = c321 = lows = highs = 0
+    for j, v in enumerate(perm):
+        ls = 0
+        for w in perm[:j]:
+            if w < v:
+                ls += 1
+        lg = j - ls
+        rs = v - 1 - ls
+        rg = n - 1 - j - rs
+        c12 += ls
+        c123 += ls * rg
+        c321 += lg * rs
+        lows += lg * rg
+        highs += ls * rs
+    c213 = count_213(perm)
+    c132 = count_213(tuple(n + 1 - v for v in reversed(perm)))
+    return {
+        (): 1,
+        (1,): n,
+        (1, 2): c12,
+        (2, 1): n * (n - 1) // 2 - c12,
+        (1, 2, 3): c123,
+        (1, 3, 2): c132,
+        (2, 1, 3): c213,
+        (2, 3, 1): highs - c132,
+        (3, 1, 2): lows - c213,
+        (3, 2, 1): c321,
+    }
+
+
 def check_oracle_limit(n: int, limit: int) -> None:
     if n > limit:
         raise UsageError(
@@ -143,17 +200,21 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
     prefix: "list[int]" = []
     used = [False] * (n + 1)
     if forbidden == AV123:
-        # state: (min value so far, smallest value with a smaller one before it)
+        # state: (min value so far, smallest value with a smaller one before
+        # it); appending a value above the latter would complete a 123
         def extend(cur_min: int, best: int) -> None:
             if len(prefix) == n:
                 out.append(tuple(prefix))
                 return
-            for v in range(1, n + 1):
-                if used[v] or v > best:
+            for v in range(1, best):
+                if used[v]:
                     continue
                 used[v] = True
                 prefix.append(v)
-                extend(min(cur_min, v), min(best, v) if v > cur_min else best)
+                if v < cur_min:
+                    extend(v, best)
+                else:
+                    extend(cur_min, v)
                 prefix.pop()
                 used[v] = False
 
@@ -302,7 +363,7 @@ PAT_213 = (2, 1, 3)
 def _sigma_key(p: Perm) -> "tuple[int, int, int]":
     """(213-count, sigma1, sigma2) of a 123-avoider; avoidance is not checked."""
     u = _insert_rl_chain(p)
-    a0, a1, a2 = (count_occurrences(PAT_213, q) for q in (p, u, _insert_rl_chain(u)))
+    a0, a1, a2 = (count_213(q) for q in (p, u, _insert_rl_chain(u)))
     return a0, a1 - a0, (a2 - a1) - (a1 - a0)
 
 
@@ -326,18 +387,19 @@ def brute_weight_enum(
 ) -> MultiPoly:
     """Sum over avoiders of prod_i var_i ^ (occurrences of stats[i]).
 
-    Each avoider gets one `classify_all_subsets` pass per distinct statistic
-    length, which counts every statistic of that length at once.
+    Statistics of length at most 3 come from `short_pattern_counts`; each
+    longer length gets one `classify_all_subsets` pass per avoider, counting
+    every statistic of that length at once.
     """
     if len(stats) != len(variables):
         raise UsageError("one variable per statistic, in the same order")
     variables = tuple(variables)
     stats = [tuple(s) for s in stats]
-    lengths = sorted({len(s) for s in stats})
+    long = sorted({len(s) for s in stats if len(s) > 3})
     terms: "dict[tuple, int]" = {}
     for p in enumerate_avoiders(forbidden, n, limit):
-        counts: "dict[Perm, int]" = {}
-        for k in lengths:
+        counts = short_pattern_counts(p)
+        for k in long:
             counts.update(classify_all_subsets(p, k))
         key = tuple(counts.get(s, 0) for s in stats)
         terms[key] = terms.get(key, 0) + 1

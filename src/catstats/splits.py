@@ -24,15 +24,16 @@ would be merged silently, and the report says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .errors import UsageError
 from .perms import (
     AV123,
     AV132,
     DEFAULT_ORACLE_LIMIT,
+    catalan,
     catalan_list,
     check_oracle_limit,
-    classify_all_subsets,
     enumerate_avoiders,
     format_perm,
     standardize,
@@ -252,20 +253,49 @@ def bona_census_132(k: int, prefix_len: int = 30, engine: "AverageEngine | None"
 
 def bona_census_123(k: int, n_max: int = 9, limit: int = DEFAULT_ORACLE_LIMIT) -> CensusResult:
     """Brute-force analog on the 123-avoiders: group length-k patterns that
-    avoid 123 by their total-occurrence sequences on sizes 0..n_max."""
+    avoid 123 by their total-occurrence sequences on sizes 0..n_max.
+
+    The totals come from deletion chains: delete one entry at a time and
+    standardize after each step.  A permutation pi of length n reaches q of
+    length k along exactly (n-k)!*occ(q, pi) chains, one per occurrence of q
+    and order of deleting the other n-k entries.  Every deletion of a
+    123-avoider avoids 123, and every avoider shorter than n_max is a
+    deletion of a longer one (prepend the maximum), so one pass down from the
+    avoiders of length n_max visits every avoider of every length.  Each
+    carries its chain counts N_n indexed by the starting length n, and at
+    length k, A_q(n) = N_n(q) / (n-k)!.
+    """
     if k < 1:
         raise UsageError("k must be >= 1")
     if n_max < k:
         raise UsageError(f"length-{k} patterns never occur below n = {k}; raise n_max")
     check_oracle_limit(n_max, limit)
-    totals: "dict[tuple, list]" = {p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, k, limit)}
-    for n in range(n_max + 1):
-        for perm in enumerate_avoiders(AV123, n, limit):
-            for pat, cnt in classify_all_subsets(perm, k).items():
-                row = totals.get(pat)
-                if row is not None:
-                    row[n] += cnt
-    return _census("av123", k, n_max, totals.items())
+    level = {p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, n_max, limit)}
+    for m in range(n_max, k - 1, -1):
+        if len(level) != catalan(m):
+            raise AssertionError(f"deletion pass reached {len(level)} avoiders of length {m}")
+        for chains in level.values():
+            chains[m] += 1  # the avoider itself starts a chain of length m
+        if m == k:
+            break
+        below: "dict[tuple, list]" = {}
+        for p, chains in level.items():
+            for v in p:
+                q = tuple(w - (w > v) for w in p if w != v)
+                acc = below.get(q)
+                if acc is None:
+                    below[q] = chains[:]
+                else:
+                    for n in range(m, n_max + 1):
+                        acc[n] += chains[n]
+        level = below
+    for chains in level.values():
+        for n in range(k, n_max + 1):
+            total, rest = divmod(chains[n], factorial(n - k))
+            if rest:
+                raise AssertionError(f"{chains[n]} chains from length {n} is not a multiple of {n - k}!")
+            chains[n] = total
+    return _census("av123", k, n_max, level.items())
 
 
 def partition_numbers(k_max: int) -> "list[int]":

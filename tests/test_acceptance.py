@@ -31,6 +31,7 @@ from catstats import perms
 from catstats.perms import (
     AV132,
     catalan_list,
+    classify_all_subsets,
     insertion_map,
     standardize,
     validate_insertion_reading,
@@ -39,7 +40,6 @@ from catstats.splits import (
     AverageEngine,
     bona_census_123,
     bona_census_132,
-    classify_all_subsets,
     split_decompose,
 )
 

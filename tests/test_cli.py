@@ -179,6 +179,82 @@ def test_guess_argv_ends_in_an_exit_code_not_a_traceback(catalan41, kind, holdou
         assert all(bounds[opt] >= least for opt, least in GUESS_BOUNDS[kind].items())
 
 
+# per subcommand: the fixed argv head, then each option's values, which
+# straddle the valid range; the options under "optional" may be left out.
+# Sizes stay small (oracle n <= 5, census n <= 8, abnormal n_max 50), and
+# the options whose defaults are expensive are always given.
+_THRESHOLD = st.sampled_from(["nan", "inf", "0", "-1", "0.02"])
+_ABNORMAL_OPTIONAL = {
+    "--r": st.integers(-1, 5), "--tau-skew": _THRESHOLD, "--tau-kurt": _THRESHOLD,
+    "--epsilon": _THRESHOLD, "--order": st.integers(-1, 3),
+    "--format": st.sampled_from(["text", "json"]),
+}
+ARGV_CASES = {
+    "census-av132": (
+        ["census", "--family", "av132"],
+        {"--k": st.integers(-1, 4)},
+        {"--prefix-len": st.integers(-1, 10), "--max-n": st.integers(-1, 8),
+         "--format": st.sampled_from(["text", "json"])},
+    ),
+    "census-av123": (
+        ["census", "--family", "av123"],
+        {"--k": st.integers(-1, 5)},
+        {"--max-n": st.sampled_from([-1, 0, 3, 5, 8, 13]), "--prefix-len": st.integers(-1, 10),
+         "--format": st.sampled_from(["text", "json"])},
+    ),
+    "oracle": (
+        ["oracle", "verify"],
+        {"--max-n": st.integers(-2, 5)},
+        {"--limit": st.integers(-1, 6), "--format": st.sampled_from(["text", "json"])},
+    ),
+    "abnormal": (
+        ["abnormal"],
+        {"--family": st.sampled_from(["av132", "av123"]),
+         "--stat": st.sampled_from(["21", "213", "999"]),
+         "--n-max": st.sampled_from([-1, 0, 49, 50])},
+        _ABNORMAL_OPTIONAL,
+    ),
+    "abnormal-synthetic": (
+        ["abnormal", "--family", "synthetic"],
+        {"--stat": st.sampled_from(["binomial", "21"]),
+         "--n-max": st.sampled_from([-1, 0, 49, 50])},
+        _ABNORMAL_OPTIONAL,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARGV_CASES))
+def test_argv_ends_in_an_exit_code_not_a_traceback(case):
+    head, required, optional = ARGV_CASES[case]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.fixed_dictionaries(required, optional=optional))
+    def check(options):
+        argv = head + [f"{opt}={v}" for opt, v in options.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_USAGE), argv
+        if rc == EXIT_USAGE:
+            assert (out.getvalue(), err.getvalue()[:6]) == ("", "error:"), argv
+
+    check()
+
+
+def test_abnormal_synthetic_checks_settings_before_building_the_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the control table before checking the settings")
+
+    monkeypatch.setattr("catstats.cli.binomial_control_table", refuse)
+    rc, out, err = run(
+        capsys,
+        "abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "600",
+        "--epsilon", "nan",
+    )
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "error: epsilon must be a finite number > 0, got nan\n"
+
+
 def test_abnormal_synthetic_control(capsys):
     rc, out, _ = run(
         capsys, "abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "60"

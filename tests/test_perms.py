@@ -2,6 +2,8 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catstats.errors import UsageError
 from catstats.perms import (
@@ -21,6 +23,7 @@ from catstats.perms import (
     format_perm,
     insertion_map,
     parse_perm,
+    short_pattern_counts,
     sigma_stats,
     standardize,
     validate_insertion_reading,
@@ -99,6 +102,8 @@ def test_avoiders_match_naive_filter():
             if not contains(p, AV132)
         }
         assert set(enumerate_avoiders(AV132, n)) == naive
+        lex = [p for p in permutations(range(1, n + 1)) if not contains(p, AV123)]
+        assert list(enumerate_avoiders(AV123, n)) == lex
 
 
 def test_decompose_compose_132_bijection():
@@ -196,6 +201,15 @@ def test_brute_sigma_enum_matches_per_perm_stats():
             key = (occ, s1, s2)
             expected[key] = expected.get(key, 0) + 1
         assert dict(m.terms) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_short_pattern_counts_match_count_occurrences(perm):
+    perm = tuple(perm)
+    patterns = [q for k in range(4) for q in permutations(range(1, k + 1))]
+    expected = {q: count_occurrences(q, perm) for q in patterns}
+    assert short_pattern_counts(perm) == expected
 
 
 def test_classify_all_subsets_totals(rng):

@@ -5,6 +5,7 @@ import pytest
 
 from catstats.errors import UsageError
 from catstats.perms import (
+    AV123,
     AV132,
     catalan_list,
     count_occurrences,
@@ -127,6 +128,16 @@ def test_census_123_k3_frozen():
         ((3, 2, 1), 1),
     ]
     assert r.classes[1].prefix == (0, 0, 0, 1, 11, 81, 500, 2794, 14649)
+
+
+def test_census_123_prefixes_are_occurrence_sums():
+    # the deletion-chain totals against the definitional per-permutation count
+    avoiders = [enumerate_avoiders(AV123, n) for n in range(9)]
+    for k in range(1, 5):
+        for cls in bona_census_123(k, n_max=8).classes:
+            for p in cls.patterns:
+                sums = tuple(sum(count_occurrences(p, w) for w in ws) for ws in avoiders)
+                assert cls.prefix == sums, p
 
 
 def test_census_guards():
