@@ -357,9 +357,6 @@ def insertion_map(p: Perm) -> Perm:
     return _insert_rl_chain(p)
 
 
-PAT_213 = (2, 1, 3)
-
-
 def _sigma_key(p: Perm) -> "tuple[int, int, int]":
     """(213-count, sigma1, sigma2) of a 123-avoider; avoidance is not checked."""
     u = _insert_rl_chain(p)

@@ -16,6 +16,14 @@ dividing by c_n gives averages.  Patterns containing 132 never occur and
 their sequences are identically zero; the same recurrence reproduces that,
 so they are allowed anywhere in the system.
 
+In generating functions, with B the sum of z*A_prefix*A_suffix over the
+splits of p other than the two that reproduce p itself ((p, empty) and
+(empty, p)), those two add 2zC*A, so A = B + 2zC*A.  Since
+1 - 2zC = sqrt(1-4z), A = B / sqrt(1-4z) = B * sum_n C(2n, n) z^n.
+`AverageEngine` computes each sequence from this on packed integers, with
+one bigint product per split and one by the central binomials (see its
+docstring).
+
 The class census groups all length-k patterns by their value sequences.
 Equality is tested on a finite prefix (default length 30), so the census is
 an equality-of-prefix census: classes that first differ beyond the prefix
@@ -24,7 +32,7 @@ would be merged silently, and the report says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from .errors import UsageError
 from .perms import (
@@ -36,7 +44,6 @@ from .perms import (
     check_oracle_limit,
     enumerate_avoiders,
     format_perm,
-    standardize,
 )
 
 Perm = "tuple[int, ...]"
@@ -55,22 +62,40 @@ class SplitDecomposition:
     terms: "tuple[SplitTerm, ...]"
 
 
+def _split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
+    """(prefix, suffix, uses_max) for every valid split of the standardized
+    pattern p, in `split_decompose`'s order.
+
+    A split is valid when every prefix value exceeds every suffix value, that
+    is, when the prefix holds the top values of what the split keeps.  Then the
+    suffix is already standardized and the prefix standardizes by subtracting
+    the suffix length, and `low`, the running minimum of the prefix, decides
+    validity: p[:i] holds the top i values of 1..size when low > size - i, and
+    the top i values of 1..size-1 (size itself routed through the maximum) when
+    low >= size - i.  The empty prefix has low = size + 1.
+    """
+    size = len(p)
+    terms = []
+    low = size + 1
+    for i in range(size + 1):
+        rest = size - i
+        if low > rest:
+            terms.append((tuple([v - rest for v in p[:i]]), p[i:], False))
+        if i < size:
+            v = p[i]
+            if v == size and low >= rest:
+                terms.append((tuple([w - rest + 1 for w in p[:i]]), p[i + 1 :], True))
+            if v < low:
+                low = v
+    return terms
+
+
 def split_decompose(p) -> SplitDecomposition:
     """All ways an occurrence of p distributes over (left block, max, right block)."""
     p = tuple(p)
     if sorted(p) != list(range(1, len(p) + 1)):
         raise UsageError(f"pattern must be standardized, got {p}")
-    size = len(p)
-    terms = []
-    for i in range(size + 1):
-        prefix, suffix = p[:i], p[i:]
-        if not prefix or not suffix or min(prefix) > max(suffix):
-            terms.append(SplitTerm(standardize(prefix), standardize(suffix), False))
-        if i < size and p[i] == size:
-            prefix, suffix = p[:i], p[i + 1 :]
-            if not prefix or not suffix or min(prefix) > max(suffix):
-                terms.append(SplitTerm(standardize(prefix), standardize(suffix), True))
-    return SplitDecomposition(p, tuple(terms))
+    return SplitDecomposition(p, tuple(SplitTerm(*t) for t in _split_terms(p)))
 
 
 class AverageEngine:
@@ -79,85 +104,77 @@ class AverageEngine:
     One engine instance amortizes the whole closure of sub-patterns across
     any number of queries (the census asks for thousands of patterns whose
     split parts overlap heavily).
+
+    `memo[p]` packs A_p(0..N), N = n_max, into one integer
+    sum_n A_p(n) * 2^(w*n) (Kronecker substitution z = 2^w), so a convolution
+    of two sequences is one bigint product.  Every A_p(n) counts
+    occurrences in c(n) permutations, at most C(n, |p|) in each, so
+    0 <= A_p(n) <= 2^n*c(n) <= 2^N*c(N) < 2^(w-1) for
+    w = (2^N*c(N)).bit_length() + 1.  Every value the engine forms in a slot
+    n <= N is a sum of nonnegative terms of some A_q(n), so no slot at or
+    below N carries; carries out of the slots above N only move upward, so
+    masking to the N + 1 low slots is exact.  Masking is reduction modulo
+    2^(w*(N+1)), which commutes with sums and products, so where the masks
+    go decides only how large the operands get.
+
+    A pattern's sequence is A = B / sqrt(1-4z) (see the module docstring):
+    B is the sum of memo[prefix] * memo[suffix] over its other splits (a pair
+    that occurs twice is added twice), shifted up one slot for the factor z
+    and masked, and A is B times the packed central binomials C(2n, n),
+    masked.
     """
 
     def __init__(self, n_max: int):
         if n_max < 0:
             raise UsageError("n_max must be >= 0")
         self.n_max = n_max
-        self.catalan = catalan_list(n_max)
-        self.memo: "dict[tuple, tuple]" = {(): tuple(self.catalan)}
+        self.width = (catalan(n_max) << n_max).bit_length() + 1
+        self._mask = (1 << (self.width * (n_max + 1))) - 1
+        self._central = self._pack([comb(2 * n, n) for n in range(n_max + 1)])
+        self.memo: "dict[tuple, int]" = {(): self._pack(catalan_list(n_max))}
+
+    def _pack(self, values) -> int:
+        packed = 0
+        for v in reversed(values):
+            packed = (packed << self.width) | v
+        return packed
 
     def sequence(self, pattern) -> "tuple[int, ...]":
+        """A_pattern(0..n_max), unpacked from the memo."""
         pattern = tuple(pattern)
-        hit = self.memo.get(pattern)
-        if hit is not None:
-            return hit
-        if sorted(pattern) != list(range(1, len(pattern) + 1)):
-            raise UsageError(f"pattern must be standardized, got {pattern}")
-        # resolve the closure iteratively, shortest first, so that when a
-        # pattern is computed every strictly shorter part is already done
-        todo = {pattern}
-        closure = set()
+        packed = self.memo.get(pattern)
+        if packed is None:
+            if sorted(pattern) != list(range(1, len(pattern) + 1)):
+                raise UsageError(f"pattern must be standardized, got {pattern}")
+            self._resolve(pattern)
+            packed = self.memo[pattern]
+        width = self.width
+        slot = (1 << width) - 1
+        return tuple((packed >> (width * n)) & slot for n in range(self.n_max + 1))
+
+    def _resolve(self, pattern: tuple) -> None:
+        """Decompose every pattern of the closure once, then compute them
+        shortest first, so that every strictly shorter part is already done."""
+        memo = self.memo
+        pairs: "dict[tuple, list]" = {}
+        todo = [pattern]
         while todo:
             q = todo.pop()
-            if q in closure or q in self.memo:
+            if q in pairs:
                 continue
-            closure.add(q)
-            for term in split_decompose(q).terms:
-                for part in (term.prefix, term.suffix):
-                    if part != q and part not in self.memo:
-                        todo.add(part)
-        for q in sorted(closure, key=len):
-            self._compute(q)
-        return self.memo[pattern]
-
-    def _compute(self, q: tuple) -> None:
-        n_max = self.n_max
-        cats = self.catalan
-        pair_mult: "dict[tuple, int]" = {}
-        for term in split_decompose(q).terms:
-            if (term.prefix, term.suffix) == (q, ()) or (term.prefix, term.suffix) == ((), q):
-                continue  # the two self-referencing terms, handled below
-            key = (term.prefix, term.suffix)
-            pair_mult[key] = pair_mult.get(key, 0) + 1
-        B = [0] * (n_max + 1)
-        for (pre, suf), mult in pair_mult.items():
-            A1 = self.memo[pre]
-            A2 = self.memo[suf]
-            if not any(A1) or not any(A2):
-                continue
-            for i, a in enumerate(A1):  # i = k - 1, so n = i + 1 + j
-                if a:
-                    am = a * mult
-                    base = i + 1
-                    row = B
-                    for j in range(n_max + 1 - base):
-                        b = A2[j]
-                        if b:
-                            row[base + j] += am * b
-        # the (q, empty) and (empty, q) terms are mirror images of each other
-        A = [0] * (n_max + 1)
-        if not q:
-            raise AssertionError("empty pattern is seeded in the memo")
-        for n in range(1, n_max + 1):
-            s = 0
-            for k in range(1, n + 1):
-                a = A[k - 1]
-                if a:
-                    s += a * cats[n - k]
-            A[n] = B[n] + 2 * s
-        self.memo[q] = tuple(A)
-
-
-def average_sequence(pattern, n_max: int, engine: "AverageEngine | None" = None) -> "list[int]":
-    """Total occurrences of `pattern` over all 132-avoiders of each size
-    0..n_max.  Divide by the Catalan numbers for averages."""
-    if engine is None:
-        engine = AverageEngine(n_max)
-    elif engine.n_max < n_max:
-        raise UsageError(f"engine only covers n <= {engine.n_max}")
-    return list(engine.sequence(tuple(pattern))[: n_max + 1])
+            size = len(q)
+            own = pairs[q] = []
+            for pre, suf, _ in _split_terms(q):
+                if len(pre) == size or len(suf) == size:
+                    continue  # (q, empty) and (empty, q): the 1/sqrt(1-4z) factor
+                own.append((pre, suf))
+                for part in (pre, suf):
+                    if part not in memo and part not in pairs:
+                        todo.append(part)
+        width, mask, central = self.width, self._mask, self._central
+        for q in sorted(pairs, key=len):
+            B = sum(memo[pre] * memo[suf] for pre, suf in pairs[q])
+            memo[q] = ((B << width) & mask) * central & mask
 
 
 # -- the class censuses ----------------------------------------------------

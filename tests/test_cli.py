@@ -220,6 +220,33 @@ ARGV_CASES = {
          "--n-max": st.sampled_from([-1, 0, 49, 50])},
         _ABNORMAL_OPTIONAL,
     ),
+    "wenum": (
+        ["wenum"],
+        {"--family": st.sampled_from(["av132", "av123"]),
+         "--stat": st.sampled_from(["21", "213", "999"]),
+         "--n": st.integers(-1, 6)},
+        {"--vars": st.sampled_from(["t", "t,s1", "s2,t", "u", ",", ""]),
+         "--format": st.sampled_from(["text", "json", "csv"])},
+    ),
+    "moments-truncated": (
+        ["moments", "--mode", "truncated"],
+        {"--family": st.sampled_from(["av132", "av123"]),
+         "--stat": st.sampled_from(["21", "213", "999"]),
+         "--max-n": st.integers(-1, 12)},
+        {"--r": st.integers(-1, 5), "--format": st.sampled_from(["text", "json", "csv"])},
+    ),
+    "moments-full": (
+        ["moments", "--mode", "full"],
+        {"--family": st.sampled_from(["av132", "av123"]),
+         "--stat": st.sampled_from(["21", "213", "999"]),
+         "--max-n": st.integers(-1, 8)},
+        {"--r": st.integers(-1, 5), "--format": st.sampled_from(["text", "json", "csv"])},
+    ),
+    "average": (
+        ["average"],
+        {"--pattern": st.sampled_from(["213", "1", "", "2 1 3", "1432", "11", "0", "24", "x"])},
+        {"--max-n": st.integers(-2, 40), "--format": st.sampled_from(["text", "json", "csv"])},
+    ),
 }
 
 

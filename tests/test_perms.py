@@ -9,7 +9,6 @@ from catstats.errors import UsageError
 from catstats.perms import (
     AV123,
     AV132,
-    PAT_213,
     brute_sigma_enum,
     brute_weight_enum,
     catalan,
@@ -30,6 +29,8 @@ from catstats.perms import (
 )
 
 CATALAN_PREFIX = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
+
+PAT_213 = (2, 1, 3)
 
 
 def test_catalan_values():

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 from math import comb
 
@@ -15,7 +16,6 @@ from catstats.perms import (
 from catstats.splits import (
     AverageEngine,
     SplitTerm,
-    average_sequence,
     bona_census_123,
     bona_census_132,
     partition_numbers,
@@ -36,6 +36,81 @@ def test_split_decompose_frozen_example():
 def test_split_decompose_requires_standardized():
     with pytest.raises(UsageError):
         split_decompose((2, 4, 1))
+
+
+def _reference_decompose(p):
+    """split_decompose by its definition: every cut, min/max and standardize."""
+    size = len(p)
+    terms = []
+    for i in range(size + 1):
+        cuts = [(p[:i], p[i:], False)]
+        if i < size and p[i] == size:
+            cuts.append((p[:i], p[i + 1 :], True))
+        for prefix, suffix, uses_max in cuts:
+            if not prefix or not suffix or min(prefix) > max(suffix):
+                terms.append(SplitTerm(standardize(prefix), standardize(suffix), uses_max))
+    return tuple(terms)
+
+
+def test_split_decompose_matches_its_definition():
+    # every permutation of length <= 7, 132-avoiders or not
+    for k in range(8):
+        for p in permutations(range(1, k + 1)):
+            assert split_decompose(p).terms == _reference_decompose(p), p
+
+
+def _reference_totals(p, n_max, memo):
+    """A_p(0..n_max) from the split recurrence, one coefficient at a time:
+    A_p(n) = sum over the splits (prefix, suffix) of p of
+    sum_(k=1..n) A_prefix(k-1) * A_suffix(n-k), where the two splits that
+    contain p itself read the values of A_p already computed."""
+    if p in memo:
+        return memo[p]
+    cats = catalan_list(n_max)
+    if not p:
+        memo[p] = cats
+        return cats
+    parts = [
+        (_reference_totals(t.prefix, n_max, memo), _reference_totals(t.suffix, n_max, memo))
+        for t in _reference_decompose(p)
+        if p not in (t.prefix, t.suffix)
+    ]
+    A = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        total = 2 * sum(A[k - 1] * cats[n - k] for k in range(1, n + 1))
+        for left, right in parts:
+            total += sum(left[k - 1] * right[n - k] for k in range(1, n + 1))
+        A[n] = total
+    memo[p] = A
+    return A
+
+
+def test_packed_engine_matches_the_coefficient_recurrence():
+    # four random patterns and four random 132-avoiders of each length <= 6
+    rng = random.Random(2014)
+    pats = []
+    for k in range(1, 7):
+        pats += [tuple(rng.sample(range(1, k + 1), k)) for _ in range(4)]
+        avoiders = enumerate_avoiders(AV132, k)
+        pats += rng.sample(avoiders, min(4, len(avoiders)))
+    for n_max in (0, 1, 2, 80):
+        eng = AverageEngine(n_max)
+        memo = {}
+        for p in pats:
+            assert eng.sequence(p) == tuple(_reference_totals(p, n_max, memo)), (n_max, p)
+        # every packed sequence is reduced to its n_max + 1 slots
+        assert all(0 <= v < 1 << eng.width * (n_max + 1) for v in eng.memo.values())
+
+
+def test_tiling_identity_at_n_120():
+    # all k! patterns together tile every length-k subsequence, at the
+    # sizes where the packed totals are largest
+    cats = catalan_list(120)
+    eng = AverageEngine(120)
+    for k in range(1, 5):
+        seqs = [eng.sequence(p) for p in permutations(range(1, k + 1))]
+        totals = [sum(col) for col in zip(*seqs)]
+        assert totals == [comb(n, k) * cats[n] for n in range(121)], k
 
 
 def test_split_identity_pointwise():
@@ -75,8 +150,8 @@ def test_forbidden_pattern_total_is_zero():
 
 def test_average_sequence_frozen_values():
     eng = AverageEngine(9)
-    assert average_sequence((2, 1), 9, eng) == [0, 0, 1, 8, 47, 244, 1186, 5536, 25147, 112028]
-    assert average_sequence((2, 1, 3), 9, eng) == [0, 0, 0, 1, 11, 81, 500, 2794, 14649, 73489]
+    assert eng.sequence((2, 1)) == (0, 0, 1, 8, 47, 244, 1186, 5536, 25147, 112028)
+    assert eng.sequence((2, 1, 3)) == (0, 0, 0, 1, 11, 81, 500, 2794, 14649, 73489)
 
 
 def test_three_singleton_classes_share_one_sequence():
