@@ -331,7 +331,7 @@ def analyze(
     _check_settings(tau_skew, tau_kurt, epsilon, order, len(cps))
     spec = builtin_spec(family, statistic)
     seq = eval_truncated(spec, n_max, cap=r_max)
-    table = moments_from_truncated(seq, r_max=r_max)
+    table = moments_from_truncated(seq, r_max=r_max, ns=cps)
     return analyze_table(
         table,
         tau_skew=tau_skew,
@@ -342,15 +342,17 @@ def analyze(
 
 
 def binomial_control_table(n_max: int, r_max: int = DEFAULT_R) -> MomentTable:
-    """Exact moment table of the synthetic coin-flip family (1+t)^n.
+    """Exact moment table of the synthetic coin-flip family (1+t)^n, with
+    rows at the checkpoints of n_max, which are all the verdict reads.
 
     The de Moivre-Laplace control: its standardized moments tend to the
     normal values, so the verdict path must come back inconclusive on it.
     Rows are computed through the same factorial-moment extraction as the
     real enumerators, nothing is transcribed.
     """
+    ns = checkpoints(n_max)
     f_rows = []
-    for n in range(n_max + 1):
+    for n in ns:
         poly = MultiPoly(("t",), {(j,): comb(n, j) for j in range(n + 1)})
         f_rows.append(factorial_from_full(poly, r_max))
-    return moment_table_from_rows("synthetic", "binomial", "full", None, r_max, f_rows)
+    return moment_table_from_rows("synthetic", "binomial", "full", None, r_max, f_rows, ns)

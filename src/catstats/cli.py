@@ -105,8 +105,12 @@ def cmd_wenum(args) -> int:
     spec = builtin_spec(args.family, args.stat)
     seq = eval_full(spec, args.n)
     kept = list(spec.variables)
-    if args.vars:
+    if args.vars is not None:
         kept = [v.strip() for v in args.vars.split(",") if v.strip()]
+        if not kept:
+            raise UsageError(
+                f"--vars names no variable; {spec.label} has {list(spec.variables)}"
+            )
         unknown = [v for v in kept if v not in spec.variables]
         if unknown:
             raise UsageError(

@@ -230,11 +230,11 @@ class MomentTable:
         return out
 
 
-def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, n_start=0) -> MomentTable:
-    """Shared tail of the pipeline: factorial rows in, full table out."""
+def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, ns) -> MomentTable:
+    """Shared tail of the pipeline: factorial rows in, full table out; row i
+    belongs to n = ns[i]."""
     rows = []
-    for i, frow in enumerate(f_rows):
-        n = n_start + i
+    for n, frow in zip(ns, f_rows):
         m = raw_from_factorial(frow)
         M = central_from_raw(m)
         if len(M) < 3:
@@ -263,16 +263,23 @@ def moments_from_full(seq, r_max: int = DEFAULT_R_MAX, var: str = "t") -> Moment
         if drop:
             p = p.specialize_ones(drop)
         f_rows.append(factorial_from_full(p, r_max))
-    return moment_table_from_rows(spec.family, spec.statistic, "full", None, r_max, f_rows)
+    return moment_table_from_rows(
+        spec.family, spec.statistic, "full", None, r_max, f_rows, range(len(f_rows))
+    )
 
 
-def moments_from_truncated(seq, r_max: "int | None" = None, var: str = "t") -> MomentTable:
-    """Moment table from a truncated-mode EnumeratorSequence."""
+def moments_from_truncated(
+    seq, r_max: "int | None" = None, var: str = "t", ns: "Sequence[int] | None" = None
+) -> MomentTable:
+    """Moment table from a truncated-mode EnumeratorSequence, with a row for
+    each n in ns (every n when omitted)."""
     spec = seq.spec
     cap = seq.cap
     if r_max is None:
         r_max = cap
     if r_max > cap:
         raise UsageError(f"r_max = {r_max} exceeds the evaluation cap {cap}")
-    f_rows = [factorial_from_truncated(s, r_max, var) for s in seq.values]
-    return moment_table_from_rows(spec.family, spec.statistic, "truncated", cap, r_max, f_rows)
+    if ns is None:
+        ns = range(len(seq.values))
+    f_rows = [factorial_from_truncated(seq.values[n], r_max, var) for n in ns]
+    return moment_table_from_rows(spec.family, spec.statistic, "truncated", cap, r_max, f_rows, ns)

@@ -17,14 +17,16 @@ of a polynomial (or enumerator) around that point, truncated past the cap.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import UsageError
 from .multipoly import MultiPoly, norm_coeff
 
 
-def _monomials_upto(nvars: int, cap: int) -> "list[tuple[int, ...]]":
+def monomials_upto(nvars: int, cap: int) -> "list[tuple[int, ...]]":
     out = [()]
     for _ in range(nvars):
         out = [e + (j,) for e in out for j in range(cap + 1 - sum(e))]
@@ -49,15 +51,15 @@ class SeriesBasis:
         self = object.__new__(cls)
         self.variables = key[0]
         self.cap = cap
-        self.monomials = _monomials_upto(len(self.variables), cap)
+        self.monomials = monomials_upto(len(self.variables), cap)
         self.index = {e: i for i, e in enumerate(self.monomials)}
-        # pairs[i] = [(j, index of monomial i*j)] for every j with i*j within the cap
+        # pairs[i] = [(j, index of monomial i*j)] for every j with i*j within
+        # the cap: the monomials are sorted by degree, so those j form a prefix
         degs = [sum(e) for e in self.monomials]
         self.pairs = [
             [
-                (j, self.index[tuple(x + y for x, y in zip(ea, eb))])
-                for j, eb in enumerate(self.monomials)
-                if da + degs[j] <= cap
+                (j, self.index[tuple(map(add, ea, eb))])
+                for j, eb in enumerate(self.monomials[: bisect_right(degs, cap - da)])
             ]
             for ea, da in zip(self.monomials, degs)
         ]
@@ -135,14 +137,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def add_inplace(self, other: "TruncatedSeries") -> None:
-        """Accumulator support for the recurrence hot loop."""
-        self._check(other)
-        c = self.coeffs
-        for i, b in enumerate(other.coeffs):
-            if b:
-                c[i] += b
-
     def __neg__(self):
         out = TruncatedSeries(self.basis)
         out.coeffs = [-a for a in self.coeffs]
@@ -206,23 +200,6 @@ class TruncatedSeries:
 
     # -- conversions and presentation --------------------------------------
 
-    def to_poly(self) -> MultiPoly:
-        """Reconstruct the polynomial whose expansion at all-ones this is.
-
-        Exact only when nothing was truncated (polynomial degree <= cap).
-        """
-        basis = self.basis
-        out = MultiPoly.zero(basis.variables)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                term = MultiPoly.constant(basis.variables, c)
-                for v, e in zip(basis.variables, basis.monomials[i]):
-                    if e:
-                        vm = MultiPoly.variable(basis.variables, v) - 1
-                        term = term * vm**e
-                out = out + term
-        return out
-
     def __str__(self):
         return str(self.as_deviation_poly())
 
@@ -280,17 +257,6 @@ def monomial_series(basis: SeriesBasis, exps: "Sequence[int]") -> TruncatedSerie
     return TruncatedSeries.constant(basis, 1) if out is None else out
 
 
-def poly_to_series(p: MultiPoly, basis: SeriesBasis) -> TruncatedSeries:
-    """Taylor-expand a polynomial at the all-ones point: v_i -> 1 + z_i."""
-    if p.variables != basis.variables:
-        raise UsageError(f"variable mismatch: {p.variables} vs {basis.variables}")
-    acc = TruncatedSeries(basis)
-    for exps, c in p.terms.items():
-        acc.add_inplace(monomial_series(basis, exps) * c)
-    acc.coeffs = [norm_coeff(c) if c else 0 for c in acc.coeffs]
-    return acc
-
-
 def substitution_operator(
     basis: SeriesBasis, rows: "Sequence[Sequence[int]]"
 ) -> "list[list[tuple[int, int]]]":
@@ -314,14 +280,12 @@ def substitution_operator(
     return [[(t, c) for t, c in enumerate(col.coeffs) if c] for col in cols]
 
 
-def apply_operator(op: "list[list[tuple[int, int]]]", s: TruncatedSeries) -> TruncatedSeries:
-    """The image of `s` under an operator built by `substitution_operator`
-    over the same basis."""
-    out = [0] * len(s.basis)
-    for c, col in zip(s.coeffs, op):
+def apply_operator(op: "list[list[tuple[int, int]]]", coeffs: "Sequence") -> "list":
+    """The image of a coefficient vector under an operator built by
+    `substitution_operator` over the same basis."""
+    out = [0] * len(op)
+    for c, col in zip(coeffs, op):
         if c:
             for t, m in col:
                 out[t] += c * m
-    r = TruncatedSeries(s.basis)
-    r.coeffs = out
-    return r
+    return out

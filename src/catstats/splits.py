@@ -48,6 +48,11 @@ from .perms import (
 
 Perm = "tuple[int, ...]"
 
+# Largest n_max an AverageEngine accepts.  A packed sequence takes
+# (n_max + 1) * w bits, w = (2^n_max * c(n_max)).bit_length() + 1 (about
+# 3 * n_max): 365 KiB at 1000, where one length-4 pattern takes about 8 s.
+MAX_ENGINE_N = 1000
+
 
 @dataclass(frozen=True)
 class SplitTerm:
@@ -127,6 +132,12 @@ class AverageEngine:
     def __init__(self, n_max: int):
         if n_max < 0:
             raise UsageError("n_max must be >= 0")
+        if n_max > MAX_ENGINE_N:
+            raise UsageError(
+                f"sequences are capped at n = {MAX_ENGINE_N}, got {n_max}: a packed "
+                f"sequence takes about 3n^2 bits, {3 * MAX_ENGINE_N**2 // 8192} KiB at "
+                f"n = {MAX_ENGINE_N}, and a census keeps one per closure member"
+            )
         self.n_max = n_max
         self.width = (catalan(n_max) << n_max).bit_length() + 1
         self._mask = (1 << (self.width * (n_max + 1))) - 1

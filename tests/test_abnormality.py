@@ -79,6 +79,7 @@ def test_analyze_checks_its_settings_before_evaluating(monkeypatch, setting, mes
 
 def test_binomial_control_is_inconclusive_with_exact_moments():
     tab = binomial_control_table(60)
+    assert [row.n for row in tab.rows] == list(checkpoints(60))
     rep = analyze_table(tab)
     assert rep.verdict == VERDICT_INCONCLUSIVE
     e3, e4 = rep.evidence_for(3), rep.evidence_for(4)

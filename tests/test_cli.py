@@ -11,6 +11,7 @@ from catstats import __version__
 from catstats.cli import EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
 from catstats.seqio import load_sequence, save_sequence, sequence_file
 from catstats.perms import catalan_list
+from catstats.splits import MAX_ENGINE_N, AverageEngine
 
 
 def run(capsys, *argv):
@@ -38,6 +39,15 @@ def test_wenum_json_carries_config_echo(capsys):
     assert obj["version"] == __version__
     assert obj["config"]["family"] == "av132"
     assert obj["rows"][-1] == {"n": 2, "poly": "1 + t"}
+
+
+@pytest.mark.parametrize("names", ["", ",", " , "])
+def test_wenum_vars_naming_no_variable_is_a_usage_error(capsys, names):
+    rc, out, err = run(
+        capsys, "wenum", "--family", "av132", "--stat", "231", "--n", "3", f"--vars={names}"
+    )
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "error: --vars names no variable; av132:231 has ['t', 'q']\n"
 
 
 def test_moments_text_values(capsys):
@@ -313,6 +323,25 @@ def test_census_123_refuses_oversize_n_before_enumerating(capsys):
     assert rc == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:") and "limit 12" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("average", "--pattern", "12", "--max-n", str(MAX_ENGINE_N + 1)),
+        ("census", "--family", "av132", "--k", "2", "--prefix-len", str(MAX_ENGINE_N + 1)),
+    ],
+)
+def test_split_engine_refuses_oversize_n_before_packing(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the engine started building past its bound")
+
+    monkeypatch.setattr("catstats.splits.catalan", refuse)
+    monkeypatch.setattr("catstats.splits.catalan_list", refuse)
+    monkeypatch.setattr(AverageEngine, "_pack", refuse)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: sequences are capped at n = {MAX_ENGINE_N}, got {MAX_ENGINE_N + 1}")
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +21,7 @@ from catstats import funcrec
 from catstats.cli import EXIT_INTERNAL, main
 from catstats.multipoly import IndexPoly, index_poly
 from catstats.perms import catalan_list
-from catstats.series import SeriesBasis, poly_to_series
+from taylor import taylor
 
 CATALOG = [
     ("av123", "213"),
@@ -98,10 +101,8 @@ def test_truncated_is_the_series_of_full():
         spec = builtin_spec(family, statistic)
         full = eval_full(spec, 7)
         trunc = eval_truncated(spec, 7, cap)
-        basis = SeriesBasis(spec.variables, cap)
         for n in range(8):
-            want = poly_to_series(full.values[n], basis)
-            assert trunc.values[n] == want, f"{family}:{statistic} n={n}"
+            assert trunc.values[n] == taylor(full.values[n], cap), f"{family}:{statistic} n={n}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,29 +110,132 @@ def test_truncated_is_the_series_of_full():
 def test_truncated_is_the_series_of_full_at_every_cap(family_stat, n, cap):
     # up to cap 8, the width of the three-variable basis moment tables run at
     spec = builtin_spec(*family_stat)
-    want = poly_to_series(eval_full(spec, n).values[n], SeriesBasis(spec.variables, cap))
-    assert eval_truncated(spec, n, cap).values[n] == want
+    assert eval_truncated(spec, n, cap).values[n] == taylor(eval_full(spec, n).values[n], cap)
+
+
+# exponent pool for synthetic specs: constant, k-only, (n-k)-only and mixed,
+# all >= 0 on 1 <= k <= n
+_K1 = index_poly({(0, 1): 1, (0, 0): -1})
+_NK = index_poly({(1, 0): 1, (0, 1): -1})
+_KNK = index_poly({(1, 1): 1, (0, 2): -1})
+EXPONENTS = st.sampled_from([IndexPoly.ZERO, IndexPoly.ONE, _K1, _NK, _KNK])
+VARYING = st.sampled_from([_K1, _NK, _KNK])
+FACTORS = st.sampled_from([Fraction(1, 3), Fraction(5, 2), Fraction(-3, 4)])
+# full mode's enumerators can grow past millions of terms by n = 9; the
+# comparison stops at the first n whose enumerator has more terms than this
+TERM_BUDGET = 800
+
+
+@st.composite
+def coefficient_atoms(draw, nv):
+    """Atoms whose scalars sum to 1 at every (n, k), so the mass check holds."""
+
+    def exps():
+        return tuple(draw(EXPONENTS) for _ in range(nv))
+
+    shape = draw(st.sampled_from(["one", "split", "cancel"]))
+    if shape == "one":
+        return (CoefAtom(var_exps=exps()),)
+    f = draw(FACTORS)
+    if shape == "split":
+        return (CoefAtom(var_exps=exps(), factor=f), CoefAtom(var_exps=exps(), factor=1 - f))
+    n_deg, k_deg = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+    return (
+        CoefAtom(var_exps=exps()),
+        CoefAtom(var_exps=exps(), factor=f, n_deg=n_deg, k_deg=k_deg),
+        CoefAtom(var_exps=exps(), factor=-f, n_deg=n_deg, k_deg=k_deg),
+    )
+
+
+@st.composite
+def substitutions(draw, nv):
+    """None, or a 0/1 matrix with a unit diagonal (any constant for one
+    variable) and 0, 1 or 2 varying off-diagonal entries; a varying diagonal
+    entry multiplies degrees at every level, past what full mode can reach."""
+    varying = draw(st.integers(-1, 2 if nv == 2 else 0))
+    if varying < 0:
+        return None
+    zero_one = st.sampled_from([IndexPoly.ZERO, IndexPoly.ONE])
+    rows = [[IndexPoly.ONE if i == j else draw(zero_one) for j in range(nv)] for i in range(nv)]
+    if nv == 1:
+        rows[0][0] = draw(zero_one)
+    off = [(0, 1), (1, 0)]
+    for i, j in off[:varying] if varying != 1 else [draw(st.sampled_from(off))]:
+        rows[i][j] = draw(VARYING)
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def synthetic_specs(draw):
+    nv = draw(st.integers(1, 2))
+
+    def term(**bounds):
+        return RecTerm(
+            atoms=draw(coefficient_atoms(nv)),
+            left=draw(substitutions(nv)),
+            right=draw(substitutions(nv)),
+            **bounds,
+        )
+
+    # either one term over k = 1..n, or k <= h and k > h in two terms
+    h = draw(st.integers(0, 3))
+    terms = [term()] if h == 0 else [term(k_low=1, k_high=h), term(k_low=h + 1)]
+    return FuncRecSpec("av132", "synthetic", ("t", "q")[:nv], terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(synthetic_specs(), st.integers(0, 9), st.integers(1, 8))
+def test_truncated_is_the_series_of_full_on_synthetic_specs(spec, n, cap):
+    full = []
+    for m in range(n + 1):
+        value = eval_full(spec, m).values[m]
+        if len(value.terms) > TERM_BUDGET:
+            break
+        full.append(value)
+    trunc = eval_truncated(spec, len(full) - 1, cap)
+    assert trunc.values == [taylor(value, cap) for value in full]
+
+
+# sha256 of the coefficient lists of all 9 catalog specs' truncated values,
+# recorded from the per-(n, k) evaluator this walk replaced
+DEEP_DIGESTS = {
+    (4, 80): "cafb093d13428a44f8f9d8f223bbc141100e58187215921a56858f4d173db82f",
+    (8, 24): "ac2bc8806b95bb76eb794300386d60b16ace8d85917affdd9c39637e8b216634",
+}
+
+
+@pytest.mark.parametrize("cap,n_max", sorted(DEEP_DIGESTS))
+def test_truncated_values_match_the_recorded_digest(cap, n_max):
+    digest = hashlib.sha256()
+    for family, statistic in CATALOG:
+        seq = eval_truncated(builtin_spec(family, statistic), n_max, cap)
+        digest.update(repr([s.coeffs for s in seq.values]).encode())
+    assert digest.hexdigest() == DEEP_DIGESTS[cap, n_max]
 
 
 def test_negative_substitution_exponent_is_a_usage_error():
     # t^(20 - n), once in the right substitution t -> t^(20 - n) and once as
     # the coefficient, passes the mass check (n <= 12) and first goes
-    # negative at n = 21, k = 1
-    e = index_poly({(0, 0): 20, (1, 0): -1})
-    terms = [
-        RecTerm(
-            atoms=(CoefAtom(var_exps=(IndexPoly.ZERO,)),),
-            right=subst_matrix(("t",), {"t": {"t": e}}),
-        ),
-        RecTerm(atoms=(CoefAtom(var_exps=(e,)),)),
-    ]
-    for term in terms:
-        spec = FuncRecSpec("av132", "synthetic", ("t",), [term])
-        assert eval_truncated(spec, 20, 2).masses() == catalan_list(20)
-        with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
-            eval_truncated(spec, 25, 2)
-        with pytest.raises(UsageError, match=r"\(n=21, k=1\)"):
-            eval_full(spec, 25)
+    # negative at n = 21, k = 1; t^(20 - k) first goes negative at the last
+    # summand of n = 21
+    for e, where in (
+        (index_poly({(0, 0): 20, (1, 0): -1}), r"\(n=21, k=1\)"),
+        (index_poly({(0, 0): 20, (0, 1): -1}), r"\(n=21, k=21\)"),
+    ):
+        terms = [
+            RecTerm(
+                atoms=(CoefAtom(var_exps=(IndexPoly.ZERO,)),),
+                right=subst_matrix(("t",), {"t": {"t": e}}),
+            ),
+            RecTerm(atoms=(CoefAtom(var_exps=(e,)),)),
+        ]
+        for term in terms:
+            spec = FuncRecSpec("av132", "synthetic", ("t",), [term])
+            assert eval_truncated(spec, 20, 2).masses() == catalan_list(20)
+            with pytest.raises(UsageError, match=where):
+                eval_truncated(spec, 25, 2)
+            with pytest.raises(UsageError, match=where):
+                eval_full(spec, 25)
 
 
 def test_mass_check_rejects_a_wrong_recurrence():

@@ -98,7 +98,10 @@ def test_full_and_truncated_tables_agree():
         if family != "av132":
             continue
         full = moments_from_full(eval_full(spec, 8), r_max=6)
-        trunc = moments_from_truncated(eval_truncated(spec, 8, 6))
+        seq = eval_truncated(spec, 8, 6)
+        trunc = moments_from_truncated(seq)
+        picked = moments_from_truncated(seq, ns=(2, 5, 8))
+        assert picked.rows == [trunc.row(n) for n in (2, 5, 8)]
         for n in range(9):
             a, b = full.row(n), trunc.row(n)
             assert a.f == b.f
