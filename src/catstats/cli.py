@@ -103,7 +103,6 @@ def _csv_text(header_line: str, rows: "list[list[str]]") -> str:
 
 def cmd_wenum(args) -> int:
     spec = builtin_spec(args.family, args.stat)
-    seq = eval_full(spec, args.n)
     kept = list(spec.variables)
     if args.vars is not None:
         kept = [v.strip() for v in args.vars.split(",") if v.strip()]
@@ -116,9 +115,10 @@ def cmd_wenum(args) -> int:
             raise UsageError(
                 f"unknown variables {unknown}; {spec.label} has {list(spec.variables)}"
             )
-        drop = {v: 1 for v in spec.variables if v not in kept}
-        if drop:
-            seq = seq.specialize(drop)
+    seq = eval_full(spec, args.n)
+    drop = {v: 1 for v in spec.variables if v not in kept}
+    if drop:
+        seq = seq.specialize(drop)
     config = {
         "family": args.family,
         "stat": args.stat,

@@ -25,17 +25,18 @@ Truncated mode keeps Taylor expansions about the all-ones point to a fixed
 total degree (TruncatedSeries), which is all the moment pipeline ever reads;
 substitution images fix the all-ones point (monomials always do), so
 truncation commutes with the recurrence and the truncated values are exact
-initial segments, not approximations.  It has its own walk, transposed: one
-n at a time, each term's k-sum formed once over the whole k-window.  Every
-stored Q_m goes through each substitution once.  A constant substitution is
-a linear map on the coefficient vector, applied directly; a varying one is
-split into per-index differences Delta_d (d <= cap) with per-(n, k) weights
-C(a(n, k), d), exact because every entry of the substitution's operator is
-a polynomial of total degree <= cap in its varying exponents a.  For each
-n the window's coefficients are laid out as one column per basis monomial;
-varying substitutions and coefficient monomials (binomial shifts along one
-variable) enter as per-window weight vectors, and the product summed over
-k is one C-level dot product per in-cap pair of monomials.
+initial segments, not approximations.  Its walk (truncated.py) is
+transposed: one n at a time, each term's k-sum formed once over the whole
+k-window.  Every stored Q_m goes through each substitution once.  A
+constant substitution is a linear map on the coefficient vector, applied
+directly; a varying one is split into per-index differences Delta_d
+(d <= cap) with per-(n, k) weights C(a(n, k), d), exact because every entry
+of the substitution's operator is a polynomial of total degree <= cap in
+its varying exponents a.  For each n the window's coefficients are laid out
+as one column per basis monomial; varying substitutions and coefficient
+monomials (binomial shifts along one variable) enter as per-window weight
+vectors, and the product summed over k is one C-level dot product per
+in-cap pair of monomials.
 
 The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the
@@ -48,8 +49,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import add, floordiv, mul, sub
 from typing import Callable, Mapping, Sequence
 
 from .errors import UsageError
@@ -61,14 +60,6 @@ from .perms import (
     brute_weight_enum,
     catalan_list,
     parse_perm,
-)
-from .series import (
-    SeriesBasis,
-    TruncatedSeries,
-    apply_operator,
-    binomial_coeffs,
-    monomials_upto,
-    substitution_operator,
 )
 
 DEFAULT_FULL_LIMIT = 64
@@ -302,240 +293,18 @@ def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequenc
     """Taylor expansions of Q_0 .. Q_n_max about all-ones, total degree <= cap.
 
     The series coefficients are exact: coefficient of prod z_i^(e_i) equals
-    the corresponding mixed Taylor coefficient of the full enumerator.
-
-    The walk goes one n at a time.  Each stored Q_m passes through each
-    substitution once (see `_Images`); for each n and term, the factors over
-    the term's whole k-window are laid out as one column per basis monomial,
-    the coefficient and the varying substitutions enter as per-window weight
-    vectors, and the product summed over k is one dot product per in-cap pair
-    of monomials.
+    the corresponding mixed Taylor coefficient of the full enumerator.  The
+    walk is `truncated.walk`.
     """
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
     if cap < 1:
         raise UsageError("cap must be >= 1")
-    basis = SeriesBasis(spec.variables, cap)
-    values = [[1] + [0] * (len(basis) - 1)]
-    # one image store per distinct matrix, shared by both sides of every term
-    images: dict = {None: _Images(basis, None, values)}
-    nv = len(spec.variables)
-    identity = tuple(tuple(int(i == j) for j in range(nv)) for i in range(nv))
+    # imported here, so that commands which never evaluate truncated mode
+    # do not compile it in a process that has no bytecode cache
+    from .truncated import walk
 
-    def image(matrix):
-        key = None
-        if matrix is not None:
-            key = tuple(tuple(_constant_or_poly(e) for e in row) for row in matrix)
-            key = None if key == identity else key
-        if key not in images:
-            images[key] = _Images(basis, key, values)
-        return images[key]
-
-    # shifts[v][i]: (j, index of monomial i lowered by j in variable v), j >= 1
-    shifts = [
-        [
-            [(j, basis.index[e[:v] + (e[v] - j,) + e[v + 1:]]) for j in range(1, e[v] + 1)]
-            for e in basis.monomials
-        ]
-        for v in range(nv)
-    ]
-    walks = [_TermWalk(spec.label, term, cap, shifts, image) for term in spec.terms]
-    stores = [im for im in images.values() if im.ops]
-    for n in range(1, n_max + 1):
-        for im in stores:
-            im.push(values[n - 1])
-        out = [0] * len(basis)
-        for walk in walks:
-            walk.add_into(out, n, basis.pairs)
-        values.append(out)
-    return EnumeratorSequence(spec, "truncated", cap, [TruncatedSeries(basis, v) for v in values])
-
-
-def _constant_or_poly(e: IndexPoly) -> "int | IndexPoly":
-    return e.eval(0, 0) if e.is_constant() else e
-
-
-def _window_values(poly: IndexPoly, n: int, ks: range) -> "list[int]":
-    """poly(n, k) for k in ks, by summing up its forward differences in k."""
-    deg = max(dk for _, dk in poly.terms)
-    head = [poly.eval(n, k) for k in ks[: deg + 1]]
-    if len(ks) <= deg + 1:
-        return head
-    diffs = []
-    for _ in range(deg + 1):
-        diffs.append(head[0])
-        head = list(map(sub, head[1:], head))
-    seq = [diffs[deg]] * (len(ks) - deg)
-    for first in reversed(diffs[:deg]):
-        seq = list(accumulate(seq, initial=first))
-    return seq
-
-
-def _binomial_rows(values: "list[int]", cap: int) -> "list[list[int]]":
-    """[C(a, d) for a in values] for d = 0 .. cap, every a >= 0."""
-    rows = [[1] * len(values)]
-    for d in range(1, cap + 1):
-        tops = map(sub, values, repeat(d - 1))
-        rows.append(list(map(floordiv, map(mul, rows[-1], tops), repeat(d))))
-    return rows
-
-
-class _Images:
-    """The images of Q_0, Q_1, ... under one substitution matrix.
-
-    `matrix` holds ints for constant entries and IndexPolys for varying ones
-    (None is the identity, whose images are the values themselves).  Every
-    entry of the operator Op_a of the substitution at varying exponents
-    a = (a_1 .. a_V) is a polynomial of total degree <= cap in a, so
-
-        Op_a = sum over |d| <= cap of C(a, d) * Delta_d,   C(a, d) = prod_v C(a_v, d_v),
-
-    where Delta_d = sum over s <= d of prod_v (-1)^(d_v - s_v) C(d_v, s_v) * Op_s
-    is the forward difference of Op at the integer points s.  `parts[i][m]`
-    is Delta_(degrees[i])(Q_m), formed once per index m; a constant matrix has
-    the single degree () and part Op(Q_m).
-    """
-
-    __slots__ = ("varying", "degrees", "ops", "targets", "parts")
-
-    def __init__(self, basis: SeriesBasis, matrix, values: list):
-        self.varying, self.degrees, self.ops, self.targets = [], [()], [], [None]
-        self.parts = [values]
-        if matrix is None:
-            return
-        slots = [
-            (i, j) for i, row in enumerate(matrix) for j, e in enumerate(row) if type(e) is not int
-        ]
-        self.varying = [matrix[i][j] for i, j in slots]
-        self.degrees = monomials_upto(len(slots), basis.cap)
-        size = len(basis)
-        table = {}
-        for s in self.degrees:
-            rows = [list(row) for row in matrix]
-            for (i, j), x in zip(slots, s):
-                rows[i][j] = x
-            flat = [0] * (size * size)
-            for src, col in enumerate(substitution_operator(basis, rows)):
-                for t, c in col:
-                    flat[src * size + t] = c
-            table[s] = flat
-        # Newton differences in place, one variable at a time: at level l the
-        # points with s_v >= l, highest first, become differences of the level below
-        for v in range(len(slots)):
-            for level in range(1, basis.cap + 1):
-                for s in sorted((s for s in self.degrees if s[v] >= level), key=lambda s: -s[v]):
-                    table[s] = list(map(sub, table[s], table[s[:v] + (s[v] - 1,) + s[v + 1:]]))
-        self.ops = [
-            [
-                [(t, c) for t, c in enumerate(table[d][src * size:(src + 1) * size]) if c]
-                for src in range(size)
-            ]
-            for d in self.degrees
-        ]
-        self.targets = [sorted({t for col in op for t, _ in col}) for op in self.ops]
-        self.parts = [[] for _ in self.degrees]
-
-    def push(self, q: list) -> None:
-        """Store the parts of the next value q."""
-        for op, part in zip(self.ops, self.parts):
-            part.append(apply_operator(op, q))
-
-    def columns(self, lo: int, hi: int, reverse: bool, evals: dict, cap: int) -> list:
-        """Per basis monomial, the image's coefficient over the window of
-        stored indices lo .. hi - 1 (reversed when asked), each under the
-        matrix at that window position's exponents `evals`."""
-        weights = [_binomial_rows(evals[p], cap) for p in self.varying]
-        acc = None
-        for d, part, targets in zip(self.degrees, self.parts, self.targets):
-            block = part[lo:hi]
-            if reverse:
-                block.reverse()
-            cols = list(zip(*block))
-            if acc is None:  # the degree 0 part has weight 1 and every target
-                acc = cols
-                continue
-            w = None
-            for rows, dv in zip(weights, d):
-                if dv:
-                    w = rows[dv] if w is None else list(map(mul, w, rows[dv]))
-            for i in targets:
-                acc[i] = list(map(add, acc[i], map(mul, w, cols[i])))
-        return acc
-
-
-class _TermWalk:
-    """One term's contribution to each Q_n in truncated mode."""
-
-    __slots__ = ("label", "term", "cap", "shifts", "varying", "negative", "atoms", "left", "right")
-
-    def __init__(self, label: str, term: RecTerm, cap: int, shifts: list, image: Callable):
-        self.label, self.term, self.cap, self.shifts = label, term, cap, shifts
-        polys = [e for a in term.atoms for e in a.var_exps]
-        for mat in (term.left, term.right):
-            polys += [e for row in mat or () for e in row]
-        self.varying = list(dict.fromkeys(e for e in polys if not e.is_constant()))
-        self.negative = any(e.is_constant() and e.eval(0, 0) < 0 for e in polys)
-        # per atom, its nonzero exponents as (variable, int or varying IndexPoly)
-        self.atoms = [
-            (atom, [(v, _constant_or_poly(e)) for v, e in enumerate(atom.var_exps) if e.terms])
-            for atom in term.atoms
-        ]
-        # a negative constant is refused at the first window, before any
-        # matrix is built
-        self.left = self.right = None
-        if not self.negative:
-            self.left, self.right = image(term.left), image(term.right)
-
-    def add_into(self, out: list, n: int, pairs: list) -> None:
-        """Add sum over the window of coef * L(Q_(k-1)) * R(Q_(n-k)) to out."""
-        ks = self.term.k_range(n)
-        if not ks:
-            return
-        evals = {p: _window_values(p, n, ks) for p in self.varying}
-        if self.negative or (evals and min(map(min, evals.values())) < 0):
-            first = 0 if self.negative else min(
-                next(i for i, x in enumerate(v) if x < 0) for v in evals.values() if min(v) < 0
-            )
-            raise UsageError(f"{self.label}: negative exponent at (n={n}, k={ks[first]})")
-        lo, hi = ks.start, ks.stop
-        left = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
-        left = self._coefficient(left, n, ks, evals)
-        right = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
-        if len(ks) == 1:  # a single summand: one direct product
-            r = [c[0] for c in right]
-            for (a,), row in zip(left, pairs):
-                if a:
-                    for j, t in row:
-                        out[t] += a * r[j]
-            return
-        for col, row in zip(left, pairs):
-            if any(col):
-                for j, t in row:
-                    out[t] += sum(map(mul, col, right[j]))
-
-    def _coefficient(self, cols: list, n: int, ks: range, evals: dict) -> list:
-        """The columns times the coefficient, atom by atom: each monomial
-        factor (1 + z_v)^E is a binomial shift along variable v."""
-        total = None
-        w = len(ks)
-        for atom, exps in self.atoms:
-            acc = cols
-            for v, e in exps:
-                if type(e) is int:
-                    rows = [[c] * w for c in binomial_coeffs(e, self.cap)]
-                else:
-                    rows = _binomial_rows(evals[e], self.cap)
-                shifted = []
-                for col, chain in zip(acc, self.shifts[v]):
-                    for j, src in chain:
-                        col = list(map(add, col, map(mul, rows[j], acc[src])))
-                    shifted.append(col)
-                acc = shifted
-            if atom.factor != 1 or atom.n_deg or atom.k_deg:
-                scalars = [atom.scalar(n, k) for k in ks]
-                acc = [list(map(mul, scalars, col)) for col in acc]
-            total = acc if total is None else [list(map(add, a, b)) for a, b in zip(total, acc)]
-        return total
+    return EnumeratorSequence(spec, "truncated", cap, walk(spec, n_max, cap))
 
 
 # -- builtin catalog -------------------------------------------------------

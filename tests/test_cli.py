@@ -42,7 +42,11 @@ def test_wenum_json_carries_config_echo(capsys):
 
 
 @pytest.mark.parametrize("names", ["", ",", " , "])
-def test_wenum_vars_naming_no_variable_is_a_usage_error(capsys, names):
+def test_wenum_vars_naming_no_variable_is_a_usage_error(capsys, monkeypatch, names):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated before --vars was checked")
+
+    monkeypatch.setattr("catstats.cli.eval_full", refuse)
     rc, out, err = run(
         capsys, "wenum", "--family", "av132", "--stat", "231", "--n", "3", f"--vars={names}"
     )
