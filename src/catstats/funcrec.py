@@ -237,8 +237,7 @@ def _recur(spec: FuncRecSpec, n_max: int, one, coefficient: Callable, substitute
     for term in spec.terms:
         # the atoms' exponent vectors, then the rows of the left and right matrices
         polys = [e for a in term.atoms for e in a.var_exps]
-        for mat in (term.left, term.right):
-            polys += [e for row in mat or () for e in row]
+        polys += [e for mat in (term.left, term.right) if mat is not None for row in mat for e in row]
         walks.append((term, [e.eval(0, 0) if e.is_constant() else e for e in polys]))
     zero = one * 0
     values = [one]
