@@ -31,7 +31,6 @@ from .series import (
     SeriesBasis,
     TruncatedSeries,
     apply_operator,
-    binomial_coeffs,
     monomials_upto,
     substitution_operator,
 )
@@ -253,10 +252,7 @@ class _TermWalk:
         for atom, exps in self.atoms:
             acc = cols
             for v, e in exps:
-                if type(e) is int:
-                    rows = [[c] * w for c in binomial_coeffs(e, self.cap)]
-                else:
-                    rows = _binomial_rows(evals[e], self.cap)
+                rows = _binomial_rows([e] * w if type(e) is int else evals[e], self.cap)
                 shifted = []
                 for col, chain in zip(acc, self.shifts[v]):
                     for j, src in chain:
