@@ -149,7 +149,7 @@ def coefficient_atoms(draw, nv):
 
 @st.composite
 def substitutions(draw, nv):
-    """None, or a 0/1 matrix with a unit diagonal (any constant for one
+    """None, or a 0/1 matrix with a unit diagonal (a 0 or 1 entry for one
     variable) and 0, 1 or 2 varying off-diagonal entries; a varying diagonal
     entry multiplies degrees at every level, past what full mode can reach."""
     varying = draw(st.integers(-1, 2 if nv == 2 else 0))
