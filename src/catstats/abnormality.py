@@ -18,9 +18,9 @@ so reports at two different ranges agree exactly on overlapping n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite
+from typing import NamedTuple
 
 from .errors import DegenerateStatisticError, UsageError
 from .funcrec import builtin_spec, eval_truncated
@@ -128,8 +128,7 @@ def check_table_settings(n_max: int, r_max: int, *, tau_skew, tau_kurt, epsilon,
     _check_settings(tau_skew, tau_kurt, epsilon, order, len(checkpoints(n_max)))
 
 
-@dataclass(frozen=True)
-class AlphaSample:
+class AlphaSample(NamedTuple):
     """One exact standardized-moment sample, float-rendered for display."""
 
     n: int
@@ -137,8 +136,7 @@ class AlphaSample:
     value: float
 
 
-@dataclass(frozen=True)
-class MomentEvidence:
+class MomentEvidence(NamedTuple):
     """Checkpoint samples and extrapolated limit for one moment order r."""
 
     r: int
@@ -169,8 +167,7 @@ class MomentEvidence:
         }
 
 
-@dataclass(frozen=True)
-class AbnormalityReport:
+class AbnormalityReport(NamedTuple):
     family: str
     statistic: str
     mode: str

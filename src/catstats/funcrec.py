@@ -47,9 +47,8 @@ enumerators of perms.py.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 from .multipoly import IndexPoly, MultiPoly, index_poly
@@ -65,8 +64,7 @@ from .perms import (
 DEFAULT_FULL_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class CoefAtom:
+class CoefAtom(NamedTuple):
     """factor * n^n_deg * k^k_deg * prod_i var_i ^ var_exps[i](n, k)."""
 
     var_exps: "tuple[IndexPoly, ...]"
@@ -82,8 +80,7 @@ class CoefAtom:
 SubstMatrix = "tuple[tuple[IndexPoly, ...], ...]"
 
 
-@dataclass(frozen=True)
-class RecTerm:
+class RecTerm(NamedTuple):
     """One summand of the recurrence.
 
     The sum runs k = k_low .. n by default; k_high pins an absolute upper
@@ -127,7 +124,7 @@ def subst_matrix(variables: "Sequence[str]", images: Mapping) -> SubstMatrix:
 class FuncRecSpec:
     """A validated functional recurrence for one (family, statistic) pair."""
 
-    __slots__ = ("family", "statistic", "variables", "terms", "tracked")
+    __slots__ = ("family", "statistic", "variables", "terms", "tracked", "full_limit")
 
     def __init__(
         self,
@@ -136,12 +133,14 @@ class FuncRecSpec:
         variables: "Sequence[str]",
         terms: "Sequence[RecTerm]",
         tracked: "tuple[tuple[str, str], ...]" = (),
+        full_limit: int = DEFAULT_FULL_LIMIT,
     ):
         self.family = family
         self.statistic = statistic
         self.variables = tuple(variables)
         self.terms = tuple(terms)
         self.tracked = tracked
+        self.full_limit = full_limit  # largest n_max eval_full accepts
         if not self.variables:
             raise UsageError("a spec needs at least one variable")
         if not self.terms:
@@ -182,17 +181,13 @@ class FuncRecSpec:
         return f"FuncRecSpec({self.label}, vars={self.variables}, {len(self.terms)} terms)"
 
 
-@dataclass
-class EnumeratorSequence:
+class EnumeratorSequence(NamedTuple):
     """Q_0 .. Q_N as produced by one of the evaluators."""
 
     spec: FuncRecSpec
     mode: str  # "full" | "truncated"
     cap: "int | None"
     values: list
-
-    def __len__(self):
-        return len(self.values)
 
     def masses(self) -> "list[int]":
         if self.mode == "full":
@@ -268,14 +263,15 @@ def _recur(spec: FuncRecSpec, n_max: int, one, coefficient: Callable, substitute
     return values
 
 
-def eval_full(spec: FuncRecSpec, n_max: int, limit: int = DEFAULT_FULL_LIMIT) -> EnumeratorSequence:
-    """Exact polynomial enumerators Q_0 .. Q_n_max."""
+def eval_full(spec: FuncRecSpec, n_max: int) -> EnumeratorSequence:
+    """Exact polynomial enumerators Q_0 .. Q_n_max, for n_max up to the
+    spec's `full_limit`."""
     if n_max < 0:
         raise UsageError("n_max must be >= 0")
-    if n_max > limit:
+    if n_max > spec.full_limit:
         raise UsageError(
-            f"full mode is capped at n = {limit} by default; raise the limit "
-            "explicitly, or use truncated mode for moment work"
+            f"full mode on {spec.label} is capped at n = {spec.full_limit}, got "
+            f"n = {n_max}; use truncated mode for moment work"
         )
     variables = spec.variables
     values = _recur(
@@ -322,17 +318,18 @@ def _atom(*var_exps) -> CoefAtom:
     return CoefAtom(var_exps=tuple(var_exps))
 
 
-def _spec_av132_univariate(stat: str, exponent: IndexPoly) -> FuncRecSpec:
+def _spec_av132_univariate(stat: str, exponent: IndexPoly, full_limit: int) -> FuncRecSpec:
     return FuncRecSpec(
         "av132",
         stat,
         ("t",),
         [RecTerm(atoms=(_atom(exponent),))],
         tracked=(("t", stat),),
+        full_limit=full_limit,
     )
 
 
-def _spec_av132_catalytic(stat, coef_t, coef_q, left_images, right_images, q_pattern):
+def _spec_av132_catalytic(stat, coef_t, coef_q, left_images, right_images, q_pattern, full_limit):
     variables = ("t", "q")
     left = subst_matrix(variables, left_images) if left_images else None
     right = subst_matrix(variables, right_images) if right_images else None
@@ -342,6 +339,7 @@ def _spec_av132_catalytic(stat, coef_t, coef_q, left_images, right_images, q_pat
         variables,
         [RecTerm(atoms=(_atom(coef_t, coef_q),), left=left, right=right)],
         tracked=(("t", stat), ("q", q_pattern)),
+        full_limit=full_limit,
     )
 
 
@@ -357,18 +355,24 @@ def _spec_av123_213() -> FuncRecSpec:
         k_low=2,
         left=subst_matrix(variables, {"s1": {"t": 1, "s1": 1}, "s2": {"s1": 1, "s2": 1}}),
     )
-    return FuncRecSpec("av123", "213", variables, [boundary, bulk], tracked=(("t", "213"),))
+    return FuncRecSpec(
+        "av123", "213", variables, [boundary, bulk], tracked=(("t", "213"),), full_limit=18
+    )
 
 
+# Each spec's full_limit is the largest n, in steps of two, at which eval_full
+# finished within about 6 s on a 2-vCPU VM (Python 3.11).  Past it the cost
+# grows about 3x every two steps for the catalytic specs and 1.3x for 21 and
+# 12; av132:132 is a single monomial and keeps the default.
 _CATALOG_BUILDERS = {
-    ("av132", "21"): lambda: _spec_av132_univariate("21", _K_TIMES_NK),
-    ("av132", "12"): lambda: _spec_av132_univariate("12", _K_MINUS_1),
-    ("av132", "132"): lambda: _spec_av132_univariate("132", _ZERO),
+    ("av132", "21"): lambda: _spec_av132_univariate("21", _K_TIMES_NK, 42),
+    ("av132", "12"): lambda: _spec_av132_univariate("12", _K_MINUS_1, 42),
+    ("av132", "132"): lambda: _spec_av132_univariate("132", _ZERO, DEFAULT_FULL_LIMIT),
     ("av132", "231"): lambda: _spec_av132_catalytic(
-        "231", _K1_TIMES_NK, _K_MINUS_1, {"q": {"t": _N_MINUS_K, "q": 1}}, None, "12"
+        "231", _K1_TIMES_NK, _K_MINUS_1, {"q": {"t": _N_MINUS_K, "q": 1}}, None, "12", 18
     ),
     ("av132", "123"): lambda: _spec_av132_catalytic(
-        "123", _ZERO, _K_MINUS_1, {"q": {"t": 1, "q": 1}}, None, "12"
+        "123", _ZERO, _K_MINUS_1, {"q": {"t": 1, "q": 1}}, None, "12", 20
     ),
     ("av132", "321"): lambda: _spec_av132_catalytic(
         "321",
@@ -377,12 +381,13 @@ _CATALOG_BUILDERS = {
         {"q": {"t": _N_MINUS_K, "q": 1}},
         {"q": {"t": _K, "q": 1}},
         "21",
+        18,
     ),
     ("av132", "213"): lambda: _spec_av132_catalytic(
-        "213", _ZERO, _K_TIMES_NK, {"q": {"t": 1, "q": 1}}, None, "21"
+        "213", _ZERO, _K_TIMES_NK, {"q": {"t": 1, "q": 1}}, None, "21", 18
     ),
     ("av132", "312"): lambda: _spec_av132_catalytic(
-        "312", _ZERO, _K_MINUS_1, None, {"q": {"t": _K, "q": 1}}, "12"
+        "312", _ZERO, _K_MINUS_1, None, {"q": {"t": _K, "q": 1}}, "12", 18
     ),
     ("av123", "213"): _spec_av123_213,
 }

@@ -18,10 +18,9 @@ for algebraic equations), so equal models always print identically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import UsageError
 from .linalg import integer_primitive, nullspace
@@ -93,8 +92,7 @@ def _poly_str(coeffs: "Sequence", var: str = "n") -> str:
 # -- P-recurrences ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PRecurrence:
+class PRecurrence(NamedTuple):
     """sum_i q_i(n) * a(n+i) = 0 for n >= offset, with integer q_i."""
 
     order: int
@@ -190,8 +188,7 @@ def verify_recurrence(rec: PRecurrence, values: "Sequence", offset: int = 0):
 # -- algebraic equations ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraicEquation:
+class AlgebraicEquation(NamedTuple):
     """sum phi[(i, j)] z^i y^j = 0 for the series y(z), integer coefficients."""
 
     coeffs: "tuple[tuple[tuple[int, int], int], ...]"  # ((z_deg, y_deg), c), sorted
@@ -318,8 +315,7 @@ def algebraic_residual(eq: AlgebraicEquation, values: "Sequence") -> "list":
 CLOSED_FORM_PARTS = ("4^n", "c(n)", "c(n-1)", "1")
 
 
-@dataclass(frozen=True)
-class ClosedFormFit:
+class ClosedFormFit(NamedTuple):
     """a(n) = p1(n)*4^n + p2(n)*c(n) + p3(n)*c(n-1) + p4(n), rational p_i."""
 
     degree: int

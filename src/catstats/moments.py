@@ -16,9 +16,8 @@ float only for display and for the limit analysis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateStatisticError, UsageError
 from .multipoly import MultiPoly, coeff_to_str
@@ -104,8 +103,7 @@ def central_from_raw(mrow: "Sequence[Fraction]") -> "list[Fraction]":
     return out
 
 
-@dataclass(frozen=True)
-class StandardizedMoments:
+class StandardizedMoments(NamedTuple):
     """Exact signed squares alpha_r * |alpha_r| plus float renderings.
 
     Index r of each list is the order; entries below r = 2 are fixed by
@@ -148,8 +146,7 @@ def normal_reference(r: int) -> int:
     return out
 
 
-@dataclass
-class MomentRow:
+class MomentRow(NamedTuple):
     n: int
     f: "list[int]"
     m: "list[Fraction]"
@@ -162,8 +159,7 @@ class MomentRow:
         return self.f[0]
 
 
-@dataclass
-class MomentTable:
+class MomentTable(NamedTuple):
     family: str
     statistic: str
     mode: str

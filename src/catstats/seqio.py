@@ -15,19 +15,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import UsageError
 from .multipoly import coeff_from_str, coeff_to_str, norm_coeff
 
 
-@dataclass(frozen=True)
-class SequenceFile:
+class SequenceFile(NamedTuple):
     name: str
     offset: int
     values: "tuple[Fraction | int, ...]"
-    extra: dict = field(default_factory=dict)
+    extra: dict  # every constructor passes its own dict, never a shared default
 
     def value_at(self, n: int):
         """The sequence value a(n); n counts from offset."""

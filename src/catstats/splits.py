@@ -31,8 +31,8 @@ would be merged silently, and the report says so.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import UsageError
 from .perms import (
@@ -53,18 +53,17 @@ Perm = "tuple[int, ...]"
 # 3 * n_max): 365 KiB at 1000, where one length-4 pattern takes about 8 s.
 MAX_ENGINE_N = 1000
 
+# Largest size, in bits, of the packed sequences one census may keep: 2^31
+# bits is 256 MiB.  A census of the length-k patterns keeps one packed
+# sequence per 132-avoider of length k, c(k) of them, and more for the
+# shorter parts of its closure.
+MAX_CENSUS_BITS = 2**31
 
-@dataclass(frozen=True)
-class SplitTerm:
+
+class SplitTerm(NamedTuple):
     prefix: tuple
     suffix: tuple
     uses_max: bool
-
-
-@dataclass(frozen=True)
-class SplitDecomposition:
-    pattern: tuple
-    terms: "tuple[SplitTerm, ...]"
 
 
 def _split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
@@ -95,12 +94,26 @@ def _split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
     return terms
 
 
-def split_decompose(p) -> SplitDecomposition:
+def split_decompose(p) -> "tuple[SplitTerm, ...]":
     """All ways an occurrence of p distributes over (left block, max, right block)."""
     p = tuple(p)
     if sorted(p) != list(range(1, len(p) + 1)):
         raise UsageError(f"pattern must be standardized, got {p}")
-    return SplitDecomposition(p, tuple(SplitTerm(*t) for t in _split_terms(p)))
+    return tuple(SplitTerm(*t) for t in _split_terms(p))
+
+
+def _slot_width(n_max: int) -> int:
+    """Bits per slot w of a packed sequence A(0..n_max), after checking n_max
+    against the engine's bound."""
+    if n_max < 0:
+        raise UsageError("n_max must be >= 0")
+    if n_max > MAX_ENGINE_N:
+        raise UsageError(
+            f"sequences are capped at n = {MAX_ENGINE_N}, got {n_max}: a packed "
+            f"sequence takes about 3n^2 bits, {3 * MAX_ENGINE_N**2 // 8192} KiB at "
+            f"n = {MAX_ENGINE_N}, and a census keeps one per closure member"
+        )
+    return (catalan(n_max) << n_max).bit_length() + 1
 
 
 class AverageEngine:
@@ -130,16 +143,8 @@ class AverageEngine:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 0:
-            raise UsageError("n_max must be >= 0")
-        if n_max > MAX_ENGINE_N:
-            raise UsageError(
-                f"sequences are capped at n = {MAX_ENGINE_N}, got {n_max}: a packed "
-                f"sequence takes about 3n^2 bits, {3 * MAX_ENGINE_N**2 // 8192} KiB at "
-                f"n = {MAX_ENGINE_N}, and a census keeps one per closure member"
-            )
         self.n_max = n_max
-        self.width = (catalan(n_max) << n_max).bit_length() + 1
+        self.width = _slot_width(n_max)
         self._mask = (1 << (self.width * (n_max + 1))) - 1
         self._central = self._pack([comb(2 * n, n) for n in range(n_max + 1)])
         self.memo: "dict[tuple, int]" = {(): self._pack(catalan_list(n_max))}
@@ -191,16 +196,14 @@ class AverageEngine:
 # -- the class censuses ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(NamedTuple):
     representative: tuple  # lexicographically least member
     size: int
     patterns: "tuple[tuple, ...]"
     prefix: "tuple[int, ...]"  # shared value sequence on the tested range
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     family: str
     k: int
     prefix_len: int
@@ -269,6 +272,14 @@ def bona_census_132(k: int, prefix_len: int = 30, engine: "AverageEngine | None"
         raise UsageError("k must be >= 1")
     if prefix_len < 2 * k:
         raise UsageError(f"prefix_len must be >= 2k = {2 * k} to separate length-{k} patterns sensibly")
+    n_max = prefix_len if engine is None else engine.n_max
+    bits = (n_max + 1) * _slot_width(n_max) * catalan(k)
+    if bits > MAX_CENSUS_BITS:
+        raise UsageError(
+            f"a census of the {catalan(k)} length-{k} patterns at n <= {n_max} keeps at "
+            f"least {bits >> 23} MiB of packed sequences, over its bound of "
+            f"{MAX_CENSUS_BITS >> 23} MiB; lower k or prefix_len"
+        )
     if engine is None:
         engine = AverageEngine(prefix_len)
     elif engine.n_max < prefix_len:

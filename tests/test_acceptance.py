@@ -174,7 +174,7 @@ def test_criterion_09_split_system_identities():
     # pointwise: splitting at the maximum splits every occurrence, checked
     # for every pattern of length <= 4 inside every avoider of length <= 9
     pats = [q for k in (1, 2, 3, 4) for q in permutations(range(1, k + 1))]
-    decomps = {p: split_decompose(p).terms for p in pats}
+    decomps = {p: split_decompose(p) for p in pats}
 
     def occ(table, part):
         if not part:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +13,9 @@ from hypothesis import strategies as st
 
 from catstats import __version__
 from catstats.cli import EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
+from catstats.funcrec import builtin_families, builtin_spec
 from catstats.seqio import load_sequence, save_sequence, sequence_file
-from catstats.perms import catalan_list
+from catstats.perms import DEFAULT_ORACLE_LIMIT, catalan_list
 from catstats.splits import MAX_ENGINE_N, AverageEngine
 
 
@@ -346,6 +351,97 @@ def test_split_engine_refuses_oversize_n_before_packing(capsys, monkeypatch, arg
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (EXIT_USAGE, "")
     assert err.startswith(f"error: sequences are capped at n = {MAX_ENGINE_N}, got {MAX_ENGINE_N + 1}")
+
+
+def test_census_refuses_past_its_memory_bound_before_enumerating(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census started past its memory bound")
+
+    monkeypatch.setattr("catstats.splits.enumerate_avoiders", refuse)
+    monkeypatch.setattr(AverageEngine, "_pack", refuse)
+    rc, out, err = run(capsys, "census", "--family", "av132", "--k", "9", "--prefix-len", "1000")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == (
+        "error: a census of the 4862 length-9 patterns at n <= 1000 keeps at least "
+        "1732 MiB of packed sequences, over its bound of 256 MiB; lower k or prefix_len\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("wenum", "--family", "av123", "--stat", "213", "--n", "64"),
+        ("wenum", "--family", "av123", "--stat", "213", "--n", "19"),
+        ("moments", "--family", "av132", "--stat", "321", "--max-n", "19", "--mode", "full"),
+    ],
+)
+def test_full_mode_refuses_past_the_specs_cap_before_evaluating(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("full mode started past its cap")
+
+    family, stat, n = argv[2], argv[4], argv[6]
+    builtin_spec(family, stat)  # the mass check walks the recurrence too
+    monkeypatch.setattr("catstats.funcrec._recur", refuse)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == (
+        f"error: full mode on {family}:{stat} is capped at n = 18, got n = {n}; "
+        "use truncated mode for moment work\n"
+    )
+
+
+def test_full_mode_caps_cover_the_oracle_range():
+    assert all(
+        builtin_spec(family, stat).full_limit >= DEFAULT_ORACLE_LIMIT
+        for family, stat in builtin_families()
+    )
+
+
+def _records_in(obj):
+    """Names of the record types (NamedTuples) anywhere inside obj."""
+    if hasattr(obj, "_fields"):
+        yield type(obj).__name__
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _records_in(item)
+
+
+def test_json_output_is_never_rendered_from_a_record(capsys, monkeypatch, tmp_path):
+    # a record is a tuple, which json.dumps would silently render as a list
+    cats = tmp_path / "catalan.json"
+    save_sequence(cats, sequence_file("catalan", catalan_list(40)))
+    dumps, seen = json.dumps, []
+
+    def checked(obj, *args, **kwargs):
+        seen.append(list(_records_in(obj)))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", checked)
+    for argv in (
+        ("wenum", "--family", "av132", "--stat", "231", "--n", "4"),
+        ("moments", "--family", "av123", "--stat", "213", "--max-n", "6"),
+        ("average", "--pattern", "213", "--pattern", "1"),
+        ("census", "--k", "3", "--prefix-len", "12"),
+        ("guess", "--kind", "p-recursive", "--input", str(cats), "--max-order", "2"),
+        ("abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "60"),
+        ("oracle", "verify", "--max-n", "4"),
+    ):
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == EXIT_OK, argv
+        json.loads(out)
+    assert seen == [[]] * 7  # one dumps call per subcommand, no record in any
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    # -S keeps site-packages start-up hooks from importing it first
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import sys, catstats.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize(

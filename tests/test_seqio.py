@@ -23,6 +23,14 @@ def test_roundtrip_through_disk(tmp_path):
     assert back.extra["note"] == "x"
 
 
+def test_sequences_built_without_extra_do_not_share_one_dict():
+    a, b = sequence_file("a", [1]), sequence_file("b", [2])
+    a.extra["note"] = "x"
+    assert a.extra is not b.extra
+    assert b.extra == {}
+    assert sequence_file("c", [3]).to_json_obj() == {"name": "c", "offset": 0, "values": [3]}
+
+
 def test_integer_values_serialize_as_ints():
     obj = sequence_file("d", [0, 2, 817, Fraction(4, 2)]).to_json_obj()
     assert obj["values"] == [0, 2, 817, 2]

@@ -24,9 +24,7 @@ from catstats.splits import (
 
 
 def test_split_decompose_frozen_example():
-    d = split_decompose((2, 1, 3))
-    assert d.pattern == (2, 1, 3)
-    assert d.terms == (
+    assert split_decompose((2, 1, 3)) == (
         SplitTerm((), (2, 1, 3), False),
         SplitTerm((2, 1), (), True),
         SplitTerm((2, 1, 3), (), False),
@@ -56,7 +54,7 @@ def test_split_decompose_matches_its_definition():
     # every permutation of length <= 7, 132-avoiders or not
     for k in range(8):
         for p in permutations(range(1, k + 1)):
-            assert split_decompose(p).terms == _reference_decompose(p), p
+            assert split_decompose(p) == _reference_decompose(p), p
 
 
 def _reference_totals(p, n_max, memo):
@@ -116,7 +114,7 @@ def test_tiling_identity_at_n_120():
 def test_split_identity_pointwise():
     # splitting an avoider at its maximum splits each occurrence uniquely
     pats = [q for k in (1, 2, 3) for q in permutations(range(1, k + 1))]
-    decomps = {p: split_decompose(p).terms for p in pats}
+    decomps = {p: split_decompose(p) for p in pats}
     for n in range(1, 8):
         for w in enumerate_avoiders(AV132, n):
             j = w.index(n)
