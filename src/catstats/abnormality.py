@@ -123,7 +123,8 @@ def _check_table_r(r_max: int) -> None:
 
 def check_table_settings(n_max: int, r_max: int, *, tau_skew, tau_kurt, epsilon, order) -> None:
     """Make analyze_table's refusals for a table of rows 0..n_max before the
-    table is built, with the same messages in the same order."""
+    table is built, with the same messages in the same order.  analyze and
+    the synthetic control both refuse through it."""
     _check_table_r(r_max)
     _check_settings(tau_skew, tau_kurt, epsilon, order, len(checkpoints(n_max)))
 
@@ -249,7 +250,6 @@ def _verdict(e3: MomentEvidence, e4: MomentEvidence, tau_skew, tau_kurt, epsilon
 def analyze_table(
     table: MomentTable,
     *,
-    sample_at: "tuple[int, ...] | None" = None,
     tau_skew: float = DEFAULT_TAU_SKEW,
     tau_kurt: float = DEFAULT_TAU_KURT,
     epsilon: float = DEFAULT_EPSILON,
@@ -262,7 +262,7 @@ def analyze_table(
     """
     _check_table_r(table.r_max)
     n_top = table.rows[-1].n
-    cps = checkpoints(n_top) if sample_at is None else tuple(sample_at)
+    cps = checkpoints(n_top)
     _check_settings(tau_skew, tau_kurt, epsilon, order, len(cps))
     evidence = []
     for r in range(3, table.r_max + 1):
@@ -322,10 +322,10 @@ def analyze(
     order: int = DEFAULT_ORDER,
 ) -> AbnormalityReport:
     """Run the truncated pipeline to n_max and judge statistic's limit shape."""
+    check_table_settings(
+        n_max, r_max, tau_skew=tau_skew, tau_kurt=tau_kurt, epsilon=epsilon, order=order
+    )
     cps = checkpoints(n_max)
-    if r_max < 4:
-        raise UsageError(f"abnormality analysis needs r_max >= 4, got {r_max}")
-    _check_settings(tau_skew, tau_kurt, epsilon, order, len(cps))
     spec = builtin_spec(family, statistic)
     seq = eval_truncated(spec, n_max, cap=r_max)
     table = moments_from_truncated(seq, r_max=r_max, ns=cps)

@@ -115,10 +115,8 @@ def cmd_wenum(args) -> int:
             raise UsageError(
                 f"unknown variables {unknown}; {spec.label} has {list(spec.variables)}"
             )
-    seq = eval_full(spec, args.n)
-    drop = {v: 1 for v in spec.variables if v not in kept}
-    if drop:
-        seq = seq.specialize(drop)
+    drop = [v for v in spec.variables if v not in kept]
+    values = [p.specialize_ones(drop) for p in eval_full(spec, args.n).values]
     config = {
         "family": args.family,
         "stat": args.stat,
@@ -128,15 +126,15 @@ def cmd_wenum(args) -> int:
     if args.format == "json":
         obj = _echo("wenum", config)
         obj["variables"] = kept
-        obj["rows"] = [{"n": n, "poly": str(p)} for n, p in enumerate(seq.values)]
+        obj["rows"] = [{"n": n, "poly": str(p)} for n, p in enumerate(values)]
         text = _json_text(obj)
     elif args.format == "csv":
-        rows = [[str(n), f'"{p}"'] for n, p in enumerate(seq.values)]
+        rows = [[str(n), f'"{p}"'] for n, p in enumerate(values)]
         text = _csv_text(_header("wenum", config) + "n,poly", rows)
     else:
         lines = [_header("wenum", config).rstrip("\n")]
         head = ",".join(kept)
-        for n, p in enumerate(seq.values):
+        for n, p in enumerate(values):
             lines.append(f"P_{n}({head}) = {p}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)

@@ -22,21 +22,22 @@ all-ones point the recurrence must reproduce the Catalan numbers.  Full mode
 runs it in MultiPoly (exponential-size output, exact).
 
 Truncated mode keeps Taylor expansions about the all-ones point to a fixed
-total degree (TruncatedSeries), which is all the moment pipeline ever reads;
-substitution images fix the all-ones point (monomials always do), so
-truncation commutes with the recurrence and the truncated values are exact
-initial segments, not approximations.  Its walk (truncated.py) is
-transposed: one n at a time, each term's k-sum formed once over the whole
-k-window.  Every stored Q_m goes through each substitution once.  A
-constant substitution is a linear map on the coefficient vector, applied
-directly; a varying one is split into per-index differences Delta_d
+total degree, which is all the moment pipeline ever reads.  Each value is a
+TruncatedSeries: a plain coefficient list over a SeriesBasis, with no
+arithmetic of its own.  Substitution images fix the all-ones point
+(monomials always do), so truncation commutes with the recurrence and the
+truncated values are exact initial segments, not approximations.  Its walk
+(truncated.py) is transposed: one n at a time, each term's k-sum formed once
+over the whole k-window.  Every stored Q_m goes through each substitution
+once.  A constant substitution is a linear map on the coefficient vector,
+applied directly; a varying one is split into per-index differences Delta_d
 (d <= cap) with per-(n, k) weights C(a(n, k), d), exact because every entry
-of the substitution's operator is a polynomial of total degree <= cap in
-its varying exponents a.  For each n the window's coefficients are laid out
-as one column per basis monomial; varying substitutions and coefficient
+of the substitution's operator is a polynomial of total degree <= cap in its
+varying exponents a.  For each n the window's coefficients are laid out as
+one column per basis monomial; varying substitutions and coefficient
 monomials (binomial shifts along one variable) enter as per-window weight
-vectors, and the product summed over k is one C-level dot product per
-in-cap pair of monomials.
+vectors, and the product summed over k is one C-level dot product per in-cap
+pair of monomials.
 
 The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the
@@ -188,27 +189,6 @@ class EnumeratorSequence(NamedTuple):
     mode: str  # "full" | "truncated"
     cap: "int | None"
     values: list
-
-    def masses(self) -> "list[int]":
-        if self.mode == "full":
-            return [p.mass() for p in self.values]
-        return [s.constant_term() for s in self.values]
-
-    def specialize(self, assignment: Mapping) -> "EnumeratorSequence":
-        """Fix chosen variables after the fact.
-
-        Full mode takes any rational values.  Truncated mode only supports
-        the value 1 (drop the variable's deviation); anything else cannot be
-        recovered from an expansion about the all-ones point.
-        """
-        if self.mode == "full":
-            vals = [p.substitute_values(assignment) for p in self.values]
-        else:
-            if any(v != 1 for v in assignment.values()):
-                raise UsageError("truncated sequences can only specialize variables to 1")
-            vals = [s.restrict(assignment.keys()) for s in self.values]
-        out = EnumeratorSequence(self.spec, self.mode, self.cap, vals)
-        return out
 
 
 # -- the recurrence walk ---------------------------------------------------

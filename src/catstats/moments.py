@@ -58,15 +58,16 @@ def factorial_from_full(poly: MultiPoly, r_max: int) -> "list[int]":
     return out
 
 
-def factorial_from_truncated(series: TruncatedSeries, r_max: int, var: str = "t") -> "list[int]":
-    """[f_0 .. f_r_max] read off a truncated expansion about all-ones."""
+def factorial_from_truncated(series: TruncatedSeries, r_max: int) -> "list[int]":
+    """[f_0 .. f_r_max] of the variable t, read off a truncated expansion
+    about all-ones."""
     basis = series.basis
     if r_max > basis.cap:
         raise UsageError(f"r_max = {r_max} exceeds the series cap {basis.cap}")
     try:
-        vi = basis.variables.index(var)
+        vi = basis.variables.index("t")
     except ValueError:
-        raise UsageError(f"series has no variable {var!r}") from None
+        raise UsageError("series has no variable 't'") from None
     nv = len(basis.variables)
     out = []
     fact = 1
@@ -173,12 +174,6 @@ class MomentTable(NamedTuple):
                 return r
         raise UsageError(f"no row for n = {n}")
 
-    def alpha_float(self, n: int, r: int) -> float:
-        row = self.row(n)
-        if row.alpha is None:
-            raise DegenerateStatisticError(f"variance is 0 at n = {n} ({row.note})")
-        return row.alpha.float_value[r]
-
     def to_json_obj(self) -> dict:
         return {
             "family": self.family,
@@ -247,13 +242,13 @@ def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, ns) -> M
     return MomentTable(family, statistic, mode, cap, r_max, rows)
 
 
-def moments_from_full(seq, r_max: int = DEFAULT_R_MAX, var: str = "t") -> MomentTable:
-    """Moment table from a full-mode EnumeratorSequence (catalytic variables
-    are specialized to 1 first)."""
+def moments_from_full(seq, r_max: int = DEFAULT_R_MAX) -> MomentTable:
+    """Moment table of t from a full-mode EnumeratorSequence (catalytic
+    variables are specialized to 1 first)."""
     if r_max < 0:
         raise UsageError(f"moment order r must be >= 0, got r = {r_max}")
     spec = seq.spec
-    drop = [v for v in spec.variables if v != var]
+    drop = [v for v in spec.variables if v != "t"]
     f_rows = []
     for p in seq.values:
         if drop:
@@ -265,10 +260,10 @@ def moments_from_full(seq, r_max: int = DEFAULT_R_MAX, var: str = "t") -> Moment
 
 
 def moments_from_truncated(
-    seq, r_max: "int | None" = None, var: str = "t", ns: "Sequence[int] | None" = None
+    seq, r_max: "int | None" = None, ns: "Sequence[int] | None" = None
 ) -> MomentTable:
-    """Moment table from a truncated-mode EnumeratorSequence, with a row for
-    each n in ns (every n when omitted)."""
+    """Moment table of t from a truncated-mode EnumeratorSequence, with a row
+    for each n in ns (every n when omitted)."""
     spec = seq.spec
     cap = seq.cap
     if r_max is None:
@@ -277,5 +272,5 @@ def moments_from_truncated(
         raise UsageError(f"r_max = {r_max} exceeds the evaluation cap {cap}")
     if ns is None:
         ns = range(len(seq.values))
-    f_rows = [factorial_from_truncated(seq.values[n], r_max, var) for n in ns]
+    f_rows = [factorial_from_truncated(seq.values[n], r_max) for n in ns]
     return moment_table_from_rows(spec.family, spec.statistic, "truncated", cap, r_max, f_rows, ns)

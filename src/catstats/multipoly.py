@@ -12,7 +12,7 @@ Printed term order is graded lexicographic, ascending.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import UsageError
 
@@ -128,15 +128,8 @@ class MultiPoly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree(self, name: str) -> int:
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def sorted_terms(self) -> "list[tuple[tuple, int | Fraction]]":
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-    def __iter__(self) -> Iterator:
-        return iter(self.sorted_terms())
 
     # -- ring operations ---------------------------------------------------
 
@@ -231,44 +224,6 @@ class MultiPoly:
             key = tuple(exps[i] for i in keep)
             out[key] = out.get(key, 0) + c
         return MultiPoly(tuple(self.variables[i] for i in keep), out)
-
-    def substitute_values(self, assignment: Mapping) -> "MultiPoly":
-        """Partial evaluation: fix some variables at rational values."""
-        unknown = set(assignment) - set(self.variables)
-        if unknown:
-            raise UsageError(f"unknown variables {sorted(unknown)}")
-        fixed = [(i, norm_coeff(assignment[v])) for i, v in enumerate(self.variables) if v in assignment]
-        keep = [i for i, v in enumerate(self.variables) if v not in assignment]
-        out: dict = {}
-        for exps, c in self.terms.items():
-            for i, val in fixed:
-                if exps[i]:
-                    c = c * val ** exps[i]
-            if c == 0:
-                continue
-            key = tuple(exps[i] for i in keep)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(tuple(self.variables[i] for i in keep), out)
-
-    def evaluate(self, assignment: Mapping):
-        """Full evaluation at rational points."""
-        missing = set(self.variables) - set(assignment)
-        if missing:
-            raise UsageError(f"no value for variables {sorted(missing)}")
-        vals = [norm_coeff(assignment[v]) for v in self.variables]
-        total = 0
-        for exps, c in self.terms.items():
-            term = c
-            for val, e in zip(vals, exps):
-                if e:
-                    term *= val ** e
-            total += term
-        return norm_coeff(total) if total else 0
-
-    def mass(self):
-        """Value at the all-ones point (sum of coefficients)."""
-        total = sum(self.terms.values())
-        return norm_coeff(total) if total else 0
 
     def univariate_coeffs(self) -> list:
         """Dense coefficient list [c_0..c_d]; the polynomial must be univariate."""

@@ -251,35 +251,6 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
     return result
 
 
-# -- structure of 132-avoiders ---------------------------------------------
-
-
-def decompose_132(p: Perm) -> "tuple[int, Perm, Perm]":
-    """Split at the maximum: p = (block above) + (n) + (block below).
-
-    Returns (k, left, right) with the maximum at position k (1-based), the
-    left block standardized from the top k-1 values, the right block from the
-    bottom n-k values.  Any 132-avoider splits this way and conversely.
-    """
-    n = len(p)
-    if n == 0:
-        raise UsageError("cannot decompose the empty permutation")
-    k = p.index(n) + 1
-    left, right = p[: k - 1], p[k:]
-    if left and right and min(left) <= max(right):
-        raise UsageError(f"{format_perm(p)} is not 132-avoiding: left block dips below right block")
-    return k, standardize(left), standardize(right)
-
-
-def compose_132(k: int, left: Perm, right: Perm) -> Perm:
-    """Inverse of decompose_132; n = len(left) + len(right) + 1."""
-    if not 1 <= k == len(left) + 1:
-        raise UsageError("position k must equal len(left) + 1")
-    n = len(left) + len(right) + 1
-    shift = len(right)
-    return tuple(v + shift for v in left) + (n,) + right
-
-
 # -- the insertion map on 123-avoiders -------------------------------------
 
 

@@ -28,13 +28,6 @@ class SequenceFile(NamedTuple):
     values: "tuple[Fraction | int, ...]"
     extra: dict  # every constructor passes its own dict, never a shared default
 
-    def value_at(self, n: int):
-        """The sequence value a(n); n counts from offset."""
-        i = n - self.offset
-        if not 0 <= i < len(self.values):
-            raise UsageError(f"{self.name} has no value at n = {n}")
-        return self.values[i]
-
     def to_json_obj(self) -> dict:
         obj = {
             "name": self.name,
@@ -88,7 +81,10 @@ def load_sequence(path) -> SequenceFile:
             obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read sequence file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError, bytes that are not UTF-8 and
+        # integer literals past the interpreter's digit limit; RecursionError
+        # is nesting deeper than the decoder can follow
         raise UsageError(f"{path} is not valid JSON: {exc}")
     return parse_sequence_obj(obj, source=str(path))
 

@@ -336,13 +336,3 @@ def bona_census_123(k: int, n_max: int = 9, limit: int = DEFAULT_ORACLE_LIMIT) -
             chains[n] = total
     return _census("av123", k, n_max, level.items())
 
-
-def partition_numbers(k_max: int) -> "list[int]":
-    """p(0..k_max) by the coin-style DP over part sizes."""
-    if k_max < 0:
-        raise UsageError("k_max must be >= 0")
-    p = [1] + [0] * k_max
-    for part in range(1, k_max + 1):
-        for s in range(part, k_max + 1):
-            p[s] += p[s - part]
-    return p

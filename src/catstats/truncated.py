@@ -14,7 +14,7 @@ k-sum once over the whole k-window:
   shifts along one variable and atom scalars as per-window scalars
   (`_TermWalk`);
 - the product summed over k is one C-level dot product per in-cap pair of
-  monomials, and a window of one summand is one direct product.
+  monomials, and a window of one summand is one `series.mul_into` product.
 
 Exponents are evaluated over whole windows, and a negative one is a
 UsageError naming the first (n, k) in the walk order of funcrec._recur.
@@ -32,6 +32,7 @@ from .series import (
     TruncatedSeries,
     apply_operator,
     monomials_upto,
+    mul_into,
     substitution_operator,
 )
 
@@ -233,11 +234,7 @@ class _TermWalk:
         left = self._coefficient(left, n, ks, evals)
         right = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
         if len(ks) == 1:  # a single summand: one direct product
-            r = [c[0] for c in right]
-            for (a,), row in zip(left, pairs):
-                if a:
-                    for j, t in row:
-                        out[t] += a * r[j]
+            mul_into(out, pairs, [c[0] for c in left], [c[0] for c in right])
             return
         for col, row in zip(left, pairs):
             if any(col):

@@ -15,7 +15,7 @@ from catstats import __version__
 from catstats.cli import EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
 from catstats.funcrec import builtin_families, builtin_spec
 from catstats.seqio import load_sequence, save_sequence, sequence_file
-from catstats.perms import DEFAULT_ORACLE_LIMIT, catalan_list
+from catstats.perms import DEFAULT_ORACLE_LIMIT, brute_sigma_enum, catalan_list
 from catstats.splits import MAX_ENGINE_N, AverageEngine
 
 
@@ -44,6 +44,19 @@ def test_wenum_json_carries_config_echo(capsys):
     assert obj["version"] == __version__
     assert obj["config"]["family"] == "av132"
     assert obj["rows"][-1] == {"n": 2, "poly": "1 + t"}
+
+
+@pytest.mark.parametrize("kept", ["t", "t,s2"])
+def test_wenum_vars_sets_the_other_variables_to_one(capsys, kept):
+    rc, out, _ = run(
+        capsys, "wenum", "--family", "av123", "--stat", "213", "--n", "7", "--vars", kept
+    )
+    assert rc == EXIT_OK
+    dropped = [v for v in ("t", "s1", "s2") if v not in kept.split(",")]
+    rows = out.splitlines()[1:]
+    assert rows == [
+        f"P_{n}({kept}) = {brute_sigma_enum(n).specialize_ones(dropped)}" for n in range(8)
+    ]
 
 
 @pytest.mark.parametrize("names", ["", ",", " , "])
@@ -119,6 +132,19 @@ def test_guess_workflow_found_and_not_found(capsys, tmp_path):
     rc, _, err = run(capsys, "guess", "--kind", "p-recursive", "--input", str(tmp_path / "missing.json"))
     assert rc == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"name": "\xff", "offset": 0, "values": []}', b"[" * 100000, b"1" * 5000],
+    ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+)
+def test_guess_on_an_undecodable_sequence_file_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, out, err = run(capsys, "guess", "--kind", "p-recursive", "--input", str(path))
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
 
 
 def test_guess_algebraic_from_file(capsys, tmp_path):
@@ -301,6 +327,20 @@ def test_abnormal_synthetic_checks_settings_before_building_the_table(capsys, mo
     assert err == "error: epsilon must be a finite number > 0, got nan\n"
 
 
+@pytest.mark.parametrize(
+    "family,stat", [("av132", "21"), ("av123", "213"), ("synthetic", "binomial")]
+)
+def test_abnormal_refuses_r_below_four_with_one_message(capsys, monkeypatch, family, stat):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated before the settings were checked")
+
+    monkeypatch.setattr("catstats.abnormality.eval_truncated", refuse)
+    monkeypatch.setattr("catstats.cli.binomial_control_table", refuse)
+    rc, out, err = run(capsys, "abnormal", "--family", family, "--stat", stat, "--r", "3")
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == "error: verdicts need moments through r = 4, got r_max = 3\n"
+
+
 def test_abnormal_synthetic_control(capsys):
     rc, out, _ = run(
         capsys, "abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "60"
@@ -437,11 +477,16 @@ def test_json_output_is_never_rendered_from_a_record(capsys, monkeypatch, tmp_pa
 def test_importing_the_cli_leaves_dataclasses_unloaded():
     # -S keeps site-packages start-up hooks from importing it first
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = "import sys, catstats.cli; print('dataclasses' in sys.modules)"
+    # the truncated walk is imported on first use, so that commands which
+    # never evaluate truncated mode do not compile it
+    code = (
+        "import sys, catstats.cli; "
+        "print('dataclasses' in sys.modules, 'catstats.truncated' in sys.modules)"
+    )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False\n"
+    assert done.stdout == "False False\n"
 
 
 @pytest.mark.parametrize(

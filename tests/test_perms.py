@@ -14,10 +14,8 @@ from catstats.perms import (
     catalan,
     catalan_list,
     classify_all_subsets,
-    compose_132,
     contains,
     count_occurrences,
-    decompose_132,
     enumerate_avoiders,
     format_perm,
     insertion_map,
@@ -105,23 +103,6 @@ def test_avoiders_match_naive_filter():
         assert set(enumerate_avoiders(AV132, n)) == naive
         lex = [p for p in permutations(range(1, n + 1)) if not contains(p, AV123)]
         assert list(enumerate_avoiders(AV123, n)) == lex
-
-
-def test_decompose_compose_132_bijection():
-    with pytest.raises(UsageError):
-        decompose_132(())
-    for n in range(1, 9):
-        seen = set()
-        for p in enumerate_avoiders(AV132, n):
-            k, left, right = decompose_132(p)
-            assert compose_132(k, left, right) == p
-            seen.add((k, left, right))
-        assert len(seen) == catalan(n)
-
-
-def test_decompose_132_rejects_non_avoider():
-    with pytest.raises(UsageError):
-        decompose_132((1, 3, 2))
 
 
 def test_insertion_map_passes_validation():

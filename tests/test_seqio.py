@@ -38,15 +38,6 @@ def test_integer_values_serialize_as_ints():
     assert obj["values"] == ["1/2"]
 
 
-def test_value_at_respects_offset():
-    seq = sequence_file("s", [10, 20, 30], offset=5)
-    assert seq.value_at(5) == 10
-    assert seq.value_at(7) == 30
-    for bad in (4, 8):
-        with pytest.raises(UsageError):
-            seq.value_at(bad)
-
-
 def test_parse_accepts_int_and_fraction_strings():
     seq = parse_sequence_obj(
         {"name": "s", "offset": 0, "values": [1, "2/1", "-3/4"]}, "mem"

@@ -18,7 +18,6 @@ from catstats.splits import (
     SplitTerm,
     bona_census_123,
     bona_census_132,
-    partition_numbers,
     split_decompose,
 )
 
@@ -167,6 +166,15 @@ def test_mass_identity_over_all_patterns():
         seqs = [eng.sequence(p) for p in permutations(range(1, k + 1))]
         for n in range(11):
             assert sum(s[n] for s in seqs) == comb(n, k) * cats[n]
+
+
+def partition_numbers(k_max: int) -> "list[int]":
+    """p(0..k_max) by the coin-style DP over part sizes."""
+    p = [1] + [0] * k_max
+    for part in range(1, k_max + 1):
+        for s in range(part, k_max + 1):
+            p[s] += p[s - part]
+    return p
 
 
 def test_census_132_class_counts_are_partition_numbers():
