@@ -115,6 +115,9 @@ def cmd_wenum(args) -> int:
             raise UsageError(
                 f"unknown variables {unknown}; {spec.label} has {list(spec.variables)}"
             )
+        repeated = sorted({v for v in kept if kept.count(v) > 1})
+        if repeated:
+            raise UsageError(f"--vars names {repeated} more than once")
     drop = [v for v in spec.variables if v not in kept]
     values = [p.specialize_ones(drop) for p in eval_full(spec, args.n).values]
     config = {

@@ -7,19 +7,25 @@ avoidance family decomposes at the position k of the maximum:
     Q_n = sum over terms, sum over k in the term's range of
           coef(n, k) * subst_L(Q_(k-1)) * subst_R(Q_(n-k))
 
-where coef is a sum of atoms c * n^a * k^b * prod_i t_i^(E_i(n,k)) and each
-substitution sends every variable to a monomial in the variables with
-exponents that are themselves integer polynomials in (n, k).  This shape is
-exactly what splitting an avoider at its maximum produces: the statistic of
-the whole is an index-dependent affine combination of the statistics of the
-two parts, which exponent bookkeeping turns into monomial substitutions.
+where coef is the monomial prod_i v_i^(E_i(n, k)) and each substitution
+sends every variable to a monomial in the variables, with exponents that are
+themselves integer polynomials in (n, k).  The first variable, t, tracks the
+statistic, and every substitution fixes it: only the catalytic variables
+after it are substituted.  This shape is exactly what splitting an avoider
+at its maximum produces: the statistic of the whole is an index-dependent
+affine combination of the statistics of the two parts, which exponent
+bookkeeping turns into monomial substitutions.
 
-One driver, `_recur`, walks the recurrence; it is handed the ring to work in
-(its unit, how to build a coefficient atom, how to apply a substitution) and
-evaluates each summand's exponents once.  Two rings use it.  The mass check
-runs it in the integers with every substitution the identity: at the
-all-ones point the recurrence must reproduce the Catalan numbers.  Full mode
-runs it in MultiPoly (exponential-size output, exact).
+A monomial is 1 at the all-ones point, so the masses Q_n(1) follow from the
+terms' k-ranges alone.  Construction checks that they are the Catalan
+numbers for n <= 12, and that every exponent is non-negative there, with the
+same exponent loop (`_summands`) that full mode walks.
+
+Full mode (`eval_full`) is exact, with exponential-size output.  Its walk
+(`_packed_walk`) keeps each Q_m as one integer per catalytic exponent
+vector, with the t-coefficients packed in fixed-width slots: a product of
+two rows is one bigint product, and a coefficient or a substitution moves a
+row to a new key and shifts it.
 
 Truncated mode keeps Taylor expansions about the all-ones point to a fixed
 total degree, which is all the moment pipeline ever reads.  Each value is a
@@ -34,8 +40,8 @@ applied directly; a varying one is split into per-index differences Delta_d
 (d <= cap) with per-(n, k) weights C(a(n, k), d), exact because every entry
 of the substitution's operator is a polynomial of total degree <= cap in its
 varying exponents a.  For each n the window's coefficients are laid out as
-one column per basis monomial; varying substitutions and coefficient
-monomials (binomial shifts along one variable) enter as per-window weight
+one column per basis monomial; varying substitutions and the coefficient
+monomial (binomial shifts along one variable) enter as per-window weight
 vectors, and the product summed over k is one C-level dot product per in-cap
 pair of monomials.
 
@@ -48,8 +54,8 @@ enumerators of perms.py.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from operator import add, mul
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 from .multipoly import IndexPoly, MultiPoly, index_poly
@@ -65,31 +71,20 @@ from .perms import (
 DEFAULT_FULL_LIMIT = 64
 
 
-class CoefAtom(NamedTuple):
-    """factor * n^n_deg * k^k_deg * prod_i var_i ^ var_exps[i](n, k)."""
-
-    var_exps: "tuple[IndexPoly, ...]"
-    factor: "int | Fraction" = 1
-    n_deg: int = 0
-    k_deg: int = 0
-
-    def scalar(self, n: int, k: int):
-        return self.factor * n**self.n_deg * k**self.k_deg
-
-
 # Substitution: image of variable i is prod_j var_j ^ matrix[i][j](n, k).
 SubstMatrix = "tuple[tuple[IndexPoly, ...], ...]"
 
 
 class RecTerm(NamedTuple):
-    """One summand of the recurrence.
+    """One summand of the recurrence, with coefficient
+    prod_i var_i ^ coef[i](n, k).
 
     The sum runs k = k_low .. n by default; k_high pins an absolute upper
     bound instead (k_high=1 with k_low=1 encodes a single boundary summand,
     which the 123-family recurrence needs).
     """
 
-    atoms: "tuple[CoefAtom, ...]"
+    coef: "tuple[IndexPoly, ...]"
     k_low: int = 1
     k_high: "int | None" = None
     left: "SubstMatrix | None" = None
@@ -147,21 +142,24 @@ class FuncRecSpec:
         if not self.terms:
             raise UsageError("a spec needs at least one term")
         nv = len(self.variables)
+        fixed = subst_matrix(self.variables, {})[0]
         for term in self.terms:
             if term.k_low < 1:
                 raise UsageError("k_low must be >= 1")
             if term.k_high is not None and term.k_high < term.k_low:
                 raise UsageError("k_high must be >= k_low")
-            if not term.atoms:
-                raise UsageError("a term needs at least one coefficient atom")
-            for atom in term.atoms:
-                if len(atom.var_exps) != nv:
-                    raise UsageError("atom exponent arity does not match variables")
+            if len(term.coef) != nv:
+                raise UsageError("coefficient exponent arity does not match variables")
             for mat in (term.left, term.right):
-                if mat is not None and (
-                    len(mat) != nv or any(len(row) != nv for row in mat)
-                ):
+                if mat is None:
+                    continue
+                if len(mat) != nv or any(len(row) != nv for row in mat):
                     raise UsageError("substitution matrix arity does not match variables")
+                if tuple(mat[0]) != fixed:
+                    raise UsageError(
+                        f"{self.label}: a substitution must fix {self.variables[0]}, "
+                        "the tracked variable"
+                    )
         self._mass_check()
 
     @property
@@ -171,8 +169,9 @@ class FuncRecSpec:
     def _mass_check(self, n_max: int = 12) -> None:
         """At the all-ones point the recurrence must reproduce the Catalan
         numbers; exponent data must also evaluate non-negative on the range."""
-        mass = _recur(self, n_max, 1, lambda scalar, exps: scalar, lambda value, rows: value)
-        for n, (total, want) in enumerate(zip(mass, catalan_list(n_max))):
+        for _ in _summands(self, n_max):  # refuses a negative exponent
+            pass
+        for n, (total, want) in enumerate(zip(_masses(self, n_max), catalan_list(n_max))):
             if total != want:
                 raise UsageError(
                     f"{self.label}: mass check failed at n = {n}: {total} != {want}"
@@ -194,53 +193,104 @@ class EnumeratorSequence(NamedTuple):
 # -- the recurrence walk ---------------------------------------------------
 
 
-def _recur(spec: FuncRecSpec, n_max: int, one, coefficient: Callable, substitute: Callable) -> list:
-    """Q_0 .. Q_n_max of `spec` in the ring whose unit is `one`.
+def _masses(spec: FuncRecSpec, n_max: int) -> "list[int]":
+    """Q_0(1) .. Q_n_max(1): every coefficient and substitution image is a
+    monomial, 1 at the all-ones point, so only the k-ranges count."""
+    masses = [1]
+    for n in range(1, n_max + 1):
+        masses.append(
+            sum(masses[k - 1] * masses[n - k] for term in spec.terms for k in term.k_range(n))
+        )
+    return masses
 
-    `coefficient(scalar, exps)` is the ring element of one coefficient atom
-    at (n, k): its scalar times the monomial with exponent vector `exps`.
-    `substitute(value, rows)` applies a substitution whose evaluated exponent
-    matrix `rows` is not the identity.  Each summand's exponents are
-    evaluated once (constant ones once per walk), and a negative one is a
-    UsageError naming (n, k).  A unit coefficient is not multiplied in;
-    otherwise the product is formed as (coef * L) * R.  Truncated mode walks
-    in the same order and names the same first (n, k).
+
+def _summands(spec: FuncRecSpec, n_max: int):
+    """Every summand of Q_1 .. Q_n_max in walk order (n, then term, then k),
+    as (n, k, coef, left, right): the coefficient's exponent vector and the
+    substitutions' exponent rows at (n, k), None for an identity.
+
+    Constant exponents are evaluated once per walk, and a negative exponent
+    is a UsageError naming (n, k).  Truncated mode names the same first
+    (n, k).
     """
     nv = len(spec.variables)
+    unit = subst_matrix(spec.variables, {})
     identity = tuple(tuple(int(i == j) for j in range(nv)) for i in range(nv))
     walks = []
     for term in spec.terms:
-        # the atoms' exponent vectors, then the rows of the left and right matrices
-        polys = [e for a in term.atoms for e in a.var_exps]
-        polys += [e for mat in (term.left, term.right) if mat is not None for row in mat for e in row]
+        polys = [*term.coef]
+        polys += [e for mat in (term.left, term.right) for row in mat or unit for e in row]
         walks.append((term, [e.eval(0, 0) if e.is_constant() else e for e in polys]))
-    zero = one * 0
-    values = [one]
     for n in range(1, n_max + 1):
-        acc = zero
         for term, polys in walks:
-            na = len(term.atoms)
             for k in term.k_range(n):
                 ev = [e if type(e) is int else e.eval(n, k) for e in polys]
                 if min(ev) < 0:
                     raise UsageError(f"{spec.label}: negative exponent at (n={n}, k={k})")
-                vecs = [tuple(ev[i:i + nv]) for i in range(0, len(ev), nv)]
-                mats = [tuple(vecs[i:i + nv]) for i in range(na, len(vecs), nv)]
-                lf, rf = values[k - 1], values[n - k]
-                if term.left is not None and mats[0] != identity:
-                    lf = substitute(lf, mats[0])
-                if term.right is not None and mats[-1] != identity:
-                    rf = substitute(rf, mats[-1])
-                scalars = [a.scalar(n, k) for a in term.atoms]
-                if scalars != [1] or any(vecs[0]):
-                    coef = None
-                    for scalar, exps in zip(scalars, vecs):
-                        piece = coefficient(scalar, exps)
-                        coef = piece if coef is None else coef + piece
-                    lf = coef * lf
-                acc = acc + lf * rf
-        values.append(acc)
-    return values
+                rows = [tuple(ev[i:i + nv]) for i in range(nv, len(ev), nv)]
+                mats = (tuple(rows[:nv]), tuple(rows[nv:]))
+                yield n, k, ev[:nv], *(None if m == identity else m for m in mats)
+
+
+def _substitute(value: dict, rows, w: int) -> dict:
+    """A packed value under the substitution with exponent rows `rows`
+    (None: the identity), which fixes t.  The monomial with catalytic
+    exponents b goes to t^s times the catalytic monomial b', where
+    (s, b') = sum_i b_i * rows[i] over the catalytic variables i."""
+    if rows is None:
+        return value
+    cols = list(zip(*rows[1:]))
+    out: dict = {}
+    for b, x in value.items():
+        image = [sum(map(mul, b, col)) for col in cols]
+        key = tuple(image[1:])
+        out[key] = out.get(key, 0) + (x << w * image[0])
+    return out
+
+
+def _packed_walk(spec: FuncRecSpec, n_max: int) -> "list[MultiPoly]":
+    """Q_0 .. Q_n_max of `spec`, exact, by one walk over packed values.
+
+    Each Q_m is a dict from the exponent vectors of variables[1:] to one
+    integer, whose slot a, w bits wide, holds the coefficient of t^a.  A
+    product of two rows is one bigint product.  The coefficient monomial
+    and the substitutions (which fix t) move a row to a new key and shift
+    it left by w times the t-exponent it picks up.
+
+    The width is exact.  Monomials are 1 at the all-ones point, so the
+    image of Q_m under a substitution has mass Q_m(1), and the summand at
+    (n, k) has mass Q_(k-1)(1) * Q_(n-k)(1) <= Q_n(1).  Every coefficient
+    the walk forms (of a value, an image, a product of rows, a partial sum
+    of Q_n) is non-negative and at most the mass of what it belongs to, so
+    at most M, the largest of Q_0(1) .. Q_n_max(1).  With w = M.bit_length()
+    every slot stays below 2^w and never carries into the next.  No
+    narrower width is exact in general: av132:132's Q_m is the constant
+    C_m, one slot that equals the mass.
+    """
+    w = max(_masses(spec, n_max)).bit_length()
+    values: "list[dict]" = [{(0,) * (len(spec.variables) - 1): 1}]
+    values += [{} for _ in range(n_max)]
+    for n, k, coef, left, right in _summands(spec, n_max):
+        acc, shift, lift = values[n], w * coef[0], coef[1:]
+        rf = _substitute(values[n - k], right, w)
+        for b, x in _substitute(values[k - 1], left, w).items():
+            b, x = tuple(map(add, b, lift)), x << shift
+            for c, y in rf.items():
+                key = tuple(map(add, b, c))
+                acc[key] = acc.get(key, 0) + x * y
+    mask = (1 << w) - 1
+    out = []
+    for value in values:
+        terms = {}
+        for b, x in value.items():
+            a = 0
+            while x:
+                if x & mask:
+                    terms[(a,) + b] = x & mask
+                x >>= w
+                a += 1
+        out.append(MultiPoly(spec.variables, terms))
+    return out
 
 
 def eval_full(spec: FuncRecSpec, n_max: int) -> EnumeratorSequence:
@@ -253,15 +303,7 @@ def eval_full(spec: FuncRecSpec, n_max: int) -> EnumeratorSequence:
             f"full mode on {spec.label} is capped at n = {spec.full_limit}, got "
             f"n = {n_max}; use truncated mode for moment work"
         )
-    variables = spec.variables
-    values = _recur(
-        spec,
-        n_max,
-        MultiPoly.one(variables),
-        lambda scalar, exps: MultiPoly.monomial(variables, exps, scalar),
-        lambda p, rows: p.subst_monomial(dict(zip(variables, rows))),
-    )
-    return EnumeratorSequence(spec, "full", None, values)
+    return EnumeratorSequence(spec, "full", None, _packed_walk(spec, n_max))
 
 
 def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequence:
@@ -294,16 +336,12 @@ _ZERO = IndexPoly.ZERO
 _ONE = IndexPoly.ONE
 
 
-def _atom(*var_exps) -> CoefAtom:
-    return CoefAtom(var_exps=tuple(var_exps))
-
-
 def _spec_av132_univariate(stat: str, exponent: IndexPoly, full_limit: int) -> FuncRecSpec:
     return FuncRecSpec(
         "av132",
         stat,
         ("t",),
-        [RecTerm(atoms=(_atom(exponent),))],
+        [RecTerm(coef=(exponent,))],
         tracked=(("t", stat),),
         full_limit=full_limit,
     )
@@ -317,7 +355,7 @@ def _spec_av132_catalytic(stat, coef_t, coef_q, left_images, right_images, q_pat
         "av132",
         stat,
         variables,
-        [RecTerm(atoms=(_atom(coef_t, coef_q),), left=left, right=right)],
+        [RecTerm(coef=(coef_t, coef_q), left=left, right=right)],
         tracked=(("t", stat), ("q", q_pattern)),
         full_limit=full_limit,
     )
@@ -326,12 +364,12 @@ def _spec_av132_catalytic(stat, coef_t, coef_q, left_images, right_images, q_pat
 def _spec_av123_213() -> FuncRecSpec:
     variables = ("t", "s1", "s2")
     boundary = RecTerm(
-        atoms=(_atom(_ZERO, _ZERO, _ONE),),  # coefficient s2
+        coef=(_ZERO, _ZERO, _ONE),  # coefficient s2
         k_low=1,
         k_high=1,
     )
     bulk = RecTerm(
-        atoms=(_atom(_ZERO, _ZERO, _ZERO),),  # coefficient 1
+        coef=(_ZERO, _ZERO, _ZERO),  # coefficient 1
         k_low=2,
         left=subst_matrix(variables, {"s1": {"t": 1, "s1": 1}, "s2": {"s1": 1, "s2": 1}}),
     )
@@ -340,10 +378,13 @@ def _spec_av123_213() -> FuncRecSpec:
     )
 
 
-# Each spec's full_limit is the largest n, in steps of two, at which eval_full
-# finished within about 6 s on a 2-vCPU VM (Python 3.11).  Past it the cost
-# grows about 3x every two steps for the catalytic specs and 1.3x for 21 and
-# 12; av132:132 is a single monomial and keeps the default.
+# Each spec's full_limit caps eval_full.  The caps come from an earlier walk
+# that multiplied polynomials term by term; raising one would change which
+# runs succeed, so they stay.  At its cap the packed walk takes, in process on
+# a 2-vCPU VM (Python 3.11), about 0.1 s for 21 and 12 (n = 42), 0.3-0.6 s
+# for the catalytic av132 specs (n = 18, or 20 for 123) and 0.4 s for
+# av123:213 (n = 18); the multi-variable specs cost 1.8-3x more every two
+# steps past their caps.  av132:132 is a single monomial and keeps the default.
 _CATALOG_BUILDERS = {
     ("av132", "21"): lambda: _spec_av132_univariate("21", _K_TIMES_NK, 42),
     ("av132", "12"): lambda: _spec_av132_univariate("12", _K_MINUS_1, 42),

@@ -1,13 +1,16 @@
 """Sparse multivariate polynomials and (n, k)-indexed exponent polynomials.
 
-All arithmetic is exact.  Coefficients are Python ints or fractions.Fraction;
-integral values are collapsed to int on the way in, so computations whose
-coefficients happen to stay integral (every weight enumerator here) never pay
-Fraction normalization costs.
+A MultiPoly is a record with no arithmetic: the exact form in which full mode
+and the brute-force oracles hand over weight enumerators.  It is built from a
+terms dict, compared, specialized at 1, read as a dense univariate list and
+printed.  Coefficients are Python ints or fractions.Fraction; integral values
+are collapsed to int on the way in.
 
 Terms are a dict mapping exponent tuples (one entry per variable, order fixed
 by the `variables` tuple) to nonzero coefficients.  Equality is structural.
-Printed term order is graded lexicographic, ascending.
+Printed term order is graded lexicographic, ascending.  The rational helpers
+(`norm_coeff`, `coeff_to_str`, `coeff_from_str`, `join_signed`) serve every
+exact wire format.
 """
 from __future__ import annotations
 
@@ -16,16 +19,13 @@ from typing import Iterable, Mapping
 
 from .errors import UsageError
 
-Coeff = "int | Fraction"
-Expvec = "tuple[int, ...]"
-
 
 def norm_coeff(c):
     """Collapse integral Fraction to int; reject non-rational input."""
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise UsageError(f"coefficient must be int or Fraction, got {type(c).__name__}")
 
 
@@ -78,52 +78,12 @@ class MultiPoly:
                 clean[exps] = c
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables) -> "MultiPoly":
-        return cls(variables)
-
-    @classmethod
-    def constant(cls, variables, c) -> "MultiPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): c})
-
-    @classmethod
-    def one(cls, variables) -> "MultiPoly":
-        return cls.constant(variables, 1)
-
-    @classmethod
-    def monomial(cls, variables, exps, c=1) -> "MultiPoly":
-        return cls(variables, {tuple(exps): c})
-
-    @classmethod
-    def variable(cls, variables, name) -> "MultiPoly":
-        variables = tuple(variables)
-        if name not in variables:
-            raise UsageError(f"unknown variable {name!r}")
-        exps = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exps: 1})
-
     # -- basics ------------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         return self.variables == other.variables and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
-    def _check_compatible(self, other: "MultiPoly") -> None:
-        if self.variables != other.variables:
-            raise UsageError(f"variable mismatch: {self.variables} vs {other.variables}")
-
-    def coefficient(self, exps) -> "int | Fraction":
-        return self.terms.get(tuple(exps), 0)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -131,86 +91,7 @@ class MultiPoly:
     def sorted_terms(self) -> "list[tuple[tuple, int | Fraction]]":
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            return self + MultiPoly.constant(self.variables, other)
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return MultiPoly(self.variables, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.variables, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return MultiPoly.constant(self.variables, other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            c = norm_coeff(other)
-            if c == 0:
-                return MultiPoly.zero(self.variables)
-            return MultiPoly(self.variables, {e: k * c for e, k in self.terms.items()})
-        self._check_compatible(other)
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                out[key] = out.get(key, 0) + ca * cb
-        return MultiPoly(self.variables, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise UsageError("negative polynomial power")
-        out = MultiPoly.one(self.variables)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     # -- structural operations ---------------------------------------------
-
-    def subst_monomial(self, images: "Mapping[str, tuple]") -> "MultiPoly":
-        """Substitute each variable by a unit-coefficient monomial.
-
-        `images` maps a variable name to the exponent vector of its image
-        (over the same variable tuple); missing variables map to themselves.
-        """
-        nv = len(self.variables)
-        rows = []
-        for i, v in enumerate(self.variables):
-            if v in images:
-                img = tuple(images[v])
-                if len(img) != nv or any(e < 0 for e in img):
-                    raise UsageError(f"bad image exponents {img} for {v!r}")
-                rows.append(img)
-            else:
-                rows.append(tuple(1 if j == i else 0 for j in range(nv)))
-        out = {}
-        for exps, c in self.terms.items():
-            new = [0] * nv
-            for e, row in zip(exps, rows):
-                if e:
-                    for j in range(nv):
-                        new[j] += e * row[j]
-            key = tuple(new)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(self.variables, out)
 
     def specialize_ones(self, names: Iterable[str]) -> "MultiPoly":
         """Set the named variables to 1 and drop them."""
@@ -262,8 +143,9 @@ class MultiPoly:
 class IndexPoly:
     """Integer polynomial in the recurrence indices n and k.
 
-    Used for exponents inside functional recurrences: coefficient atoms carry
-    t_i ^ E(n, k) and substitution images carry per-variable exponent entries.
+    Used for exponents inside functional recurrences: a term's coefficient
+    carries t_i ^ E(n, k) and substitution images carry per-variable exponent
+    entries.
     Immutable; evaluation must be non-negative wherever it is used as an
     exponent (checked at the use site, not here).
     """

@@ -10,14 +10,13 @@ k-sum once over the whole k-window:
   differences Delta_d, d <= cap, which per-(n, k) weights C(a(n, k), d)
   recombine into the substitution at exponents a;
 - for each n, the window's factors are laid out as one column per basis
-  monomial, running over k; coefficient monomials act on them as binomial
-  shifts along one variable and atom scalars as per-window scalars
-  (`_TermWalk`);
+  monomial, running over k; the coefficient monomial acts on them as
+  binomial shifts along one variable at a time (`_TermWalk`);
 - the product summed over k is one C-level dot product per in-cap pair of
   monomials, and a window of one summand is one `series.mul_into` product.
 
 Exponents are evaluated over whole windows, and a negative one is a
-UsageError naming the first (n, k) in the walk order of funcrec._recur.
+UsageError naming the first (n, k) in the walk order of funcrec._summands.
 """
 from __future__ import annotations
 
@@ -198,20 +197,17 @@ class _Images:
 class _TermWalk:
     """One term's contribution to each Q_n in truncated mode."""
 
-    __slots__ = ("label", "term", "cap", "shifts", "varying", "negative", "atoms", "left", "right")
+    __slots__ = ("label", "term", "cap", "shifts", "varying", "negative", "coef", "left", "right")
 
     def __init__(self, label: str, term, cap: int, shifts: list, image: Callable):
         self.label, self.term, self.cap, self.shifts = label, term, cap, shifts
-        polys = [e for a in term.atoms for e in a.var_exps]
+        polys = list(term.coef)
         for mat in (term.left, term.right):
             polys += [e for row in mat or () for e in row]
         self.varying = list(dict.fromkeys(e for e in polys if not e.is_constant()))
         self.negative = any(e.is_constant() and e.eval(0, 0) < 0 for e in polys)
-        # per atom, its nonzero exponents as (variable, int or varying IndexPoly)
-        self.atoms = [
-            (atom, [(v, _constant_or_poly(e)) for v, e in enumerate(atom.var_exps) if e.terms])
-            for atom in term.atoms
-        ]
+        # the coefficient's nonzero exponents as (variable, int or varying IndexPoly)
+        self.coef = [(v, _constant_or_poly(e)) for v, e in enumerate(term.coef) if e.terms]
         # a negative constant is refused at the first window, before any
         # matrix is built
         self.left = self.right = None
@@ -231,7 +227,7 @@ class _TermWalk:
             raise UsageError(f"{self.label}: negative exponent at (n={n}, k={ks[first]})")
         lo, hi = ks.start, ks.stop
         left = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
-        left = self._coefficient(left, n, ks, evals)
+        left = self._coefficient(left, len(ks), evals)
         right = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
         if len(ks) == 1:  # a single summand: one direct product
             mul_into(out, pairs, [c[0] for c in left], [c[0] for c in right])
@@ -241,23 +237,15 @@ class _TermWalk:
                 for j, t in row:
                     out[t] += sum(map(mul, col, right[j]))
 
-    def _coefficient(self, cols: list, n: int, ks: range, evals: dict) -> list:
-        """The columns times the coefficient, atom by atom: each monomial
+    def _coefficient(self, cols: list, w: int, evals: dict) -> list:
+        """The columns of a window of w summands times the coefficient: each
         factor (1 + z_v)^E is a binomial shift along variable v."""
-        total = None
-        w = len(ks)
-        for atom, exps in self.atoms:
-            acc = cols
-            for v, e in exps:
-                rows = _binomial_rows([e] * w if type(e) is int else evals[e], self.cap)
-                shifted = []
-                for col, chain in zip(acc, self.shifts[v]):
-                    for j, src in chain:
-                        col = list(map(add, col, map(mul, rows[j], acc[src])))
-                    shifted.append(col)
-                acc = shifted
-            if atom.factor != 1 or atom.n_deg or atom.k_deg:
-                scalars = [atom.scalar(n, k) for k in ks]
-                acc = [list(map(mul, scalars, col)) for col in acc]
-            total = acc if total is None else [list(map(add, a, b)) for a, b in zip(total, acc)]
-        return total
+        for v, e in self.coef:
+            rows = _binomial_rows([e] * w if type(e) is int else evals[e], self.cap)
+            shifted = []
+            for col, chain in zip(cols, self.shifts[v]):
+                for j, src in chain:
+                    col = list(map(add, col, map(mul, rows[j], cols[src])))
+                shifted.append(col)
+            cols = shifted
+        return cols

@@ -1,46 +1,26 @@
-"""Taylor expansion at the all-ones point, and back, by MultiPoly arithmetic.
+"""Taylor expansion at the all-ones point, and back, by binomial expansion.
 
 The reference that truncated-mode values and the series operators are
 checked against.  It shares no code with catstats.series beyond the result
-type: (1 + z)^e comes from MultiPoly products, and a monomial's expansion is
-the product of its variables' expansions.
+type: v^e = (1 + z)^e = sum_j C(e, j) z^j by `math.comb`, and a monomial's
+expansion is the product of its variables' expansions.
 """
+from math import comb
+
 from catstats.multipoly import MultiPoly
 from catstats.series import SeriesBasis, TruncatedSeries
-
-_Z = MultiPoly.variable(("z",), "z")
-
-
-def _shifted_power(e: int, cap: int) -> "list[int]":
-    """[z^0 .. z^cap] of (1 + z)^e, by squaring with every product cut at z^cap."""
-
-    def cut(q: MultiPoly) -> MultiPoly:
-        return MultiPoly(("z",), {x: c for x, c in q.terms.items() if x[0] <= cap})
-
-    out, base = MultiPoly.one(("z",)), _Z + 1
-    while e:
-        if e & 1:
-            out = cut(out * base)
-        base = cut(base * base)
-        e >>= 1
-    return [out.coefficient((j,)) for j in range(cap + 1)]
 
 
 def taylor(p: MultiPoly, cap: int) -> TruncatedSeries:
     """p(1 + z_1, ..., 1 + z_v) without its monomials of total degree > cap,
     as a series over p's variables."""
-    rows: dict = {}
-    for exps in p.terms:
-        for e in exps:
-            if e not in rows:
-                rows[e] = _shifted_power(e, cap)
     basis = SeriesBasis(p.variables, cap)
     coeffs = []
     for f in basis.monomials:
         total = 0
         for exps, c in p.terms.items():
             for e, j in zip(exps, f):
-                c *= rows[e][j]
+                c *= comb(e, j)
             total += c
         coeffs.append(total)
     return TruncatedSeries(basis, coeffs)
@@ -48,12 +28,15 @@ def taylor(p: MultiPoly, cap: int) -> TruncatedSeries:
 
 def polynomial(s: TruncatedSeries) -> MultiPoly:
     """The polynomial whose expansion at all-ones is s, the sum of
-    c * prod_v (v - 1)^e_v; exact only when nothing was cut (degree <= cap)."""
-    variables = s.basis.variables
-    out = MultiPoly.zero(variables)
-    for exps, c in zip(s.basis.monomials, s.coeffs):
-        term = MultiPoly.constant(variables, c)
-        for v, e in zip(variables, exps):
-            term = term * (MultiPoly.variable(variables, v) - 1) ** e
-        out = out + term
-    return out
+    c * prod_v (v - 1)^e_v; exact only when nothing was cut (degree <= cap).
+    (v - 1)^e = sum_i C(e, i) (-1)^(e - i) v^i."""
+    terms: dict = {}
+    for f, c in zip(s.basis.monomials, s.coeffs):
+        parts = [((), c)]
+        for e in f:
+            parts = [
+                (x + (i,), a * comb(e, i) * (-1) ** (e - i)) for x, a in parts for i in range(e + 1)
+            ]
+        for x, a in parts:
+            terms[x] = terms.get(x, 0) + a
+    return MultiPoly(s.basis.variables, terms)

@@ -72,6 +72,19 @@ def test_wenum_vars_naming_no_variable_is_a_usage_error(capsys, monkeypatch, nam
     assert err == "error: --vars names no variable; av132:231 has ['t', 'q']\n"
 
 
+@pytest.mark.parametrize("names,repeated", [("t,t", "['t']"), ("s2,t,s2,t", "['s2', 't']")])
+def test_wenum_vars_naming_a_variable_twice_is_a_usage_error(capsys, monkeypatch, names, repeated):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluated before --vars was checked")
+
+    monkeypatch.setattr("catstats.cli.eval_full", refuse)
+    rc, out, err = run(
+        capsys, "wenum", "--family", "av123", "--stat", "213", "--n", "7", "--vars", names
+    )
+    assert (rc, out) == (EXIT_USAGE, "")
+    assert err == f"error: --vars names {repeated} more than once\n"
+
+
 def test_moments_text_values(capsys):
     rc, out, _ = run(
         capsys,
@@ -270,7 +283,7 @@ ARGV_CASES = {
         {"--family": st.sampled_from(["av132", "av123"]),
          "--stat": st.sampled_from(["21", "213", "999"]),
          "--n": st.integers(-1, 6)},
-        {"--vars": st.sampled_from(["t", "t,s1", "s2,t", "u", ",", ""]),
+        {"--vars": st.sampled_from(["t", "t,s1", "s2,t", "t,t", "u", ",", ""]),
          "--format": st.sampled_from(["text", "json", "csv"])},
     ),
     "moments-truncated": (
@@ -421,7 +434,7 @@ def test_full_mode_refuses_past_the_specs_cap_before_evaluating(capsys, monkeypa
 
     family, stat, n = argv[2], argv[4], argv[6]
     builtin_spec(family, stat)  # the mass check walks the recurrence too
-    monkeypatch.setattr("catstats.funcrec._recur", refuse)
+    monkeypatch.setattr("catstats.funcrec._packed_walk", refuse)
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (EXIT_USAGE, "")
     assert err == (

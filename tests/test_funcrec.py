@@ -1,5 +1,4 @@
 import hashlib
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +6,6 @@ from hypothesis import strategies as st
 
 from catstats.errors import UsageError
 from catstats.funcrec import (
-    CoefAtom,
     FuncRecSpec,
     RecTerm,
     builtin_families,
@@ -19,7 +17,7 @@ from catstats.funcrec import (
 )
 from catstats import funcrec
 from catstats.cli import EXIT_INTERNAL, main
-from catstats.multipoly import IndexPoly, index_poly
+from catstats.multipoly import IndexPoly, MultiPoly, index_poly
 from catstats.perms import catalan_list
 from taylor import taylor
 
@@ -76,16 +74,20 @@ def test_full_matches_brute_force_oracle():
 def test_verify_catalog_reports_first_mismatch(monkeypatch, capsys):
     honest = funcrec.brute_sigma_enum
 
+    def plus_one(poly):
+        one = (0,) * len(poly.variables)
+        return MultiPoly(poly.variables, {**poly.terms, one: poly.terms.get(one, 0) + 1})
+
     def perturbed(n, limit):
         poly = honest(n, limit)
-        return poly + 1 if n == 3 else poly
+        return plus_one(poly) if n == 3 else poly
 
     monkeypatch.setattr(funcrec, "brute_sigma_enum", perturbed)
     checks = verify_catalog(5)
     n, engine, brute = checks["av123:213"]
     assert n == 3
     assert engine == eval_full(builtin_spec("av123", "213"), 3).values[3]
-    assert brute == engine + 1
+    assert brute == plus_one(engine)
     assert [label for label, bad in checks.items() if bad] == ["av123:213"]
 
     assert main(["oracle", "verify", "--max-n", "5"]) == EXIT_INTERNAL
@@ -119,50 +121,19 @@ _K1 = index_poly({(0, 1): 1, (0, 0): -1})
 _NK = index_poly({(1, 0): 1, (0, 1): -1})
 _KNK = index_poly({(1, 1): 1, (0, 2): -1})
 EXPONENTS = st.sampled_from([IndexPoly.ZERO, IndexPoly.ONE, _K1, _NK, _KNK])
-VARYING = st.sampled_from([_K1, _NK, _KNK])
-FACTORS = st.sampled_from([Fraction(1, 3), Fraction(5, 2), Fraction(-3, 4)])
 # full mode's enumerators can grow past millions of terms by n = 9; the
 # comparison stops at the first n whose enumerator has more terms than this
 TERM_BUDGET = 800
 
 
 @st.composite
-def coefficient_atoms(draw, nv):
-    """Atoms whose scalars sum to 1 at every (n, k), so the mass check holds."""
-
-    def exps():
-        return tuple(draw(EXPONENTS) for _ in range(nv))
-
-    shape = draw(st.sampled_from(["one", "split", "cancel"]))
-    if shape == "one":
-        return (CoefAtom(var_exps=exps()),)
-    f = draw(FACTORS)
-    if shape == "split":
-        return (CoefAtom(var_exps=exps(), factor=f), CoefAtom(var_exps=exps(), factor=1 - f))
-    n_deg, k_deg = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
-    return (
-        CoefAtom(var_exps=exps()),
-        CoefAtom(var_exps=exps(), factor=f, n_deg=n_deg, k_deg=k_deg),
-        CoefAtom(var_exps=exps(), factor=-f, n_deg=n_deg, k_deg=k_deg),
-    )
-
-
-@st.composite
 def substitutions(draw, nv):
-    """None, or a 0/1 matrix with a unit diagonal (a 0 or 1 entry for one
-    variable) and 0, 1 or 2 varying off-diagonal entries; a varying diagonal
-    entry multiplies degrees at every level, past what full mode can reach."""
-    varying = draw(st.integers(-1, 2 if nv == 2 else 0))
-    if varying < 0:
-        return None
-    zero_one = st.sampled_from([IndexPoly.ZERO, IndexPoly.ONE])
-    rows = [[IndexPoly.ONE if i == j else draw(zero_one) for j in range(nv)] for i in range(nv)]
-    if nv == 1:
-        rows[0][0] = draw(zero_one)
-    off = [(0, 1), (1, 0)]
-    for i, j in off[:varying] if varying != 1 else [draw(st.sampled_from(off))]:
-        rows[i][j] = draw(VARYING)
-    return tuple(map(tuple, rows))
+    """None, the identity, or (with a catalytic variable q) q -> t^e q^d
+    with d 0 or 1; substitutions fix t, and a varying exponent of q itself
+    multiplies degrees at every level, past what full mode can reach."""
+    if nv == 1 or draw(st.booleans()):
+        return draw(st.sampled_from([None, subst_matrix(("t", "q")[:nv], {})]))
+    return subst_matrix(("t", "q"), {"q": {"t": draw(EXPONENTS), "q": draw(st.integers(0, 1))}})
 
 
 @st.composite
@@ -171,7 +142,7 @@ def synthetic_specs(draw):
 
     def term(**bounds):
         return RecTerm(
-            atoms=draw(coefficient_atoms(nv)),
+            coef=tuple(draw(EXPONENTS) for _ in range(nv)),
             left=draw(substitutions(nv)),
             right=draw(substitutions(nv)),
             **bounds,
@@ -213,24 +184,50 @@ def test_truncated_values_match_the_recorded_digest(cap, n_max):
     assert digest.hexdigest() == DEEP_DIGESTS[cap, n_max]
 
 
+# sha256 over str() of every full-mode value Q_0 .. Q_n, recorded from the
+# MultiPoly-arithmetic walk the packed walk replaced: the univariate specs at
+# their caps, the multi-variable ones at n = 16
+FULL_DIGESTS = {
+    ("av123", "213", 16): "6b15081883868164820fe2f37d045fa40847da10108e66491b207bf1aff6ec53",
+    ("av132", "12", 42): "c0be9016482b3a42bfda26c7f561287b710497afe1566f049da8098036dbb4b6",
+    ("av132", "123", 16): "4859587671c2fb9ef3e66e9414ffc8ff105e9b90c4fcf699ab0b2dde39d265f3",
+    ("av132", "132", 64): "e53db79626fa5f2a2cd97b0aa21e0dde48a08ce1caef8dfb1000f572cf226edc",
+    ("av132", "21", 42): "e7cca84da7c7d683f7373257447672c892ad658fcd0d83c18d19262101908e00",
+    ("av132", "213", 16): "d4660733020d04c1c91511297824f5dd76c970f04f5b90d4c95a4cb7c23c72d1",
+    ("av132", "231", 16): "50f09569c80a0e7cfdd404acf8ac7db3f5161bafad2a9ca569e1ccacca207214",
+    ("av132", "312", 16): "50f09569c80a0e7cfdd404acf8ac7db3f5161bafad2a9ca569e1ccacca207214",
+    ("av132", "321", 16): "d32ef6aa7434d15132be267fd1710ada349a1352cdb7957359f2fada05af95ce",
+}
+
+
+def test_full_values_match_the_recorded_digests():
+    assert sorted((f, s) for f, s, _ in FULL_DIGESTS) == CATALOG
+    for (family, statistic, n), want in FULL_DIGESTS.items():
+        digest = hashlib.sha256()
+        for p in eval_full(builtin_spec(family, statistic), n).values:
+            digest.update(str(p).encode() + b"\n")
+        assert digest.hexdigest() == want, f"{family}:{statistic}"
+
+
 def test_negative_substitution_exponent_is_a_usage_error():
-    # t^(20 - n), once in the right substitution t -> t^(20 - n) and once as
-    # the coefficient, passes the mass check (n <= 12) and first goes
+    # t^(20 - n), once in the right substitution q -> t^(20 - n) q and once
+    # as the coefficient, passes the mass check (n <= 12) and first goes
     # negative at n = 21, k = 1; t^(20 - k) first goes negative at the last
     # summand of n = 21
+    variables = ("t", "q")
     for e, where in (
         (index_poly({(0, 0): 20, (1, 0): -1}), r"\(n=21, k=1\)"),
         (index_poly({(0, 0): 20, (0, 1): -1}), r"\(n=21, k=21\)"),
     ):
         terms = [
             RecTerm(
-                atoms=(CoefAtom(var_exps=(IndexPoly.ZERO,)),),
-                right=subst_matrix(("t",), {"t": {"t": e}}),
+                coef=(IndexPoly.ZERO, IndexPoly.ZERO),
+                right=subst_matrix(variables, {"q": {"t": e, "q": 1}}),
             ),
-            RecTerm(atoms=(CoefAtom(var_exps=(e,)),)),
+            RecTerm(coef=(e, IndexPoly.ZERO)),
         ]
         for term in terms:
-            spec = FuncRecSpec("av132", "synthetic", ("t",), [term])
+            spec = FuncRecSpec("av132", "synthetic", variables, [term])
             assert [s.coeffs[0] for s in eval_truncated(spec, 20, 2).values] == catalan_list(20)
             with pytest.raises(UsageError, match=where):
                 eval_truncated(spec, 25, 2)
@@ -239,10 +236,25 @@ def test_negative_substitution_exponent_is_a_usage_error():
 
 
 def test_mass_check_rejects_a_wrong_recurrence():
-    # Q_n = 2 * sum_k Q_(k-1) Q_(n-k) counts 2^n C_n objects, not C_n
-    atom = CoefAtom(var_exps=(IndexPoly.ZERO,), factor=2)
+    # two copies of Q_n = sum_k Q_(k-1) Q_(n-k) count 2^n C_n objects, not C_n
+    term = RecTerm(coef=(IndexPoly.ZERO,))
     with pytest.raises(UsageError, match=r"av132:synthetic: mass check failed at n = 1: 2 != 1"):
-        FuncRecSpec("av132", "synthetic", ("t",), [RecTerm(atoms=(atom,))])
+        FuncRecSpec("av132", "synthetic", ("t",), [term, term])
+
+
+@pytest.mark.parametrize(
+    "variables,coef,images,message",
+    [
+        (("t",), (IndexPoly.ZERO,), {"t": {"t": 2}}, "must fix t"),
+        (("t", "q"), (IndexPoly.ZERO,) * 2, {"t": {"t": 1, "q": 1}}, "must fix t"),
+        (("t", "q"), (IndexPoly.ZERO,), None, "coefficient exponent arity"),
+        (("t",), (IndexPoly.ZERO,) * 2, None, "coefficient exponent arity"),
+    ],
+)
+def test_spec_refuses_a_moving_t_or_a_wrong_arity_at_construction(variables, coef, images, message):
+    left = None if images is None else subst_matrix(variables, images)
+    with pytest.raises(UsageError, match=message):
+        FuncRecSpec("av132", "synthetic", variables, [RecTerm(coef=coef, left=left)])
 
 
 def test_frozen_small_enumerators():
@@ -262,11 +274,10 @@ def test_pattern_equal_to_forbidden_is_trivial():
     seq = eval_full(builtin_spec("av132", "132"), 9)
     cats = catalan_list(9)
     for n, p in enumerate(seq.values):
-        assert p.total_degree() == 0
-        assert p.coefficient((0,)) == cats[n]
+        assert p.terms == {(0,): cats[n]}
 
 
 def test_full_specialize_all_ones_gives_masses():
     seq = eval_full(builtin_spec("av132", "213"), 6)
     ones = [p.specialize_ones(seq.spec.variables) for p in seq.values]
-    assert [p.coefficient(()) for p in ones] == catalan_list(6)
+    assert [p.terms[()] for p in ones] == catalan_list(6)
