@@ -15,6 +15,7 @@ exact wire format.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import UsageError
@@ -65,17 +66,25 @@ class MultiPoly:
 
     def __init__(self, variables: Iterable[str], terms: Mapping | None = None):
         self.variables = tuple(variables)
-        nv = len(self.variables)
         clean = {}
         if terms:
             for exps, c in terms.items():
-                c = norm_coeff(c)
-                if c == 0:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != nv or any(e < 0 or not isinstance(e, int) for e in exps):
-                    raise UsageError(f"bad exponent vector {exps} for variables {self.variables}")
-                clean[exps] = c
+                if type(c) is not int:
+                    c = norm_coeff(c)
+                if c:
+                    clean[exps if type(exps) is tuple else tuple(exps)] = c
+            # every exponent vector at once: their lengths, the types of the
+            # entries (so that the minimum compares only ints), the minimum
+            nv = len(self.variables)
+            flat = list(chain.from_iterable(clean))
+            if (
+                set(map(len, clean)) - {nv}
+                or not all(issubclass(t, int) for t in set(map(type, flat)))
+                or min(flat, default=0) < 0
+            ):
+                for exps in clean:
+                    if len(exps) != nv or not all(isinstance(e, int) and e >= 0 for e in exps):
+                        raise UsageError(f"bad exponent vector {exps} for variables {self.variables}")
         self.terms = clean
 
     # -- basics ------------------------------------------------------------

@@ -183,8 +183,13 @@ _AVOIDER_CACHE: "dict[tuple, tuple]" = {}
 def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMIT):
     """All permutations of 1..n avoiding the forbidden pattern, lex order.
 
-    Only the two length-3 patterns this package studies are supported; both
-    get an O(prefix) incremental completion test so generation prunes early.
+    Only the two length-3 patterns this package studies are supported.  The
+    132-avoiders come from the split at the maximum: a 132-avoider of length
+    m is L, m, R with every entry of L above every entry of R, where L and R
+    are 132-avoiders on the top and the bottom values below m; they are
+    built that way for every length up to n and then sorted.  The
+    123-avoiders are generated in lex order by a depth-first search that
+    prunes with an incremental completion test.
     """
     forbidden = tuple(forbidden)
     if forbidden not in (AV132, AV123):
@@ -196,10 +201,23 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
     hit = _AVOIDER_CACHE.get(key)
     if hit is not None:
         return hit
-    out: "list[Perm]" = []
-    prefix: "list[int]" = []
-    used = [False] * (n + 1)
-    if forbidden == AV123:
+    if forbidden == AV132:
+        levels: "list[list[Perm]]" = [[()]]
+        for m in range(1, n + 1):
+            level = []
+            for size in range(m):  # size = len(L); R has the low m - 1 - size values
+                low = m - 1 - size
+                rights = levels[low]
+                for left in levels[size]:
+                    head = tuple([v + low for v in left]) + (m,)
+                    level += [head + right for right in rights]
+            levels.append(level)
+        out = sorted(levels[n])
+    else:
+        out = []
+        prefix: "list[int]" = []
+        used = [False] * (n + 1)
+
         # state: (min value so far, smallest value with a smaller one before
         # it); appending a value above the latter would complete a 123
         def extend(cur_min: int, best: int) -> None:
@@ -219,33 +237,6 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
                 used[v] = False
 
         extend(n + 1, n + 1)
-    else:
-        # appending v completes a 132 iff some earlier value below v
-        # precedes some earlier value above v
-        def extend() -> None:
-            if len(prefix) == n:
-                out.append(tuple(prefix))
-                return
-            for v in range(1, n + 1):
-                if used[v]:
-                    continue
-                lo = n + 1
-                ok = True
-                for w in prefix:
-                    if w < lo:
-                        lo = w
-                    elif w > v and lo < v:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                used[v] = True
-                prefix.append(v)
-                extend()
-                prefix.pop()
-                used[v] = False
-
-        extend()
     result = tuple(out)
     _AVOIDER_CACHE[key] = result
     return result

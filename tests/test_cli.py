@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -117,6 +118,22 @@ def test_census_text(capsys):
     assert rc == EXIT_OK
     assert "3 classes" in out
     assert "213" in out and "321" in out
+
+
+# sha256 of the stdout of `census --family av132 --k 10`, recorded from the
+# engine that multiplied full-width operands once per split and unpacked
+# every pattern's sequence
+CENSUS_132_K10_DIGESTS = {
+    "text": "176de385cf9284f1a0e23406b1fdb0f1dc6d0c2c95fc390a863289c13ac1efa5",
+    "json": "7a169219f44f09a149551dfd9522cdecf6baf257b2ee864266d318c166ec2006",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(CENSUS_132_K10_DIGESTS))
+def test_census_132_k10_output_matches_its_recorded_digest(capsys, fmt):
+    rc, out, _ = run(capsys, "census", "--family", "av132", "--k", "10", "--format", fmt)
+    assert rc == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CENSUS_132_K10_DIGESTS[fmt]
 
 
 def test_guess_workflow_found_and_not_found(capsys, tmp_path):

@@ -55,6 +55,33 @@ def test_zero_coefficients_dropped_and_negative_exponents_rejected():
         MultiPoly(("t",), {(-1,): 2})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1,): 1},  # too few exponents
+        {(1, 2, 3): 1},  # too many
+        {(1, -1): 1},
+        {(1.0, 1): 1},
+        {(1, Fraction(1)): 1},
+        {(1, "2"): 1},
+        {(0, 0): 1, (2, 0): 3, (1, -4): 2},  # one bad vector among good ones
+        {(1, 2): 1.5},  # a float coefficient
+    ],
+)
+def test_constructor_rejects_bad_exponents_and_coefficients(terms):
+    with pytest.raises(UsageError):
+        MultiPoly(("t", "q"), terms)
+
+
+def test_constructor_normalizes_clean_terms():
+    # integral fractions collapse, zeros drop (whatever their key), tuples stay
+    p = MultiPoly(["t", "q"], {(1, 2): Fraction(4, 2), (0, 1): Fraction(1, 3), (5,): 0, (3, 3): 0})
+    assert p.terms == {(1, 2): 2, (0, 1): Fraction(1, 3)}
+    assert isinstance(p.terms[(1, 2)], int)
+    assert MultiPoly((), {(): 7}).terms == {(): 7}
+    assert MultiPoly(("t",), {}).terms == {}
+
+
 def test_evaluate_and_mass(rng):
     # the mass, the value at all-ones, is what specializing every variable leaves
     for _ in range(20):

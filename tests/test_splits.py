@@ -95,8 +95,10 @@ def test_packed_engine_matches_the_coefficient_recurrence():
         memo = {}
         for p in pats:
             assert eng.sequence(p) == tuple(_reference_totals(p, n_max, memo)), (n_max, p)
-        # every packed sequence is reduced to its n_max + 1 slots
-        assert all(0 <= v < 1 << eng.width * (n_max + 1) for v in eng.memo.values())
+        # every packed sequence is reduced to its n_max + 1 - |p| slots
+        assert all(
+            0 <= v < 1 << eng.width * max(n_max + 1 - len(q), 0) for q, v in eng.memo.items()
+        )
 
 
 def test_tiling_identity_at_n_120():
@@ -181,6 +183,27 @@ def test_census_132_class_counts_are_partition_numbers():
     expected = partition_numbers(7)[1:]
     got = [bona_census_132(k, prefix_len=18).class_count for k in range(1, 8)]
     assert got == expected
+
+
+def test_census_132_matches_grouping_by_the_coefficient_recurrence():
+    # classes and prefixes from the definitional recurrence, not the packed engine
+    memo = {}
+    for k in range(1, 7):
+        groups = {}
+        for p in enumerate_avoiders(AV132, k):
+            groups.setdefault(tuple(_reference_totals(p, 18, memo)), []).append(p)
+        expected = sorted((tuple(sorted(members)), seq) for seq, members in groups.items())
+        got = [(c.patterns, c.prefix) for c in bona_census_132(k, prefix_len=18).classes]
+        assert got == expected, k
+
+
+def test_census_132_on_a_wider_shared_engine_matches_its_own_engine():
+    # the census keys and reads its classes at its own prefix length
+    engine = AverageEngine(30)
+    for k in range(1, 7):
+        for prefix_len in (2 * k, 12):
+            shared = bona_census_132(k, prefix_len=prefix_len, engine=engine)
+            assert shared == bona_census_132(k, prefix_len=prefix_len), (k, prefix_len)
 
 
 def test_census_132_k3_frozen():
