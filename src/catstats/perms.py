@@ -5,7 +5,10 @@ tuple is the length-0 permutation.  Everything here is exhaustive-by-design
 reference code: the functional-recurrence engine is checked against these
 enumerators on every build, so clarity beats speed, except where a loop is
 genuinely hot (avoider generation, and patterns of length 2 and 3, which are
-counted with integer arithmetic rather than by classifying subsets).
+counted with integer arithmetic rather than by classifying subsets).  The
+avoiders of both families are grown one length at a time from the shorter
+ones, by where the maximum may go, and sorted once: no candidate is ever
+built and then tested for the forbidden pattern.
 
 The insertion map on 123-avoiders deserves a note.  It rebuilds a permutation
 of length m+1 from one of length m by freeing a front slot, letting the
@@ -187,9 +190,11 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
     132-avoiders come from the split at the maximum: a 132-avoider of length
     m is L, m, R with every entry of L above every entry of R, where L and R
     are 132-avoiders on the top and the bottom values below m; they are
-    built that way for every length up to n and then sorted.  The
-    123-avoiders are generated in lex order by a depth-first search that
-    prunes with an incremental completion test.
+    built that way for every length up to n and then sorted.  A 123-avoider
+    of length m is a 123-avoider of length m - 1 with m inserted where no
+    increasing pair precedes it (m would end a 123): at any position up to
+    and including the end of its longest decreasing prefix.  The
+    123-avoiders are grown that way, one length at a time, and then sorted.
     """
     forbidden = tuple(forbidden)
     if forbidden not in (AV132, AV123):
@@ -214,29 +219,16 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
             levels.append(level)
         out = sorted(levels[n])
     else:
-        out = []
-        prefix: "list[int]" = []
-        used = [False] * (n + 1)
-
-        # state: (min value so far, smallest value with a smaller one before
-        # it); appending a value above the latter would complete a 123
-        def extend(cur_min: int, best: int) -> None:
-            if len(prefix) == n:
-                out.append(tuple(prefix))
-                return
-            for v in range(1, best):
-                if used[v]:
-                    continue
-                used[v] = True
-                prefix.append(v)
-                if v < cur_min:
-                    extend(v, best)
-                else:
-                    extend(cur_min, v)
-                prefix.pop()
-                used[v] = False
-
-        extend(n + 1, n + 1)
+        level = [()]
+        for m in range(1, n + 1):
+            grown = []
+            for p in level:
+                end = min(1, len(p))  # the longest decreasing prefix is p[:end]
+                while end < len(p) and p[end] < p[end - 1]:
+                    end += 1
+                grown += [p[:i] + (m,) + p[i:] for i in range(end + 1)]
+            level = grown
+        out = sorted(level)
     result = tuple(out)
     _AVOIDER_CACHE[key] = result
     return result

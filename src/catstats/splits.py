@@ -59,8 +59,9 @@ MAX_ENGINE_N = 1000
 
 # Largest size, in bits, of the packed sequences one census may keep: 2^31
 # bits is 256 MiB.  A census of the length-k patterns keeps one packed
-# sequence per 132-avoider of length k, c(k) of them, and more for the
-# shorter parts of its closure.
+# sequence per 132-avoider of length k, c(k) of them, of n_max + 1 - k slots
+# each (the memo drops the k slots below size k), and more for the shorter
+# parts of its closure.
 MAX_CENSUS_BITS = 2**31
 
 
@@ -311,7 +312,7 @@ def bona_census_132(k: int, prefix_len: int = 30, engine: "AverageEngine | None"
     if prefix_len < 2 * k:
         raise UsageError(f"prefix_len must be >= 2k = {2 * k} to separate length-{k} patterns sensibly")
     n_max = prefix_len if engine is None else engine.n_max
-    bits = (n_max + 1) * _slot_width(n_max) * catalan(k)
+    bits = (n_max + 1 - k) * _slot_width(n_max) * catalan(k)
     if bits > MAX_CENSUS_BITS:
         raise UsageError(
             f"a census of the {catalan(k)} length-{k} patterns at n <= {n_max} keeps at "
@@ -347,36 +348,57 @@ def bona_census_123(k: int, n_max: int = 9, limit: int = DEFAULT_ORACLE_LIMIT) -
     avoiders of length n_max visits every avoider of every length.  Each
     carries its chain counts N_n indexed by the starting length n, and at
     length k, A_q(n) = N_n(q) / (n-k)!.
+
+    An avoider is a byte string, one byte per value, so a deletion is one
+    `bytes.translate` that drops the entry with value v and lowers every
+    value above v.  Bytes hold values up to 255; n_max is held to the oracle
+    limit (default 12, which the CLI census never raises), far below that.
+    An avoider's chain counts are packed into one integer, N_n in the w-bit
+    slot n, so a level adds 1 << w*m to every avoider of length m and a
+    deletion adds its source's integer to the target's.  No slot carries:
+    every slot holds a sum of non-negative chain counts, and for q of
+    length m
+
+        N_n(q) <= c(n) * C(n, m) * (n-m)! = c(n) * n!/m! <= n_max! * c(n_max),
+
+    which is below 2^w for w = (n_max! * c(n_max)).bit_length(); so, by
+    induction from the lowest slot up, no slot ever passes into the next.
+    The bound is reached: at k = 1, N_n_max(1) = (n_max-1)! * n_max * c(n_max).
     """
     if k < 1:
         raise UsageError("k must be >= 1")
     if n_max < k:
         raise UsageError(f"length-{k} patterns never occur below n = {k}; raise n_max")
     check_oracle_limit(n_max, limit)
-    level = {p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, n_max, limit)}
+    width = (factorial(n_max) * catalan(n_max)).bit_length()
+    # drop[v] deletes the byte v, down[v] lowers every value above v by one
+    drop = [bytes([v]) for v in range(n_max + 1)]
+    down = [bytes.maketrans(bytes(range(v + 1, n_max + 1)), bytes(range(v, n_max)))
+            for v in range(n_max + 1)]
+    level = dict.fromkeys(map(bytes, enumerate_avoiders(AV123, n_max, limit)), 0)
     for m in range(n_max, k - 1, -1):
         if len(level) != catalan(m):
             raise AssertionError(f"deletion pass reached {len(level)} avoiders of length {m}")
-        for chains in level.values():
-            chains[m] += 1  # the avoider itself starts a chain of length m
+        start = 1 << width * m
+        for p in level:
+            level[p] += start  # the avoider itself starts a chain of length m
         if m == k:
             break
-        below: "dict[tuple, list]" = {}
+        below: "dict[bytes, int]" = {}
+        get = below.get
         for p, chains in level.items():
             for v in p:
-                q = tuple(w - (w > v) for w in p if w != v)
-                acc = below.get(q)
-                if acc is None:
-                    below[q] = chains[:]
-                else:
-                    for n in range(m, n_max + 1):
-                        acc[n] += chains[n]
+                q = p.translate(down[v], drop[v])
+                below[q] = get(q, 0) + chains
         level = below
-    for chains in level.values():
+    slot = (1 << width) - 1
+    keyed = []
+    for p, chains in level.items():
+        seq = [0] * (n_max + 1)
         for n in range(k, n_max + 1):
-            total, rest = divmod(chains[n], factorial(n - k))
+            count = (chains >> width * n) & slot
+            seq[n], rest = divmod(count, factorial(n - k))
             if rest:
-                raise AssertionError(f"{chains[n]} chains from length {n} is not a multiple of {n - k}!")
-            chains[n] = total
-    return _census("av123", k, n_max, ((p, tuple(chains)) for p, chains in level.items()))
-
+                raise AssertionError(f"{count} chains from length {n} is not a multiple of {n - k}!")
+        keyed.append((tuple(p), tuple(seq)))
+    return _census("av123", k, n_max, keyed)

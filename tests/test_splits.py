@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 from math import comb
 
@@ -9,6 +10,7 @@ from catstats.perms import (
     AV123,
     AV132,
     catalan_list,
+    classify_all_subsets,
     count_occurrences,
     enumerate_avoiders,
     standardize,
@@ -235,13 +237,28 @@ def test_census_123_k3_frozen():
 
 
 def test_census_123_prefixes_are_occurrence_sums():
-    # the deletion-chain totals against the definitional per-permutation count
+    # the deletion-chain totals against the definitional per-permutation count:
+    # one pass over the length-k subsequences of each avoider counts them all
     avoiders = [enumerate_avoiders(AV123, n) for n in range(9)]
     for k in range(1, 5):
+        totals = []
+        for ws in avoiders:
+            counts = Counter()
+            for w in ws:
+                counts.update(classify_all_subsets(w, k))
+            totals.append(counts)
         for cls in bona_census_123(k, n_max=8).classes:
             for p in cls.patterns:
-                sums = tuple(sum(count_occurrences(p, w) for w in ws) for ws in avoiders)
-                assert cls.prefix == sums, p
+                assert cls.prefix == tuple(counts[p] for counts in totals), p
+
+
+def test_census_123_at_k1_reaches_its_slot_bound():
+    # every entry is an occurrence of 1, so A_1(n) = n * c(n); the top slot
+    # then holds n_max! * c(n_max) chains, the bound the slot width is cut to
+    for n_max in range(1, 10):
+        (cls,) = bona_census_123(1, n_max=n_max).classes
+        assert cls.patterns == ((1,),)
+        assert cls.prefix == tuple(n * c for n, c in enumerate(catalan_list(n_max)))
 
 
 def test_census_guards():
