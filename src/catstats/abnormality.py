@@ -31,7 +31,7 @@ from .moments import (
     moments_from_truncated,
     normal_reference,
 )
-from .multipoly import MultiPoly, coeff_to_str
+from .multipoly import coeff_to_str
 
 DEFAULT_N = 200
 DEFAULT_R = 4
@@ -348,8 +348,5 @@ def binomial_control_table(n_max: int, r_max: int = DEFAULT_R) -> MomentTable:
     real enumerators, nothing is transcribed.
     """
     ns = checkpoints(n_max)
-    f_rows = []
-    for n in ns:
-        poly = MultiPoly(("t",), {(j,): comb(n, j) for j in range(n + 1)})
-        f_rows.append(factorial_from_full(poly, r_max))
+    f_rows = [factorial_from_full([comb(n, j) for j in range(n + 1)], r_max) for n in ns]
     return moment_table_from_rows("synthetic", "binomial", "full", None, r_max, f_rows, ns)

@@ -118,8 +118,9 @@ def cmd_wenum(args) -> int:
         repeated = sorted({v for v in kept if kept.count(v) > 1})
         if repeated:
             raise UsageError(f"--vars names {repeated} more than once")
-    drop = [v for v in spec.variables if v not in kept]
-    values = [p.specialize_ones(drop) for p in eval_full(spec, args.n).values]
+    values = eval_full(spec, args.n).values
+    if args.vars is not None:  # the polynomial keeps the spec's variable order
+        values = [p.project([v for v in spec.variables if v in kept]) for p in values]
     config = {
         "family": args.family,
         "stat": args.stat,
@@ -170,10 +171,8 @@ def cmd_moments(args) -> int:
         obj["table"] = table.to_json_obj()
         text = _json_text(obj)
     elif args.format == "csv":
-        text = _csv_text(
-            _header("moments", config) + ",".join(table.csv_rows()[0]),
-            table.csv_rows()[1:],
-        )
+        head, *rows = table.csv_rows()
+        text = _csv_text(_header("moments", config) + ",".join(head), rows)
     else:
         lines = [_header("moments", config).rstrip("\n")]
         for row in table.rows:

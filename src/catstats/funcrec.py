@@ -433,17 +433,6 @@ def builtin_spec(family: str, statistic: str) -> FuncRecSpec:
 # -- brute-force oracle ----------------------------------------------------
 
 
-def _read_off(joint: MultiPoly, spec: FuncRecSpec) -> MultiPoly:
-    """A spec's enumerator from the joint enumerator over pattern variables:
-    untracked patterns go to 1, each spec variable takes its pattern's exponent."""
-    names = [dict(spec.tracked)[v] for v in spec.variables]
-    kept = joint.specialize_ones(v for v in joint.variables if v not in names)
-    pos = [kept.variables.index(name) for name in names]
-    return MultiPoly(
-        spec.variables, {tuple(e[i] for i in pos): c for e, c in kept.terms.items()}
-    )
-
-
 def verify_catalog(max_n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> "dict[str, tuple | None]":
     """Check every catalog spec's full-mode enumerators against brute force
     for n = 0..max_n.
@@ -467,7 +456,10 @@ def verify_catalog(max_n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> "dict[str, 
             if result[spec.label] is not None:
                 continue
             if spec.family == "av132":
-                brute = _read_off(joint, spec)
+                # each spec variable takes its pattern's exponent, and the
+                # untracked patterns go to 1
+                names = [dict(spec.tracked)[v] for v in spec.variables]
+                brute = MultiPoly(spec.variables, joint.project(names).terms)
             else:
                 brute = brute_sigma_enum(n, limit)
             if engine[spec.label][n] != brute:

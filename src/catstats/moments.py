@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DegenerateStatisticError, UsageError
-from .multipoly import MultiPoly, coeff_to_str
+from .multipoly import coeff_to_str
 from .series import TruncatedSeries
 
 DEFAULT_R_MAX = 8
@@ -49,9 +49,9 @@ def falling_factorial(i: int, r: int) -> int:
     return out
 
 
-def factorial_from_full(poly: MultiPoly, r_max: int) -> "list[int]":
-    """[f_0 .. f_r_max] from a univariate weight enumerator."""
-    coeffs = poly.univariate_coeffs()
+def factorial_from_full(coeffs: "Sequence[int]", r_max: int) -> "list[int]":
+    """[f_0 .. f_r_max] from the dense coefficients [c_0 .. c_d] of a
+    univariate weight enumerator."""
     out = []
     for r in range(r_max + 1):
         out.append(sum(c * falling_factorial(i, r) for i, c in enumerate(coeffs) if c))
@@ -244,16 +244,15 @@ def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, ns) -> M
 
 def moments_from_full(seq, r_max: int = DEFAULT_R_MAX) -> MomentTable:
     """Moment table of t from a full-mode EnumeratorSequence (catalytic
-    variables are specialized to 1 first)."""
+    variables are set to 1 first)."""
     if r_max < 0:
         raise UsageError(f"moment order r must be >= 0, got r = {r_max}")
     spec = seq.spec
-    drop = [v for v in spec.variables if v != "t"]
     f_rows = []
     for p in seq.values:
-        if drop:
-            p = p.specialize_ones(drop)
-        f_rows.append(factorial_from_full(p, r_max))
+        terms = p.project(("t",)).terms
+        coeffs = [terms.get((i,), 0) for i in range(max(terms)[0] + 1)]
+        f_rows.append(factorial_from_full(coeffs, r_max))
     return moment_table_from_rows(
         spec.family, spec.statistic, "full", None, r_max, f_rows, range(len(f_rows))
     )

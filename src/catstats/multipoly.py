@@ -1,22 +1,20 @@
-"""Sparse multivariate polynomials and (n, k)-indexed exponent polynomials.
+"""Weight enumerators as records, and (n, k)-indexed exponent polynomials.
 
-A MultiPoly is a record with no arithmetic: the exact form in which full mode
-and the brute-force oracles hand over weight enumerators.  It is built from a
-terms dict, compared, specialized at 1, read as a dense univariate list and
-printed.  Coefficients are Python ints or fractions.Fraction; integral values
-are collapsed to int on the way in.
+A MultiPoly is the exact form in which full mode and the brute-force oracles
+hand over weight enumerators: the names of the variables and a terms dict
+from exponent tuples (one non-negative int per variable, in the order of
+`variables`) to positive int counts.  Every producer builds it that way, so
+the record checks and normalizes nothing, and equality is the tuple's.  It
+has one projection, `project`, which keeps the named variables and sets the
+others to 1, and it prints its terms in ascending graded lexicographic order.
 
-Terms are a dict mapping exponent tuples (one entry per variable, order fixed
-by the `variables` tuple) to nonzero coefficients.  Equality is structural.
-Printed term order is graded lexicographic, ascending.  The rational helpers
-(`norm_coeff`, `coeff_to_str`, `coeff_from_str`, `join_signed`) serve every
-exact wire format.
+The rational helpers (`norm_coeff`, `coeff_to_str`, `coeff_from_str`,
+`join_signed`) serve every exact wire format; no MultiPoly holds a Fraction.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
 
@@ -55,98 +53,36 @@ def join_signed(terms: Iterable[str]) -> str:
     return " ".join(out) or "0"
 
 
-def grlex_key(exps: tuple) -> tuple:
-    return (sum(exps), exps)
+class MultiPoly(NamedTuple):
+    """The weight enumerator sum of c * prod_i variables[i]^e[i] over the
+    items (e, c) of `terms`, every c a positive int."""
 
+    variables: "tuple[str, ...]"
+    terms: "dict[tuple, int]"
 
-class MultiPoly:
-    """Immutable-by-convention sparse polynomial over named variables."""
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables: Iterable[str], terms: Mapping | None = None):
-        self.variables = tuple(variables)
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if type(c) is not int:
-                    c = norm_coeff(c)
-                if c:
-                    clean[exps if type(exps) is tuple else tuple(exps)] = c
-            # every exponent vector at once: their lengths, the types of the
-            # entries (so that the minimum compares only ints), the minimum
-            nv = len(self.variables)
-            flat = list(chain.from_iterable(clean))
-            if (
-                set(map(len, clean)) - {nv}
-                or not all(issubclass(t, int) for t in set(map(type, flat)))
-                or min(flat, default=0) < 0
-            ):
-                for exps in clean:
-                    if len(exps) != nv or not all(isinstance(e, int) and e >= 0 for e in exps):
-                        raise UsageError(f"bad exponent vector {exps} for variables {self.variables}")
-        self.terms = clean
-
-    # -- basics ------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def sorted_terms(self) -> "list[tuple[tuple, int | Fraction]]":
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]))
-
-    # -- structural operations ---------------------------------------------
-
-    def specialize_ones(self, names: Iterable[str]) -> "MultiPoly":
-        """Set the named variables to 1 and drop them."""
-        names = set(names)
-        unknown = names - set(self.variables)
-        if unknown:
-            raise UsageError(f"unknown variables {sorted(unknown)}")
-        keep = [i for i, v in enumerate(self.variables) if v not in names]
-        out = {}
+    def project(self, names: "Sequence[str]") -> "MultiPoly":
+        """The enumerator over `names`, in that order, with every other
+        variable set to 1.  Each name must be one of `variables`."""
+        pos = [self.variables.index(v) for v in names]
+        terms: "dict[tuple, int]" = {}
         for exps, c in self.terms.items():
-            key = tuple(exps[i] for i in keep)
-            out[key] = out.get(key, 0) + c
-        return MultiPoly(tuple(self.variables[i] for i in keep), out)
-
-    def univariate_coeffs(self) -> list:
-        """Dense coefficient list [c_0..c_d]; the polynomial must be univariate."""
-        if len(self.variables) != 1:
-            raise UsageError("univariate_coeffs needs a one-variable polynomial")
-        d = self.total_degree()
-        out = [0] * (d + 1)
-        for (e,), c in self.terms.items():
-            out[e] = c
-        return out
-
-    # -- presentation ------------------------------------------------------
+            key = tuple([exps[i] for i in pos])
+            terms[key] = terms.get(key, 0) + c
+        return MultiPoly(tuple(names), terms)
 
     def __str__(self) -> str:
+        terms = self.terms
+        # the strings of v^0 .. v^(top exponent) per variable, looked up per term
+        powers = [
+            ["", v] + [f"{v}^{e}" for e in range(2, top + 1)]
+            for v, top in zip(self.variables, map(max, zip(*terms)))
+        ]
         chunks = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.variables, exps) if e
-            )
-            if not mono:
-                body = str(c)
-            elif c == 1:
-                body = mono
-            elif c == -1:
-                body = "-" + mono
-            else:
-                body = f"{c}{mono}" if isinstance(c, int) else f"{c}*{mono}"
-            chunks.append(body)
-        return join_signed(chunks)
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.variables!r}, {str(self)!r})"
+        keys = sorted(sorted(terms), key=sum)
+        for exps, c in zip(keys, map(terms.__getitem__, keys)):
+            mono = "*".join(filter(None, map(list.__getitem__, powers, exps)))
+            chunks.append(mono if c == 1 and mono else f"{c}{mono}")
+        return " + ".join(chunks)
 
 
 class IndexPoly:

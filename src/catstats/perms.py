@@ -338,23 +338,22 @@ def brute_weight_enum(
 ) -> MultiPoly:
     """Sum over avoiders of prod_i var_i ^ (occurrences of stats[i]).
 
-    Statistics of length at most 3 come from `short_pattern_counts`; each
-    longer length gets one `classify_all_subsets` pass per avoider, counting
-    every statistic of that length at once.
+    Every statistic has length at most 3, the lengths `verify_catalog`
+    tracks, and all of them come from one `short_pattern_counts` call per
+    avoider.
     """
     if len(stats) != len(variables):
         raise UsageError("one variable per statistic, in the same order")
-    variables = tuple(variables)
     stats = [tuple(s) for s in stats]
-    long = sorted({len(s) for s in stats if len(s) > 3})
+    for s in stats:
+        if len(s) > 3:
+            raise UsageError(f"brute force counts patterns of length <= 3, got {format_perm(s)}")
     terms: "dict[tuple, int]" = {}
     for p in enumerate_avoiders(forbidden, n, limit):
         counts = short_pattern_counts(p)
-        for k in long:
-            counts.update(classify_all_subsets(p, k))
         key = tuple(counts.get(s, 0) for s in stats)
         terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(variables, terms)
+    return MultiPoly(tuple(variables), terms)
 
 
 def brute_sigma_enum(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> MultiPoly:

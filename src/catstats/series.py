@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from operator import add
+from itertools import repeat
+from operator import add, floordiv, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import UsageError
@@ -97,19 +98,16 @@ def mul_into(out: list, pairs: list, a: "Sequence", b: "Sequence") -> None:
                     out[t] += x * y
 
 
-def binomial_coeffs(e: int, cap: int) -> "list[int]":
-    """[C(e, 0), C(e, 1), ..., C(e, cap)] for arbitrarily large integer e >= 0.
+def binomial_rows(values: "Sequence[int]", cap: int) -> "list[list[int]]":
+    """[C(a, d) for a in values] for d = 0 .. cap, every a >= 0.
 
-    Multiplicative recurrence; never touches factorials of e.
+    Multiplicative recurrence; never touches factorials of a.
     """
-    if e < 0:
-        raise UsageError("binomial exponent must be >= 0")
-    out = [1]
-    c = 1
-    for j in range(1, cap + 1):
-        c = c * (e - j + 1) // j
-        out.append(c)
-    return out
+    rows = [[1] * len(values)]
+    for d in range(1, cap + 1):
+        tops = map(sub, values, repeat(d - 1))
+        rows.append(list(map(floordiv, map(mul, rows[-1], tops), repeat(d))))
+    return rows
 
 
 def monomial_coeffs(basis: SeriesBasis, exps: "Sequence[int]") -> list:
@@ -120,7 +118,7 @@ def monomial_coeffs(basis: SeriesBasis, exps: "Sequence[int]") -> list:
     for v, e in enumerate(exps):
         if e:
             power = [0] * size
-            for j, c in enumerate(binomial_coeffs(e, basis.cap)):
+            for j, (c,) in enumerate(binomial_rows([e], basis.cap)):
                 power[basis.index[(0,) * v + (j,) + (0,) * (nv - v - 1)]] = c
             prod = [0] * size
             mul_into(prod, basis.pairs, out, power)

@@ -20,8 +20,8 @@ UsageError naming the first (n, k) in the walk order of funcrec._summands.
 """
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from operator import add, floordiv, mul, sub
+from itertools import accumulate
+from operator import add, mul, sub
 from typing import Callable
 
 from .errors import UsageError
@@ -30,6 +30,7 @@ from .series import (
     SeriesBasis,
     TruncatedSeries,
     apply_operator,
+    binomial_rows,
     monomials_upto,
     mul_into,
     substitution_operator,
@@ -92,15 +93,6 @@ def _window_values(poly: IndexPoly, n: int, ks: range) -> "list[int]":
     for first in reversed(diffs[:deg]):
         seq = list(accumulate(seq, initial=first))
     return seq
-
-
-def _binomial_rows(values: "list[int]", cap: int) -> "list[list[int]]":
-    """[C(a, d) for a in values] for d = 0 .. cap, every a >= 0."""
-    rows = [[1] * len(values)]
-    for d in range(1, cap + 1):
-        tops = map(sub, values, repeat(d - 1))
-        rows.append(list(map(floordiv, map(mul, rows[-1], tops), repeat(d))))
-    return rows
 
 
 def _differences(ops: list, degrees: list, size: int) -> list:
@@ -175,7 +167,7 @@ class _Images:
         """Per basis monomial, the image's coefficient over the window of
         stored indices lo .. hi - 1 (reversed when asked), each under the
         matrix at that window position's exponents `evals`."""
-        weights = [_binomial_rows(evals[p], cap) for p in self.varying]
+        weights = [binomial_rows(evals[p], cap) for p in self.varying]
         acc = None
         for d, part, targets in zip(self.degrees, self.parts, self.targets):
             block = part[lo:hi]
@@ -241,7 +233,7 @@ class _TermWalk:
         """The columns of a window of w summands times the coefficient: each
         factor (1 + z_v)^E is a binomial shift along variable v."""
         for v, e in self.coef:
-            rows = _binomial_rows([e] * w if type(e) is int else evals[e], self.cap)
+            rows = binomial_rows([e] * w if type(e) is int else evals[e], self.cap)
             shifted = []
             for col, chain in zip(cols, self.shifts[v]):
                 for j, src in chain:

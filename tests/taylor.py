@@ -29,7 +29,8 @@ def taylor(p: MultiPoly, cap: int) -> TruncatedSeries:
 def polynomial(s: TruncatedSeries) -> MultiPoly:
     """The polynomial whose expansion at all-ones is s, the sum of
     c * prod_v (v - 1)^e_v; exact only when nothing was cut (degree <= cap).
-    (v - 1)^e = sum_i C(e, i) (-1)^(e - i) v^i."""
+    (v - 1)^e = sum_i C(e, i) (-1)^(e - i) v^i.  Its coefficients may be
+    negative, and the terms that cancel to 0 are dropped."""
     terms: dict = {}
     for f, c in zip(s.basis.monomials, s.coeffs):
         parts = [((), c)]
@@ -39,4 +40,4 @@ def polynomial(s: TruncatedSeries) -> MultiPoly:
             ]
         for x, a in parts:
             terms[x] = terms.get(x, 0) + a
-    return MultiPoly(s.basis.variables, terms)
+    return MultiPoly(s.basis.variables, {x: a for x, a in terms.items() if a})

@@ -265,7 +265,7 @@ def test_frozen_small_enumerators():
     assert str(seq231.values[3]) == "1 + q + q^2 + t*q + q^3"
 
     full = eval_full(builtin_spec("av123", "213"), 4)
-    proj = [p.specialize_ones(["s1", "s2"]) for p in full.values]
+    proj = [p.project(["t"]) for p in full.values]
     assert [str(p) for p in proj] == ["1", "1", "2", "4 + t", "8 + 4t + t^2 + t^3"]
 
 
@@ -279,5 +279,5 @@ def test_pattern_equal_to_forbidden_is_trivial():
 
 def test_full_specialize_all_ones_gives_masses():
     seq = eval_full(builtin_spec("av132", "213"), 6)
-    ones = [p.specialize_ones(seq.spec.variables) for p in seq.values]
+    ones = [p.project(()) for p in seq.values]
     assert [p.terms[()] for p in ones] == catalan_list(6)

@@ -80,13 +80,14 @@ def test_moments_match_brute_distribution():
 def test_factorial_from_full_is_derivative_data():
     # f_r(n) = sum over weights of (occ)_r, read off the enumerator
     spec = builtin_spec("av132", "123")
-    values = [p.specialize_ones(["q"]) for p in eval_full(spec, 6).values]
+    values = [p.project(["t"]).terms for p in eval_full(spec, 6).values]
     for n in range(7):
         occs = [
             count_occurrences((1, 2, 3), p)
             for p in enumerate_avoiders((1, 3, 2), n)
         ]
-        got = factorial_from_full(values[n], 3)
+        coeffs = [values[n].get((i,), 0) for i in range(max(values[n])[0] + 1)]
+        got = factorial_from_full(coeffs, 3)
         assert got == [
             sum(falling_factorial(c, r) for c in occs) for r in range(4)
         ]

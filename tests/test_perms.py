@@ -97,7 +97,9 @@ def test_avoiders_match_naive_filter():
     # both in lex order: the 132-avoiders are built by the max split and sorted
     for n in range(9):
         for forbidden in (AV132, AV123):
-            lex = [p for p in permutations(range(1, n + 1)) if not contains(p, forbidden)]
+            lex = [
+                p for p in permutations(range(1, n + 1)) if short_pattern_counts(p)[forbidden] == 0
+            ]
             assert list(enumerate_avoiders(forbidden, n)) == lex, (forbidden, n)
 
 
@@ -154,9 +156,9 @@ def test_brute_weight_enum_frozen_example():
 
 
 def test_brute_weight_enum_matches_per_statistic_counts():
-    # lengths 0, 2, 3 and 4 share one classification pass per length
-    stats = [(), (2, 1), (1, 3, 2), (1, 2), (2, 1, 3), (3, 1, 4, 2), (2, 1)]
-    variables = ["e", "a", "b", "c", "d", "f", "g"]
+    # lengths 0, 2 and 3, all from one short_pattern_counts call per avoider
+    stats = [(), (2, 1), (1, 3, 2), (1, 2), (2, 1, 3), (2, 1)]
+    variables = ["e", "a", "b", "c", "d", "g"]
     for forbidden in (AV132, AV123):
         for n in range(8):
             expected: dict = {}
@@ -166,6 +168,11 @@ def test_brute_weight_enum_matches_per_statistic_counts():
             got = brute_weight_enum(forbidden, stats, n, variables)
             assert got.variables == tuple(variables)
             assert dict(got.terms) == expected, (forbidden, n)
+
+
+def test_brute_weight_enum_refuses_a_statistic_longer_than_three():
+    with pytest.raises(UsageError, match="length <= 3, got 3142"):
+        brute_weight_enum(AV132, [(2, 1), (3, 1, 4, 2)], 4, ["t", "q"])
 
 
 def test_brute_sigma_enum_matches_per_perm_stats():

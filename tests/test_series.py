@@ -7,7 +7,7 @@ from catstats.series import (
     SeriesBasis,
     TruncatedSeries,
     apply_operator,
-    binomial_coeffs,
+    binomial_rows,
     monomial_coeffs,
     mul_into,
     substitution_operator,
@@ -15,12 +15,18 @@ from catstats.series import (
 from taylor import polynomial, taylor
 
 
+def signed(variables, terms):
+    """A polynomial with signed coefficients, its zero terms dropped: the
+    references here may cancel what MultiPoly's producers never make."""
+    return MultiPoly(variables, {e: c for e, c in terms.items() if c})
+
+
 def random_poly(rng, variables=("t", "q"), n_terms=4, max_exp=2, max_c=4):
     terms = {}
     for _ in range(n_terms):
         exps = tuple(rng.randrange(max_exp + 1) for _ in variables)
         terms[exps] = rng.randint(-max_c, max_c)
-    return MultiPoly(variables, terms)
+    return signed(variables, terms)
 
 
 def product(a, b):
@@ -30,7 +36,7 @@ def product(a, b):
         for eb, cb in b.terms.items():
             key = tuple(map(add, ea, eb))
             terms[key] = terms.get(key, 0) + ca * cb
-    return MultiPoly(a.variables, terms)
+    return signed(a.variables, terms)
 
 
 def substitute(p, rows):
@@ -40,7 +46,7 @@ def substitute(p, rows):
     for exps, c in p.terms.items():
         key = tuple(sum(e * row[j] for e, row in zip(exps, rows)) for j in range(len(rows)))
         terms[key] = terms.get(key, 0) + c
-    return MultiPoly(p.variables, terms)
+    return signed(p.variables, terms)
 
 
 def evaluate(p, at):
@@ -126,10 +132,13 @@ def test_substitution_operator_three_variables(rng):
 
 
 def test_binomial_coeffs_small_and_huge():
-    assert binomial_coeffs(7, 4) == [comb(7, r) for r in range(5)]
+    small = [c for (c,) in binomial_rows([7], 4)]
+    assert small == [comb(7, r) for r in range(5)]
     e = 10**12
-    got = binomial_coeffs(e, 3)
+    got = [c for (c,) in binomial_rows([e], 3)]
     assert got == [1, e, e * (e - 1) // 2, e * (e - 1) * (e - 2) // 6]
+    # one row per order, over every value at once
+    assert binomial_rows([7, e], 3) == [list(pair) for pair in zip(small, got)]
 
 
 def test_binomial_series_matches_power_expansion():
