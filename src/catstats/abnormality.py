@@ -121,10 +121,9 @@ def _check_table_r(r_max: int) -> None:
         raise UsageError(f"verdicts need moments through r = 4, got r_max = {r_max}")
 
 
-def check_table_settings(n_max: int, r_max: int, *, tau_skew, tau_kurt, epsilon, order) -> None:
+def _check_table_settings(n_max: int, r_max: int, *, tau_skew, tau_kurt, epsilon, order) -> None:
     """Make analyze_table's refusals for a table of rows 0..n_max before the
-    table is built, with the same messages in the same order.  analyze and
-    the synthetic control both refuse through it."""
+    table is built, with the same messages in the same order."""
     _check_table_r(r_max)
     _check_settings(tau_skew, tau_kurt, epsilon, order, len(checkpoints(n_max)))
 
@@ -182,12 +181,6 @@ class AbnormalityReport(NamedTuple):
     evidence: "tuple[MomentEvidence, ...]"
     verdict: str
     criterion: str
-
-    def evidence_for(self, r: int) -> MomentEvidence:
-        for ev in self.evidence:
-            if ev.r == r:
-                return ev
-        raise UsageError(f"no evidence for moment order {r}")
 
     def to_json_obj(self) -> dict:
         return {
@@ -257,8 +250,8 @@ def analyze_table(
 ) -> AbnormalityReport:
     """Issue a verdict from an already-computed moment table.
 
-    This is the single verdict path: analyze() feeds catalog statistics
-    through it and synthetic controls enter here directly.
+    This is the single verdict path: analyze() feeds catalog statistics and
+    the synthetic control through it.
     """
     _check_table_r(table.r_max)
     n_top = table.rows[-1].n
@@ -321,14 +314,21 @@ def analyze(
     epsilon: float = DEFAULT_EPSILON,
     order: int = DEFAULT_ORDER,
 ) -> AbnormalityReport:
-    """Run the truncated pipeline to n_max and judge statistic's limit shape."""
-    check_table_settings(
+    """Run the truncated pipeline to n_max and judge statistic's limit shape.
+
+    The family "synthetic" has one statistic, "binomial": the control of
+    `binomial_control_table`, judged by the same verdict path."""
+    if family == "synthetic" and statistic != "binomial":
+        raise UsageError("the synthetic family only offers the binomial control")
+    _check_table_settings(
         n_max, r_max, tau_skew=tau_skew, tau_kurt=tau_kurt, epsilon=epsilon, order=order
     )
-    cps = checkpoints(n_max)
-    spec = builtin_spec(family, statistic)
-    seq = eval_truncated(spec, n_max, cap=r_max)
-    table = moments_from_truncated(seq, r_max=r_max, ns=cps)
+    if family == "synthetic":
+        table = binomial_control_table(n_max, r_max)
+    else:
+        spec = builtin_spec(family, statistic)
+        seq = eval_truncated(spec, n_max, cap=r_max)
+        table = moments_from_truncated(seq, r_max=r_max, ns=checkpoints(n_max))
     return analyze_table(
         table,
         tau_skew=tau_skew,

@@ -34,9 +34,6 @@ from .abnormality import (
     DEFAULT_TAU_KURT,
     DEFAULT_TAU_SKEW,
     analyze,
-    analyze_table,
-    binomial_control_table,
-    check_table_settings,
 )
 from .errors import UsageError
 from .funcrec import builtin_spec, eval_full, eval_truncated, verify_catalog
@@ -351,19 +348,10 @@ def cmd_guess(args) -> int:
 
 
 def cmd_abnormal(args) -> int:
-    settings = {
-        "tau_skew": args.tau_skew,
-        "tau_kurt": args.tau_kurt,
-        "epsilon": args.epsilon,
-        "order": args.order,
-    }
-    if args.family == "synthetic":
-        if args.stat != "binomial":
-            raise UsageError("the synthetic family only offers the binomial control")
-        check_table_settings(args.n_max, args.r, **settings)
-        report = analyze_table(binomial_control_table(args.n_max, args.r), **settings)
-    else:
-        report = analyze(args.family, args.stat, args.n_max, args.r, **settings)
+    report = analyze(
+        args.family, args.stat, args.n_max, args.r,
+        tau_skew=args.tau_skew, tau_kurt=args.tau_kurt, epsilon=args.epsilon, order=args.order,
+    )
     config = {
         "family": args.family,
         "stat": args.stat,

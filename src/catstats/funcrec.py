@@ -413,8 +413,6 @@ _CATALOG_BUILDERS = {
     ("av123", "213"): _spec_av123_213,
 }
 
-_CATALOG_CACHE: dict = {}
-
 
 def builtin_families() -> "list[tuple[str, str]]":
     return sorted(_CATALOG_BUILDERS)
@@ -425,9 +423,7 @@ def builtin_spec(family: str, statistic: str) -> FuncRecSpec:
     if key not in _CATALOG_BUILDERS:
         known = ", ".join(f"{f}:{s}" for f, s in builtin_families())
         raise UsageError(f"no builtin recurrence for {family}:{statistic}; available: {known}")
-    if key not in _CATALOG_CACHE:
-        _CATALOG_CACHE[key] = _CATALOG_BUILDERS[key]()
-    return _CATALOG_CACHE[key]
+    return _CATALOG_BUILDERS[key]()
 
 
 # -- brute-force oracle ----------------------------------------------------

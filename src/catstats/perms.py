@@ -17,12 +17,12 @@ freed positions (first such entry into the front slot, each later one into
 the position the previous one vacated), bumping every value by 1 and writing
 the new smallest value 1 into the last vacated position.  That this makes
 (k, pi1, pi2) -> pi1-block + insert(pi2) a bijection onto the 123-avoiders of
-each size is checked exhaustively by `validate_insertion_reading`.
+each size is checked exhaustively, for every size up to 8, by the bijection
+check in tests/reference.py.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Sequence
 
 from .errors import UsageError
@@ -42,15 +42,6 @@ def catalan(n: int) -> int:
 
 def catalan_list(n_max: int) -> "list[int]":
     return [catalan(n) for n in range(n_max + 1)]
-
-
-def standardize(seq: Sequence) -> Perm:
-    """Relabel distinct values order-isomorphically to 1..len(seq)."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        raise UsageError(f"cannot standardize a sequence with repeats: {seq}")
-    rank = {v: i + 1 for i, v in enumerate(sorted(seq))}
-    return tuple(rank[v] for v in seq)
 
 
 def parse_perm(text: str) -> Perm:
@@ -76,44 +67,6 @@ def format_perm(p: Perm) -> str:
     if len(p) <= 9:
         return "".join(str(v) for v in p)
     return " ".join(str(v) for v in p)
-
-
-def count_occurrences(pattern: Perm, perm: Perm) -> int:
-    """Number of subsequences of `perm` order-isomorphic to `pattern`."""
-    k = len(pattern)
-    if k == 0:
-        return 1
-    if k > len(perm):
-        return 0
-    count = 0
-    for comb in combinations(perm, k):
-        rank = {v: i + 1 for i, v in enumerate(sorted(comb))}
-        if all(rank[v] == p for v, p in zip(comb, pattern)):
-            count += 1
-    return count
-
-
-def contains(perm: Perm, pattern: Perm) -> bool:
-    k = len(pattern)
-    if k == 0:
-        return True
-    for comb in combinations(perm, k):
-        rank = {v: i + 1 for i, v in enumerate(sorted(comb))}
-        if all(rank[v] == p for v, p in zip(comb, pattern)):
-            return True
-    return False
-
-
-def classify_all_subsets(perm: Perm, k: int) -> "dict[Perm, int]":
-    """Pattern -> occurrence count over all C(n, k) subsequences of length k."""
-    if k < 0:
-        raise UsageError("subset size must be >= 0")
-    out: "dict[Perm, int]" = {}
-    for comb in combinations(perm, k):
-        rank = {v: i + 1 for i, v in enumerate(sorted(comb))}
-        pat = tuple(rank[v] for v in comb)
-        out[pat] = out.get(pat, 0) + 1
-    return out
 
 
 def count_213(perm: Perm) -> int:
@@ -180,9 +133,6 @@ def check_oracle_limit(n: int, limit: int) -> None:
         )
 
 
-_AVOIDER_CACHE: "dict[tuple, tuple]" = {}
-
-
 def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMIT):
     """All permutations of 1..n avoiding the forbidden pattern, lex order.
 
@@ -202,10 +152,6 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
     if n < 0:
         raise UsageError("n must be >= 0")
     check_oracle_limit(n, limit)
-    key = (forbidden, n)
-    hit = _AVOIDER_CACHE.get(key)
-    if hit is not None:
-        return hit
     if forbidden == AV132:
         levels: "list[list[Perm]]" = [[()]]
         for m in range(1, n + 1):
@@ -229,9 +175,7 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
                 grown += [p[:i] + (m,) + p[i:] for i in range(end + 1)]
             level = grown
         out = sorted(level)
-    result = tuple(out)
-    _AVOIDER_CACHE[key] = result
-    return result
+    return tuple(out)
 
 
 # -- the insertion map on 123-avoiders -------------------------------------
@@ -269,61 +213,17 @@ def _slide_into_front(p: Perm, keep: "list[bool]"):
     return tuple(out)
 
 
-def _insert_rl_chain(p: Perm) -> Perm:
-    return _slide_into_front(p, _rl_maxima_mask(p))
-
-
-def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_LIMIT):
-    """Check the (k, left, right) composition is a bijection for every n <= n_max.
-
-    Returns (ok, diagnostic).
-    """
-    for n in range(0, n_max + 1):
-        target = set(enumerate_avoiders(AV123, n, limit))
-        seen = {}
-        for k in range(1, n + 1):
-            for left in enumerate_avoiders(AV123, n - k, limit):
-                for right in enumerate_avoiders(AV123, k - 1, limit):
-                    u = insert(right)
-                    img = tuple(v + len(u) for v in left) + u
-                    if img in seen:
-                        return False, (
-                            f"collision at n={n}: ({k},{format_perm(left)},{format_perm(right)}) "
-                            f"and {seen[img]} both give {format_perm(img)}"
-                        )
-                    seen[img] = (k, format_perm(left), format_perm(right))
-                    if img not in target:
-                        return False, f"image {format_perm(img)} at n={n} contains 123"
-        if n == 0:
-            if () not in target:
-                return False, "empty permutation missing"
-            continue
-        if len(seen) != len(target):
-            missing = target - set(seen)
-            return False, f"not onto at n={n}: {len(seen)} images vs {len(target)} avoiders, e.g. missing {sorted(missing)[:3]}"
-    return True, "ok"
-
-
 def insertion_map(p: Perm) -> Perm:
-    """The insertion map; input must avoid 123."""
-    if contains(p, AV123):
-        raise UsageError(f"{format_perm(p)} contains 123")
-    return _insert_rl_chain(p)
+    """The insertion map of the module docstring.  Precondition: p avoids
+    123; it is not checked, and the image of any other p means nothing."""
+    return _slide_into_front(p, _rl_maxima_mask(p))
 
 
 def _sigma_key(p: Perm) -> "tuple[int, int, int]":
     """(213-count, sigma1, sigma2) of a 123-avoider; avoidance is not checked."""
-    u = _insert_rl_chain(p)
-    a0, a1, a2 = (count_213(q) for q in (p, u, _insert_rl_chain(u)))
+    u = insertion_map(p)
+    a0, a1, a2 = (count_213(q) for q in (p, u, insertion_map(u)))
     return a0, a1 - a0, (a2 - a1) - (a1 - a0)
-
-
-def sigma_stats(p: Perm) -> "tuple[int, int]":
-    """First and second forward differences of the 213 count along the
-    insertion-map orbit: the catalytic pair the 123-family recurrence tracks."""
-    if contains(p, AV123):
-        raise UsageError(f"{format_perm(p)} contains 123")
-    return _sigma_key(p)[1:]
 
 
 # -- brute-force weight enumerators ----------------------------------------

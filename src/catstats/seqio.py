@@ -90,13 +90,19 @@ def load_sequence(path) -> SequenceFile:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+    """Write via a sibling temp file and rename, so readers never see halves.
+
+    The file gets the mode open(path, "w") gives a new file, 0o666 less the
+    umask, rather than mkstemp's 0o600."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".catstats-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -105,6 +111,3 @@ def atomic_write_text(path, text: str) -> None:
             pass
         raise
 
-
-def save_sequence(path, seq: SequenceFile) -> None:
-    atomic_write_text(path, json.dumps(seq.to_json_obj(), indent=2) + "\n")

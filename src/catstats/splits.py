@@ -65,15 +65,10 @@ MAX_ENGINE_N = 1000
 MAX_CENSUS_BITS = 2**31
 
 
-class SplitTerm(NamedTuple):
-    prefix: tuple
-    suffix: tuple
-    uses_max: bool
-
-
-def _split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
-    """(prefix, suffix, uses_max) for every valid split of the standardized
-    pattern p, in `split_decompose`'s order.
+def split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
+    """(prefix, suffix, uses_max) for every way an occurrence of the
+    standardized pattern p distributes over (left block, max, right block),
+    by increasing prefix length.
 
     A split is valid when every prefix value exceeds every suffix value, that
     is, when the prefix holds the top values of what the split keeps.  Then the
@@ -97,14 +92,6 @@ def _split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
             if v < low:
                 low = v
     return terms
-
-
-def split_decompose(p) -> "tuple[SplitTerm, ...]":
-    """All ways an occurrence of p distributes over (left block, max, right block)."""
-    p = tuple(p)
-    if sorted(p) != list(range(1, len(p) + 1)):
-        raise UsageError(f"pattern must be standardized, got {p}")
-    return tuple(SplitTerm(*t) for t in _split_terms(p))
 
 
 def _slot_width(n_max: int) -> int:
@@ -209,7 +196,7 @@ class AverageEngine:
                 continue
             size = len(q)
             own = groups[q] = {}
-            for pre, suf, uses_max in _split_terms(q):
+            for pre, suf, uses_max in split_terms(q):
                 if len(pre) == size or len(suf) == size:
                     continue
                 own.setdefault(suf, []).append((pre, not uses_max))
@@ -301,36 +288,31 @@ def _census(family: str, k: int, prefix_len: int, keyed, prefix=tuple) -> Census
     )
 
 
-def bona_census_132(k: int, prefix_len: int = 30, engine: "AverageEngine | None" = None) -> CensusResult:
+def bona_census_132(k: int, prefix_len: int = 30) -> CensusResult:
     """Group the 132-avoiding length-k patterns by their total-occurrence
     sequences on sizes 0..prefix_len.
 
-    The key of a pattern is its memo value cut to the prefix, so equal keys
-    are equal sequences, and one sequence per class is unpacked."""
+    The key of a pattern is its memo value, which packs exactly its values
+    on sizes k..prefix_len, so equal keys are equal sequences, and one
+    sequence per class is unpacked."""
     if k < 1:
         raise UsageError("k must be >= 1")
     if prefix_len < 2 * k:
         raise UsageError(f"prefix_len must be >= 2k = {2 * k} to separate length-{k} patterns sensibly")
-    n_max = prefix_len if engine is None else engine.n_max
-    bits = (n_max + 1 - k) * _slot_width(n_max) * catalan(k)
+    bits = (prefix_len + 1 - k) * _slot_width(prefix_len) * catalan(k)
     if bits > MAX_CENSUS_BITS:
         raise UsageError(
-            f"a census of the {catalan(k)} length-{k} patterns at n <= {n_max} keeps at "
+            f"a census of the {catalan(k)} length-{k} patterns at n <= {prefix_len} keeps at "
             f"least {bits >> 23} MiB of packed sequences, over its bound of "
             f"{MAX_CENSUS_BITS >> 23} MiB; lower k or prefix_len"
         )
-    if engine is None:
-        engine = AverageEngine(prefix_len)
-    elif engine.n_max < prefix_len:
-        raise UsageError(f"engine only covers n <= {engine.n_max}")
+    engine = AverageEngine(prefix_len)
     patterns = enumerate_avoiders(AV132, k, limit=max(k, DEFAULT_ORACLE_LIMIT))
-    # a length-k memo value is A / z^k: sizes k..prefix_len are its low slots
-    mask = (1 << engine.width * (prefix_len + 1 - k)) - 1
     return _census(
         "av132",
         k,
         prefix_len,
-        ((p, engine._packed(p) & mask) for p in patterns),
+        ((p, engine._packed(p)) for p in patterns),
         lambda key: engine._unpack(key, k, prefix_len + 1),
     )
 

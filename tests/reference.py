@@ -1,0 +1,80 @@
+"""Definitional references for the brute-force and split engines.
+
+The O(n^2) counters in catstats.perms and the split closure in
+catstats.splits are checked against these: every occurrence count here
+comes from classifying subsequences one at a time, and the insertion map's
+bijection is checked by building every image.  None of it is fast, and
+nothing in the package calls it.
+"""
+from itertools import combinations
+
+from catstats.errors import UsageError
+from catstats.perms import AV123, DEFAULT_ORACLE_LIMIT, enumerate_avoiders, format_perm
+
+
+def standardize(seq) -> tuple:
+    """Relabel distinct values order-isomorphically to 1..len(seq)."""
+    seq = tuple(seq)
+    if len(set(seq)) != len(seq):
+        raise UsageError(f"cannot standardize a sequence with repeats: {seq}")
+    rank = {v: i + 1 for i, v in enumerate(sorted(seq))}
+    return tuple(rank[v] for v in seq)
+
+
+def count_occurrences(pattern, perm) -> int:
+    """Number of subsequences of `perm` order-isomorphic to `pattern`."""
+    k = len(pattern)
+    if k == 0:
+        return 1
+    if k > len(perm):
+        return 0
+    count = 0
+    for comb in combinations(perm, k):
+        rank = {v: i + 1 for i, v in enumerate(sorted(comb))}
+        if all(rank[v] == p for v, p in zip(comb, pattern)):
+            count += 1
+    return count
+
+
+def classify_all_subsets(perm, k: int) -> dict:
+    """Pattern -> occurrence count over all C(n, k) subsequences of length k."""
+    if k < 0:
+        raise UsageError("subset size must be >= 0")
+    out: dict = {}
+    for comb in combinations(perm, k):
+        rank = {v: i + 1 for i, v in enumerate(sorted(comb))}
+        pat = tuple(rank[v] for v in comb)
+        out[pat] = out.get(pat, 0) + 1
+    return out
+
+
+def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_LIMIT):
+    """Check the (k, left, right) composition is a bijection for every n <= n_max.
+
+    Returns (ok, diagnostic).
+    """
+    for n in range(0, n_max + 1):
+        target = set(enumerate_avoiders(AV123, n, limit))
+        seen = {}
+        for k in range(1, n + 1):
+            rights = enumerate_avoiders(AV123, k - 1, limit)
+            for left in enumerate_avoiders(AV123, n - k, limit):
+                for right in rights:
+                    u = insert(right)
+                    img = tuple(v + len(u) for v in left) + u
+                    if img in seen:
+                        return False, (
+                            f"collision at n={n}: ({k},{format_perm(left)},{format_perm(right)}) "
+                            f"and {seen[img]} both give {format_perm(img)}"
+                        )
+                    seen[img] = (k, format_perm(left), format_perm(right))
+                    if img not in target:
+                        return False, f"image {format_perm(img)} at n={n} contains 123"
+        if n == 0:
+            if () not in target:
+                return False, "empty permutation missing"
+            continue
+        if len(seen) != len(target):
+            missing = target - set(seen)
+            return False, f"not onto at n={n}: {len(seen)} images vs {len(target)} avoiders, e.g. missing {sorted(missing)[:3]}"
+    return True, "ok"

@@ -77,12 +77,18 @@ def test_analyze_checks_its_settings_before_evaluating(monkeypatch, setting, mes
         analyze("av132", "321", 200, **setting)
 
 
+def test_analyze_refuses_a_synthetic_statistic_before_its_settings():
+    with pytest.raises(UsageError, match="only offers the binomial control"):
+        analyze("synthetic", "21", 10, epsilon=float("nan"))
+    assert analyze("synthetic", "binomial", 60) == analyze_table(binomial_control_table(60))
+
+
 def test_binomial_control_is_inconclusive_with_exact_moments():
     tab = binomial_control_table(60)
     assert [row.n for row in tab.rows] == list(checkpoints(60))
     rep = analyze_table(tab)
     assert rep.verdict == VERDICT_INCONCLUSIVE
-    e3, e4 = rep.evidence_for(3), rep.evidence_for(4)
+    e3, e4 = rep.evidence
     assert e3.limit == 0.0
     assert e3.metric == 0.0
     assert abs(e4.limit - 3.0) < 1e-9
@@ -94,7 +100,7 @@ def test_binomial_control_is_inconclusive_with_exact_moments():
 def test_inversion_statistic_is_abnormal():
     rep = analyze("av132", "12", n_max=100)
     assert rep.verdict == VERDICT_ABNORMAL
-    e3 = rep.evidence_for(3)
+    e3 = rep.evidence[0]
     assert e3.metric < DEFAULT_EPSILON
     assert abs(e3.limit) > 0.5
     assert rep.order == DEFAULT_ORDER
@@ -124,8 +130,8 @@ def test_verdict_is_a_function_of_the_reported_evidence():
 def test_overlapping_checkpoints_share_exact_values():
     a = analyze("av132", "21", n_max=50)
     b = analyze("av132", "21", n_max=100)
-    sa = {s.n: s.signed_square for s in a.evidence_for(3).samples}
-    sb = {s.n: s.signed_square for s in b.evidence_for(3).samples}
+    sa = {s.n: s.signed_square for s in a.evidence[0].samples}
+    sb = {s.n: s.signed_square for s in b.evidence[0].samples}
     assert sa[50] == sb[50]
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from catstats import __version__
 from catstats.cli import EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
 from catstats.funcrec import builtin_families, builtin_spec
-from catstats.seqio import load_sequence, save_sequence, sequence_file
+from catstats.seqio import load_sequence, sequence_file
 from catstats.perms import DEFAULT_ORACLE_LIMIT, brute_sigma_enum, catalan_list
 from catstats.splits import MAX_ENGINE_N, AverageEngine
 
@@ -179,7 +179,7 @@ def test_census_123_k6_output_matches_its_recorded_digest(capsys, fmt):
 
 def test_guess_workflow_found_and_not_found(capsys, tmp_path):
     cats = tmp_path / "catalan.json"
-    save_sequence(cats, sequence_file("catalan", catalan_list(40)))
+    cats.write_text(json.dumps(sequence_file("catalan", catalan_list(40)).to_json_obj()))
     rc, out, _ = run(
         capsys,
         "guess", "--kind", "p-recursive", "--input", str(cats),
@@ -191,7 +191,8 @@ def test_guess_workflow_found_and_not_found(capsys, tmp_path):
     assert obj["result"]["coefficients"] == [[-2, -4], [2, 1]]
 
     noise = tmp_path / "noise.json"
-    save_sequence(noise, sequence_file("noise", [(n * n * n + 7) % 1009 for n in range(40)]))
+    values = [(n * n * n + 7) % 1009 for n in range(40)]
+    noise.write_text(json.dumps(sequence_file("noise", values).to_json_obj()))
     rc, _, err = run(
         capsys,
         "guess", "--kind", "p-recursive", "--input", str(noise),
@@ -220,7 +221,7 @@ def test_guess_on_an_undecodable_sequence_file_is_a_usage_error(capsys, tmp_path
 
 def test_guess_algebraic_from_file(capsys, tmp_path):
     cats = tmp_path / "catalan80.json"
-    save_sequence(cats, sequence_file("catalan", catalan_list(80)))
+    cats.write_text(json.dumps(sequence_file("catalan", catalan_list(80)).to_json_obj()))
     rc, out, _ = run(
         capsys, "guess", "--kind", "algebraic", "--input", str(cats), "--format", "json"
     )
@@ -241,7 +242,7 @@ GUESS_BOUNDS = {
 @pytest.fixture(scope="module")
 def catalan41(tmp_path_factory):
     path = tmp_path_factory.mktemp("guess") / "catalan41.json"
-    save_sequence(path, sequence_file("catalan", catalan_list(40)))
+    path.write_text(json.dumps(sequence_file("catalan", catalan_list(40)).to_json_obj()))
     return str(path)
 
 
@@ -388,7 +389,7 @@ def test_abnormal_synthetic_checks_settings_before_building_the_table(capsys, mo
     def refuse(*args, **kwargs):
         raise AssertionError("built the control table before checking the settings")
 
-    monkeypatch.setattr("catstats.cli.binomial_control_table", refuse)
+    monkeypatch.setattr("catstats.abnormality.binomial_control_table", refuse)
     rc, out, err = run(
         capsys,
         "abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "600",
@@ -406,7 +407,7 @@ def test_abnormal_refuses_r_below_four_with_one_message(capsys, monkeypatch, fam
         raise AssertionError("evaluated before the settings were checked")
 
     monkeypatch.setattr("catstats.abnormality.eval_truncated", refuse)
-    monkeypatch.setattr("catstats.cli.binomial_control_table", refuse)
+    monkeypatch.setattr("catstats.abnormality.binomial_control_table", refuse)
     rc, out, err = run(capsys, "abnormal", "--family", family, "--stat", stat, "--r", "3")
     assert (rc, out) == (EXIT_USAGE, "")
     assert err == "error: verdicts need moments through r = 4, got r_max = 3\n"
@@ -522,7 +523,7 @@ def _records_in(obj):
 def test_json_output_is_never_rendered_from_a_record(capsys, monkeypatch, tmp_path):
     # a record is a tuple, which json.dumps would silently render as a list
     cats = tmp_path / "catalan.json"
-    save_sequence(cats, sequence_file("catalan", catalan_list(40)))
+    cats.write_text(json.dumps(sequence_file("catalan", catalan_list(40)).to_json_obj()))
     dumps, seen = json.dumps, []
 
     def checked(obj, *args, **kwargs):

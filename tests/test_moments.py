@@ -17,7 +17,8 @@ from catstats.moments import (
     standardized,
     stirling2_row,
 )
-from catstats.perms import count_occurrences, enumerate_avoiders
+from catstats.perms import enumerate_avoiders
+from reference import count_occurrences
 
 
 def test_stirling_and_falling_factorial():

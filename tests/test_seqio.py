@@ -9,7 +9,6 @@ from catstats.seqio import (
     atomic_write_text,
     load_sequence,
     parse_sequence_obj,
-    save_sequence,
     sequence_file,
 )
 
@@ -17,7 +16,7 @@ from catstats.seqio import (
 def test_roundtrip_through_disk(tmp_path):
     seq = sequence_file("demo", [1, 7, Fraction(3, 2)], offset=1, extra={"note": "x"})
     path = tmp_path / "demo.json"
-    save_sequence(path, seq)
+    atomic_write_text(path, json.dumps(seq.to_json_obj()))
     back = load_sequence(path)
     assert back == seq
     assert back.extra["note"] == "x"
@@ -70,7 +69,7 @@ def test_extra_keys_survive_roundtrip(tmp_path):
     seq = parse_sequence_obj(obj, "mem")
     assert seq.extra == {"tool": "catstats", "k": 3}
     path = tmp_path / "s.json"
-    save_sequence(path, seq)
+    atomic_write_text(path, json.dumps(seq.to_json_obj()))
     assert json.loads(path.read_text())["tool"] == "catstats"
 
 
@@ -88,3 +87,14 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     assert target.read_text() == "new contents"
     leftovers = [p for p in os.listdir(tmp_path) if p != "out.txt"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)], ids=["022", "002"])
+def test_atomic_write_gives_a_new_file_the_mode_open_would(tmp_path, umask, mode):
+    target = tmp_path / "new.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write_text(target, "x")
+    finally:
+        os.umask(old)
+    assert target.stat().st_mode & 0o777 == mode
