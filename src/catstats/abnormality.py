@@ -107,25 +107,21 @@ def _check_order(order: int, samples: int) -> None:
         raise UsageError(f"extrapolation order must be in 1..{samples - 2}, got {order}")
 
 
-def _check_settings(tau_skew, tau_kurt, epsilon, order: int, samples: int) -> None:
-    """Refuse verdict settings before anything is evaluated: thresholds must be
-    finite and > 0, and the order must fit `samples` checkpoints."""
+def _check_settings(
+    n_max: int, r_max: int, tau_skew, tau_kurt, epsilon, order: int
+) -> "tuple[int, ...]":
+    """Refuse verdict settings for a table of rows 0..n_max before anything is
+    evaluated, and return the checkpoints of n_max.  Moments must reach
+    r = 4, thresholds must be finite and > 0, and the order must fit the
+    checkpoints."""
+    if r_max < 4:
+        raise UsageError(f"verdicts need moments through r = 4, got r_max = {r_max}")
+    cps = checkpoints(n_max)
     for name, value in (("tau_skew", tau_skew), ("tau_kurt", tau_kurt), ("epsilon", epsilon)):
         if not (isfinite(value) and value > 0):
             raise UsageError(f"{name} must be a finite number > 0, got {value}")
-    _check_order(order, samples)
-
-
-def _check_table_r(r_max: int) -> None:
-    if r_max < 4:
-        raise UsageError(f"verdicts need moments through r = 4, got r_max = {r_max}")
-
-
-def _check_table_settings(n_max: int, r_max: int, *, tau_skew, tau_kurt, epsilon, order) -> None:
-    """Make analyze_table's refusals for a table of rows 0..n_max before the
-    table is built, with the same messages in the same order."""
-    _check_table_r(r_max)
-    _check_settings(tau_skew, tau_kurt, epsilon, order, len(checkpoints(n_max)))
+    _check_order(order, len(cps))
+    return cps
 
 
 class AlphaSample(NamedTuple):
@@ -253,10 +249,8 @@ def analyze_table(
     This is the single verdict path: analyze() feeds catalog statistics and
     the synthetic control through it.
     """
-    _check_table_r(table.r_max)
     n_top = table.rows[-1].n
-    cps = checkpoints(n_top)
-    _check_settings(tau_skew, tau_kurt, epsilon, order, len(cps))
+    cps = _check_settings(n_top, table.r_max, tau_skew, tau_kurt, epsilon, order)
     evidence = []
     for r in range(3, table.r_max + 1):
         samples = []
@@ -320,15 +314,13 @@ def analyze(
     `binomial_control_table`, judged by the same verdict path."""
     if family == "synthetic" and statistic != "binomial":
         raise UsageError("the synthetic family only offers the binomial control")
-    _check_table_settings(
-        n_max, r_max, tau_skew=tau_skew, tau_kurt=tau_kurt, epsilon=epsilon, order=order
-    )
+    cps = _check_settings(n_max, r_max, tau_skew, tau_kurt, epsilon, order)
     if family == "synthetic":
         table = binomial_control_table(n_max, r_max)
     else:
         spec = builtin_spec(family, statistic)
         seq = eval_truncated(spec, n_max, cap=r_max)
-        table = moments_from_truncated(seq, r_max=r_max, ns=checkpoints(n_max))
+        table = moments_from_truncated(seq, ns=cps)
     return analyze_table(
         table,
         tau_skew=tau_skew,

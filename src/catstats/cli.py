@@ -37,11 +37,16 @@ from .abnormality import (
 )
 from .errors import UsageError
 from .funcrec import builtin_spec, eval_full, eval_truncated, verify_catalog
-from .guessing import DEFAULT_HOLDOUT, fit_closed_form, guess_algebraic, guess_p_recursive
+from .guessing import (
+    DEFAULT_DEGREE, DEFAULT_HOLDOUT, DEFAULT_MAX_DEG_Y, DEFAULT_MAX_DEG_Z, DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_ORDER, fit_closed_form, guess_algebraic, guess_p_recursive,
+)
 from .moments import moments_from_full, moments_from_truncated
 from .perms import DEFAULT_ORACLE_LIMIT, format_perm, parse_perm
-from .seqio import atomic_write_text, load_sequence, sequence_file
-from .splits import AverageEngine, bona_census_123, bona_census_132
+from .seqio import SequenceFile, atomic_write_text, load_sequence, sequence_file
+from .splits import (
+    DEFAULT_CENSUS_MAX_N, DEFAULT_PREFIX_LEN, AverageEngine, bona_census_123, bona_census_132,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -49,50 +54,39 @@ EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 
 
-# -- output plumbing -------------------------------------------------------
+# -- output ----------------------------------------------------------------
 
 
-def _resolve_out(path: str) -> str:
-    base = os.environ.get("CATSTATS_OUT_DIR")
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _finish(args, config: dict, body) -> int:
+    """Render a command's body under its config echo and write it out.
 
-
-def _emit(text: str, out: "str | None") -> None:
-    if out:
-        dest = _resolve_out(out)
-        try:
-            atomic_write_text(dest, text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {dest}: {exc.strerror or exc}") from None
-        print(f"wrote {dest}", file=sys.stderr)
+    In JSON the body's keys follow the echo's, except that a sequence file
+    keeps its own keys first and carries the echo after them.  Otherwise the
+    body is the lines under the "# catstats" header line.  The text goes to
+    stdout, or atomically to --out, resolved inside $CATSTATS_OUT_DIR when
+    that is set.
+    """
+    if args.format == "json":
+        echo = {"tool": "catstats", "version": __version__, "subcommand": args.cmd,
+                "config": config}
+        if isinstance(body, SequenceFile):
+            obj = body._replace(extra=echo).to_json_obj()
+        else:
+            obj = {**echo, **body}
+        text = json.dumps(obj, indent=2) + "\n"
     else:
+        pairs = " ".join(f"{k}={v}" for k, v in config.items())
+        text = "\n".join([f"# catstats {__version__} {args.cmd} {pairs}", *body]) + "\n"
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _echo(subcommand: str, config: dict) -> dict:
-    return {
-        "tool": "catstats",
-        "version": __version__,
-        "subcommand": subcommand,
-        "config": config,
-    }
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _header(subcommand: str, config: dict) -> str:
-    pairs = " ".join(f"{k}={v}" for k, v in config.items())
-    return f"# catstats {__version__} {subcommand} {pairs}\n"
-
-
-def _csv_text(header_line: str, rows: "list[list[str]]") -> str:
-    lines = [header_line.rstrip("\n")]
-    lines += [",".join(rec) for rec in rows]
-    return "\n".join(lines) + "\n"
+        return EXIT_OK
+    dest = os.path.join(os.environ.get("CATSTATS_OUT_DIR", ""), args.out)
+    try:
+        atomic_write_text(dest, text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {dest}: {exc.strerror or exc}") from None
+    print(f"wrote {dest}", file=sys.stderr)
+    return EXIT_OK
 
 
 # -- wenum -----------------------------------------------------------------
@@ -125,21 +119,13 @@ def cmd_wenum(args) -> int:
         "vars": ",".join(kept),
     }
     if args.format == "json":
-        obj = _echo("wenum", config)
-        obj["variables"] = kept
-        obj["rows"] = [{"n": n, "poly": str(p)} for n, p in enumerate(values)]
-        text = _json_text(obj)
+        body = {"variables": kept, "rows": [{"n": n, "poly": str(p)} for n, p in enumerate(values)]}
     elif args.format == "csv":
-        rows = [[str(n), f'"{p}"'] for n, p in enumerate(values)]
-        text = _csv_text(_header("wenum", config) + "n,poly", rows)
+        body = ["n,poly"] + [f'{n},"{p}"' for n, p in enumerate(values)]
     else:
-        lines = [_header("wenum", config).rstrip("\n")]
         head = ",".join(kept)
-        for n, p in enumerate(values):
-            lines.append(f"P_{n}({head}) = {p}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        body = [f"P_{n}({head}) = {p}" for n, p in enumerate(values)]
+    return _finish(args, config, body)
 
 
 # -- moments ---------------------------------------------------------------
@@ -151,11 +137,9 @@ def cmd_moments(args) -> int:
     if args.r < least:
         raise UsageError(f"moment order r must be >= {least}, got r = {args.r}")
     if args.mode == "full":
-        seq = eval_full(spec, args.max_n)
-        table = moments_from_full(seq, r_max=args.r)
+        table = moments_from_full(eval_full(spec, args.max_n), r_max=args.r)
     else:
-        seq = eval_truncated(spec, args.max_n, cap=args.r)
-        table = moments_from_truncated(seq, r_max=args.r)
+        table = moments_from_truncated(eval_truncated(spec, args.max_n, cap=args.r))
     config = {
         "family": args.family,
         "stat": args.stat,
@@ -164,29 +148,23 @@ def cmd_moments(args) -> int:
         "mode": args.mode,
     }
     if args.format == "json":
-        obj = _echo("moments", config)
-        obj["table"] = table.to_json_obj()
-        text = _json_text(obj)
-    elif args.format == "csv":
-        head, *rows = table.csv_rows()
-        text = _csv_text(_header("moments", config) + ",".join(head), rows)
-    else:
-        lines = [_header("moments", config).rstrip("\n")]
-        for row in table.rows:
-            cols = [f"n={row.n}", f"mass={row.f[0]}"]
-            if args.r >= 1:
-                cols.append(f"mean={row.m[1]}")
-            if args.r >= 2:
-                cols.append(f"variance={row.M[2]}")
-            if row.alpha is not None:
-                for r in range(3, args.r + 1):
-                    cols.append(f"alpha{r}={row.alpha.float_value[r]:.6g}")
-            elif row.note:
-                cols.append(f"({row.note})")
-            lines.append("  ".join(cols))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        return _finish(args, config, {"table": table.to_json_obj()})
+    if args.format == "csv":
+        return _finish(args, config, [",".join(rec) for rec in table.csv_rows()])
+    body = []
+    for row in table.rows:
+        cols = [f"n={row.n}", f"mass={row.f[0]}"]
+        if args.r >= 1:
+            cols.append(f"mean={row.m[1]}")
+        if args.r >= 2:
+            cols.append(f"variance={row.M[2]}")
+        if row.alpha is not None:
+            for r in range(3, args.r + 1):
+                cols.append(f"alpha{r}={row.alpha.float_value[r]:.6g}")
+        elif row.note:
+            cols.append(f"({row.note})")
+        body.append("  ".join(cols))
+    return _finish(args, config, body)
 
 
 # -- average ---------------------------------------------------------------
@@ -202,33 +180,20 @@ def cmd_average(args) -> int:
         "max_n": args.max_n,
     }
     if args.format == "json":
-        if len(seqs) == 1:
-            name, values = seqs[0]
-            obj = sequence_file(
-                f"av132:total:{name}", values, offset=0, extra=_echo("average", config)
-            ).to_json_obj()
-        else:
-            obj = _echo("average", config)
-            obj["sequences"] = [
-                sequence_file(f"av132:total:{name}", values).to_json_obj()
-                for name, values in seqs
-            ]
-        text = _json_text(obj)
+        files = [sequence_file(f"av132:total:{name}", values) for name, values in seqs]
+        body = files[0] if len(files) == 1 else {"sequences": [f.to_json_obj() for f in files]}
     elif args.format == "csv":
-        head = "n," + ",".join(f"A_{name}" for name, _ in seqs)
-        rows = [
-            [str(n)] + [str(values[n]) for _, values in seqs]
+        body = ["n," + ",".join(f"A_{name}" for name, _ in seqs)]
+        body += [
+            f"{n}," + ",".join(str(values[n]) for _, values in seqs)
             for n in range(args.max_n + 1)
         ]
-        text = _csv_text(_header("average", config) + head, rows)
     else:
-        lines = [_header("average", config).rstrip("\n")]
-        for name, values in seqs:
-            body = ", ".join(str(v) for v in values)
-            lines.append(f"A_{name}(0..{args.max_n}) = {body}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        body = [
+            f"A_{name}(0..{args.max_n}) = " + ", ".join(str(v) for v in values)
+            for name, values in seqs
+        ]
+    return _finish(args, config, body)
 
 
 # -- census ----------------------------------------------------------------
@@ -239,30 +204,23 @@ def cmd_census(args) -> int:
     if args.family == "av132":
         if args.max_n is not None:
             raise UsageError("--max-n applies to --family av123; av132 takes --prefix-len")
-        config["prefix_len"] = 30 if args.prefix_len is None else args.prefix_len
+        config["prefix_len"] = DEFAULT_PREFIX_LEN if args.prefix_len is None else args.prefix_len
         result = bona_census_132(args.k, prefix_len=config["prefix_len"])
     else:
         if args.prefix_len is not None:
             raise UsageError("--prefix-len applies to --family av132; av123 takes --max-n")
-        config["max_n"] = 9 if args.max_n is None else args.max_n
+        config["max_n"] = DEFAULT_CENSUS_MAX_N if args.max_n is None else args.max_n
         result = bona_census_123(args.k, n_max=config["max_n"])
     if args.format == "json":
-        obj = _echo("census", config)
-        obj["census"] = result.to_json_obj()
-        text = _json_text(obj)
-    else:
-        lines = [_header("census", config).rstrip("\n")]
-        lines.append(f"{result.class_count} classes at k = {args.k} ({args.family})")
-        for i, cls in enumerate(result.classes, start=1):
-            members = " ".join(format_perm(p) for p in cls.patterns)
-            lines.append(f"class {i} (size {cls.size}): {members}")
-            shown = ", ".join(str(v) for v in cls.prefix[:12])
-            lines.append(f"  prefix: {shown}, ...")
-        if result.caveat:
-            lines.append(f"note: {result.caveat}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        return _finish(args, config, {"census": result.to_json_obj()})
+    body = [f"{result.class_count} classes at k = {args.k} ({args.family})"]
+    for i, cls in enumerate(result.classes, start=1):
+        members = " ".join(format_perm(p) for p in cls.patterns)
+        body.append(f"class {i} (size {cls.size}): {members}")
+        shown = ", ".join(str(v) for v in cls.prefix[:12])
+        body.append(f"  prefix: {shown}, ...")
+    body.append(f"note: {result.caveat}")
+    return _finish(args, config, body)
 
 
 # -- guess -----------------------------------------------------------------
@@ -328,20 +286,16 @@ def cmd_guess(args) -> int:
         return EXIT_NOT_FOUND
     result = fit.to_json_obj()
     if args.format == "json":
-        obj = _echo("guess", config)
-        obj["result"] = result
-        obj["verified_terms"] = len(values)
+        body = {"result": result, "verified_terms": len(values)}
         if notes:
-            obj["notes"] = notes
-        text = _json_text(obj)
-    else:
-        lines = [_header("guess", config).rstrip("\n")]
-        lines.append(result.get("solved") or result["rendering"])
-        lines.append(f"verified on all {len(values)} terms ({args.holdout} held out)")
-        lines += [f"note: {note}" for note in notes]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+            body["notes"] = notes
+        return _finish(args, config, body)
+    body = [
+        result.get("solved") or result["rendering"],
+        f"verified on all {len(values)} terms ({args.holdout} held out)",
+    ]
+    body += [f"note: {note}" for note in notes]
+    return _finish(args, config, body)
 
 
 # -- abnormal --------------------------------------------------------------
@@ -359,24 +313,20 @@ def cmd_abnormal(args) -> int:
         "r": args.r,
     }
     if args.format == "json":
-        obj = _echo("abnormal", config)
-        obj["report"] = report.to_json_obj()
-        text = _json_text(obj)
-    else:
-        lines = [_header("abnormal", config).rstrip("\n")]
-        lines.append(f"verdict: {report.verdict}")
-        lines.append(f"criterion: {report.criterion}")
-        lines.append(f"checkpoints: {', '.join(str(n) for n in report.checkpoints)}")
-        for ev in report.evidence:
-            samples = "  ".join(f"{s.n}: {s.value:+.6f}" for s in ev.samples)
-            lines.append(
-                f"r={ev.r}  reference={ev.reference}  limit={ev.limit:+.6f}  "
-                f"metric={ev.metric:.3g}"
-            )
-            lines.append(f"  alpha samples: {samples}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        return _finish(args, config, {"report": report.to_json_obj()})
+    body = [
+        f"verdict: {report.verdict}",
+        f"criterion: {report.criterion}",
+        f"checkpoints: {', '.join(str(n) for n in report.checkpoints)}",
+    ]
+    for ev in report.evidence:
+        samples = "  ".join(f"{s.n}: {s.value:+.6f}" for s in ev.samples)
+        body.append(
+            f"r={ev.r}  reference={ev.reference}  limit={ev.limit:+.6f}  "
+            f"metric={ev.metric:.3g}"
+        )
+        body.append(f"  alpha samples: {samples}")
+    return _finish(args, config, body)
 
 
 # -- oracle ----------------------------------------------------------------
@@ -388,27 +338,22 @@ def cmd_oracle(args) -> int:
     ok = [label for label, bad in checks.items() if bad is None]
     failures = [(label, *bad) for label, bad in checks.items() if bad is not None]
     if args.format == "json":
-        obj = _echo("oracle", config)
-        obj["checks"] = [
-            {"spec": label, "max_n": args.max_n, "status": "ok"} for label in ok
-        ]
-        obj["failures"] = [
-            {"spec": label, "n": n, "engine": str(eng), "brute_force": str(bf)}
-            for label, n, eng, bf in failures
-        ]
-        text = _json_text(obj)
+        body = {
+            "checks": [{"spec": label, "max_n": args.max_n, "status": "ok"} for label in ok],
+            "failures": [
+                {"spec": label, "n": n, "engine": str(eng), "brute_force": str(bf)}
+                for label, n, eng, bf in failures
+            ],
+        }
     else:
-        lines = [_header("oracle", config).rstrip("\n")]
-        for label in ok:
-            lines.append(f"{label:12s} n <= {args.max_n}  ok")
+        body = [f"{label:12s} n <= {args.max_n}  ok" for label in ok]
         for label, n, eng, bf in failures:
-            lines.append(f"{label:12s} MISMATCH at n = {n}")
-            lines.append(f"  engine:      {eng}")
-            lines.append(f"  brute force: {bf}")
+            body.append(f"{label:12s} MISMATCH at n = {n}")
+            body.append(f"  engine:      {eng}")
+            body.append(f"  brute force: {bf}")
         if not failures:
-            lines.append(f"all {len(ok)} catalog specs match brute force")
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+            body.append(f"all {len(ok)} catalog specs match brute force")
+    _finish(args, config, body)
     if failures:
         print("oracle mismatch: the recurrence engine disagrees with brute force",
               file=sys.stderr)
@@ -463,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="equality classes of A_p at pattern length k")
     p.add_argument("--family", choices=["av132", "av123"], default="av132")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prefix-len", type=int,
-                   help="av132 only: sequence prefix length used for classing (default 30)")
-    p.add_argument("--max-n", type=int,
-                   help="av123 only: brute-force range for classing (default 9)")
+    p.add_argument("--prefix-len", type=int, help="av132 only: sequence prefix length "
+                   f"used for classing (default {DEFAULT_PREFIX_LEN})")
+    p.add_argument("--max-n", type=int, help="av123 only: brute-force range for classing "
+                   f"(default {DEFAULT_CENSUS_MAX_N})")
     _add_common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_census)
 
@@ -474,11 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["p-recursive", "algebraic", "closed-form"])
     p.add_argument("--input", required=True, help="sequence JSON file")
-    p.add_argument("--max-order", type=int, default=6)
-    p.add_argument("--max-degree", type=int, default=6)
-    p.add_argument("--max-deg-y", type=int, default=4)
-    p.add_argument("--max-deg-z", type=int, default=12)
-    p.add_argument("--degree", type=int, default=3,
+    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-deg-y", type=int, default=DEFAULT_MAX_DEG_Y)
+    p.add_argument("--max-deg-z", type=int, default=DEFAULT_MAX_DEG_Z)
+    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
                    help="closed-form: highest power of n in the basis")
     p.add_argument("--holdout", type=int, default=DEFAULT_HOLDOUT)
     _add_common(p, formats=("text", "json"))

@@ -28,6 +28,12 @@ from .multipoly import coeff_to_str, join_signed, norm_coeff
 from .perms import catalan_list
 
 DEFAULT_HOLDOUT = 10
+# the search bounds of each fitter
+DEFAULT_MAX_ORDER = 6
+DEFAULT_MAX_DEGREE = 6
+DEFAULT_MAX_DEG_Y = 4
+DEFAULT_MAX_DEG_Z = 12
+DEFAULT_DEGREE = 3
 
 
 def _prepare(values: "Sequence", holdout: int, bounds, need: int, fits: str) -> list:
@@ -134,8 +140,8 @@ class PRecurrence(NamedTuple):
 def guess_p_recursive(
     values: "Sequence",
     offset: int = 0,
-    max_order: int = 6,
-    max_degree: int = 6,
+    max_order: int = DEFAULT_MAX_ORDER,
+    max_degree: int = DEFAULT_MAX_DEGREE,
     holdout: int = DEFAULT_HOLDOUT,
 ) -> "PRecurrence | None":
     """Smallest (order, degree) recurrence fitting every term, or None.
@@ -264,8 +270,8 @@ def _powers(values: "Sequence", top: int) -> "list[list]":
 
 def guess_algebraic(
     values: "Sequence",
-    max_deg_y: int = 4,
-    max_deg_z: int = 12,
+    max_deg_y: int = DEFAULT_MAX_DEG_Y,
+    max_deg_z: int = DEFAULT_MAX_DEG_Z,
     holdout: int = DEFAULT_HOLDOUT,
 ) -> "AlgebraicEquation | None":
     """Smallest (deg_y, deg_z) polynomial equation satisfied by the series
@@ -368,7 +374,7 @@ class ClosedFormFit(NamedTuple):
 def fit_closed_form(
     values: "Sequence",
     offset: int = 1,
-    degree: int = 3,
+    degree: int = DEFAULT_DEGREE,
     holdout: int = DEFAULT_HOLDOUT,
 ) -> "ClosedFormFit | None":
     """Exact fit over the span of {n^i 4^n, n^i c(n), n^i c(n-1), n^i}, or None.

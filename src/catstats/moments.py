@@ -23,8 +23,6 @@ from .errors import DegenerateStatisticError, UsageError
 from .multipoly import coeff_to_str
 from .series import TruncatedSeries
 
-DEFAULT_R_MAX = 8
-
 
 def stirling2_row(r: int) -> "list[int]":
     """S(r, 0..r) by the triangular recurrence; cached."""
@@ -58,12 +56,10 @@ def factorial_from_full(coeffs: "Sequence[int]", r_max: int) -> "list[int]":
     return out
 
 
-def factorial_from_truncated(series: TruncatedSeries, r_max: int) -> "list[int]":
-    """[f_0 .. f_r_max] of the variable t, read off a truncated expansion
-    about all-ones."""
+def factorial_from_truncated(series: TruncatedSeries) -> "list[int]":
+    """[f_0 .. f_cap] of the variable t, read off a truncated expansion
+    about all-ones to the series cap."""
     basis = series.basis
-    if r_max > basis.cap:
-        raise UsageError(f"r_max = {r_max} exceeds the series cap {basis.cap}")
     try:
         vi = basis.variables.index("t")
     except ValueError:
@@ -71,7 +67,7 @@ def factorial_from_truncated(series: TruncatedSeries, r_max: int) -> "list[int]"
     nv = len(basis.variables)
     out = []
     fact = 1
-    for r in range(r_max + 1):
+    for r in range(basis.cap + 1):
         if r:
             fact *= r
         exps = tuple(r if i == vi else 0 for i in range(nv))
@@ -242,7 +238,7 @@ def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, ns) -> M
     return MomentTable(family, statistic, mode, cap, r_max, rows)
 
 
-def moments_from_full(seq, r_max: int = DEFAULT_R_MAX) -> MomentTable:
+def moments_from_full(seq, r_max: int) -> MomentTable:
     """Moment table of t from a full-mode EnumeratorSequence (catalytic
     variables are set to 1 first)."""
     if r_max < 0:
@@ -258,18 +254,13 @@ def moments_from_full(seq, r_max: int = DEFAULT_R_MAX) -> MomentTable:
     )
 
 
-def moments_from_truncated(
-    seq, r_max: "int | None" = None, ns: "Sequence[int] | None" = None
-) -> MomentTable:
-    """Moment table of t from a truncated-mode EnumeratorSequence, with a row
-    for each n in ns (every n when omitted)."""
+def moments_from_truncated(seq, ns: "Sequence[int] | None" = None) -> MomentTable:
+    """Moment table of t to the evaluation cap from a truncated-mode
+    EnumeratorSequence, with a row for each n in ns (every n when omitted)."""
     spec = seq.spec
-    cap = seq.cap
-    if r_max is None:
-        r_max = cap
-    if r_max > cap:
-        raise UsageError(f"r_max = {r_max} exceeds the evaluation cap {cap}")
     if ns is None:
         ns = range(len(seq.values))
-    f_rows = [factorial_from_truncated(seq.values[n], r_max) for n in ns]
-    return moment_table_from_rows(spec.family, spec.statistic, "truncated", cap, r_max, f_rows, ns)
+    f_rows = [factorial_from_truncated(seq.values[n]) for n in ns]
+    return moment_table_from_rows(
+        spec.family, spec.statistic, "truncated", seq.cap, seq.cap, f_rows, ns
+    )

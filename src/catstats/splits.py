@@ -64,6 +64,10 @@ MAX_ENGINE_N = 1000
 # parts of its closure.
 MAX_CENSUS_BITS = 2**31
 
+# the largest size on which a census compares the sequences, by default
+DEFAULT_PREFIX_LEN = 30
+DEFAULT_CENSUS_MAX_N = 9
+
 
 def split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
     """(prefix, suffix, uses_max) for every way an occurrence of the
@@ -288,7 +292,7 @@ def _census(family: str, k: int, prefix_len: int, keyed, prefix=tuple) -> Census
     )
 
 
-def bona_census_132(k: int, prefix_len: int = 30) -> CensusResult:
+def bona_census_132(k: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> CensusResult:
     """Group the 132-avoiding length-k patterns by their total-occurrence
     sequences on sizes 0..prefix_len.
 
@@ -317,7 +321,9 @@ def bona_census_132(k: int, prefix_len: int = 30) -> CensusResult:
     )
 
 
-def bona_census_123(k: int, n_max: int = 9, limit: int = DEFAULT_ORACLE_LIMIT) -> CensusResult:
+def bona_census_123(
+    k: int, n_max: int = DEFAULT_CENSUS_MAX_N, limit: int = DEFAULT_ORACLE_LIMIT
+) -> CensusResult:
     """Brute-force analog on the 123-avoiders: group length-k patterns that
     avoid 123 by their total-occurrence sequences on sizes 0..n_max.
 

@@ -177,13 +177,12 @@ def outcome(case: str) -> dict:
     while words and "=" in words[0] and not words[0].startswith("-"):
         name, value = words.pop(0).split("=", 1)
         env[name] = value
-    stub = mock.patch("catstats.cli.verify_catalog", _fake_verify_catalog)
     before = _files()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.dict(os.environ, env))
         if case.startswith(MISMATCH_TAG):
-            stack.enter_context(stub)
+            stack.enter_context(mock.patch("catstats.cli.verify_catalog", _fake_verify_catalog))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         try:
