@@ -68,6 +68,13 @@ CORPUS = [
     "moments --family av132 --stat 12 --max-n 5 --mode full --format csv",
     "moments --family av132 --stat 21 --max-n 3 --mode full --r 0",
     "moments --family av132 --stat 21 --max-n 3 --format csv --out m.csv",
+    # wide orders: each row's m, M and alpha to r = 8, degenerate rows, and
+    # a table that stops below the standardized stage
+    "moments --family av123 --stat 213 --max-n 6 --mode truncated --r 8 --format json",
+    "moments --family av132 --stat 123 --max-n 10 --r 8 --format csv",
+    "moments --family av132 --stat 312 --max-n 8 --r 6",
+    "moments --family av132 --stat 132 --max-n 6 --r 8 --format json",
+    "moments --family av132 --stat 21 --max-n 5 --mode full --r 1",
     # average
     "average --pattern 213 --max-n 9",
     "average --pattern 213 --max-n 9 --format json",
