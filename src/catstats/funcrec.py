@@ -41,9 +41,10 @@ applied directly; a varying one is split into per-index differences Delta_d
 of the substitution's operator is a polynomial of total degree <= cap in its
 varying exponents a.  For each n the window's coefficients are laid out as
 one column per basis monomial; varying substitutions and the coefficient
-monomial (binomial shifts along one variable) enter as per-window weight
-vectors, and the product summed over k is one C-level dot product per in-cap
-pair of monomials.
+factors that mix n and k (binomial shifts along one variable) enter as
+per-window weight vectors, and the product summed over k is one C-level dot
+product per in-cap pair of monomials.  A coefficient factor whose exponent
+depends on k alone is applied once per stored Q_m instead, on the left side.
 
 The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the

@@ -1,25 +1,38 @@
 """Exact moment pipeline: enumerators -> factorial -> raw -> central -> standardized.
 
-Everything up to the standardized stage is exact rational arithmetic.  For a
-weight enumerator P_n(t) = sum_s count(s) t^s:
+For a weight enumerator P_n(t) = sum_s count(s) t^s:
 
     f_r = r-th factorial moment sum  = sum_s count(s) * s(s-1)...(s-r+1)
         = r! * [z^r] P_n(1+z),
 
 which is exactly what truncated-mode evaluation stores, so both evaluation
-modes feed the same pipeline.  Raw moments divide by the object count f_0,
-central moments recenter at the mean, and standardized moments divide by the
-r/2 power of the variance.  Odd standardized moments involve a square root;
-they are stored exactly as the signed square alpha*|alpha| and rendered to
-float only for display and for the limit analysis.
+modes feed the same pipeline.  Raw moments divide the power sums by the
+object count f_0, central moments recenter at the mean, and standardized
+moments divide by the r/2 power of the variance.  Odd standardized moments
+involve a square root; they are stored exactly as the signed square
+alpha*|alpha| and rendered to float only for display and for the limit
+analysis.
+
+A row is computed in integers, and each printed rational is built once, at
+the cost of one gcd.  With the power sums
+
+    S_0 = f_0,   S_r = sum_j S(r, j) f_j   (S(r, j): Stirling numbers of the 2nd kind),
+
+the scaled central moments N_r = f_0^r M_r are integers,
+
+    N_r = sum_{j=0..r} C(r, j) S_j (-S_1)^(r-j) f_0^(j-1),
+
+where the j = 0 term is (-S_1)^r.  Then m_r = S_r / f_0, M_r = N_r / f_0^r,
+and the signed square of alpha_r is N_r |N_r| / N_2^r.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import DegenerateStatisticError, UsageError
+from .errors import UsageError
 from .multipoly import coeff_to_str
 from .series import TruncatedSeries
 
@@ -75,31 +88,6 @@ def factorial_from_truncated(series: TruncatedSeries) -> "list[int]":
     return out
 
 
-def raw_from_factorial(frow: "Sequence[int]") -> "list[Fraction]":
-    """[m_0 .. m_r]: r-th power sums divided by the object count f_0."""
-    if not frow or frow[0] == 0:
-        raise UsageError("cannot normalize by an empty family (f_0 = 0)")
-    f0 = frow[0]
-    out = [Fraction(1)]
-    for r in range(1, len(frow)):
-        srow = stirling2_row(r)
-        total = sum(srow[j] * frow[j] for j in range(1, r + 1))
-        out.append(Fraction(total, f0))
-    return out
-
-
-def central_from_raw(mrow: "Sequence[Fraction]") -> "list[Fraction]":
-    """[M_0 .. M_r] about the mean; M_1 is identically 0."""
-    mean = mrow[1] if len(mrow) > 1 else Fraction(0)
-    out = [Fraction(1)]
-    for r in range(1, len(mrow)):
-        total = Fraction(0)
-        for j in range(r + 1):
-            total += math.comb(r, j) * mrow[j] * (-mean) ** (r - j)
-        out.append(total)
-    return out
-
-
 class StandardizedMoments(NamedTuple):
     """Exact signed squares alpha_r * |alpha_r| plus float renderings.
 
@@ -109,26 +97,6 @@ class StandardizedMoments(NamedTuple):
 
     signed_square: "tuple[Fraction, ...]"
     float_value: "tuple[float, ...]"
-
-
-def standardized(Mrow: "Sequence[Fraction]") -> StandardizedMoments:
-    """Standardize central moments; degenerate variance is an error."""
-    if len(Mrow) < 3:
-        raise UsageError("standardization needs central moments to order >= 2")
-    var = Mrow[2]
-    if var == 0:
-        raise DegenerateStatisticError("variance is 0: standardized moments undefined")
-    if var < 0:
-        raise UsageError("negative variance: inconsistent central moments")
-    ss = []
-    fl = []
-    for r, M in enumerate(Mrow):
-        sq = M * M / var**r
-        sq = sq if M >= 0 else -sq
-        ss.append(sq)
-        root = math.sqrt(float(abs(sq)))
-        fl.append(root if sq >= 0 else -root)
-    return StandardizedMoments(tuple(ss), tuple(fl))
 
 
 def normal_reference(r: int) -> int:
@@ -217,24 +185,43 @@ class MomentTable(NamedTuple):
         return out
 
 
+def _moment_row(n: int, frow: "Sequence[int]") -> MomentRow:
+    """One table row from [f_0 .. f_R], in integers up to the printed values."""
+    f0 = frow[0] if frow else 0
+    if f0 == 0:
+        raise UsageError("cannot normalize by an empty family (f_0 = 0)")
+    # power sums S_r, then T_j = S_j * f_0^(j-1) with T_0 = 1, so that
+    # N_r = sum_j C(r, j) * T_j * (-S_1)^(r-j)
+    sums = [sum(map(mul, stirling2_row(r), frow)) for r in range(len(frow))]
+    scaled = [1] + [s * f0 ** (j - 1) for j, s in enumerate(sums) if j]
+    minus_s1 = -sums[1] if len(sums) > 1 else 0
+    powers = [minus_s1**i for i in range(len(sums))]
+    central = [
+        sum(math.comb(r, j) * scaled[j] * powers[r - j] for j in range(r + 1))
+        for r in range(len(sums))
+    ]
+    m = [Fraction(s, f0) for s in sums]
+    M = [Fraction(c, f0**r) for r, c in enumerate(central)]
+    if len(central) < 3:
+        return MomentRow(n, list(frow), m, M, None, "standardized moments need r_max >= 2")
+    var = central[2]
+    if var == 0:
+        return MomentRow(n, list(frow), m, M, None, "degenerate: variance 0")
+    if var < 0:
+        raise UsageError("negative variance: inconsistent central moments")
+    ss, fl = [], []
+    for r, c in enumerate(central):
+        sq = Fraction(c * abs(c), var**r)
+        ss.append(sq)
+        root = math.sqrt(float(abs(sq)))
+        fl.append(root if sq >= 0 else -root)
+    return MomentRow(n, list(frow), m, M, StandardizedMoments(tuple(ss), tuple(fl)))
+
+
 def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, ns) -> MomentTable:
     """Shared tail of the pipeline: factorial rows in, full table out; row i
     belongs to n = ns[i]."""
-    rows = []
-    for n, frow in zip(ns, f_rows):
-        m = raw_from_factorial(frow)
-        M = central_from_raw(m)
-        if len(M) < 3:
-            alpha = None
-            note = "standardized moments need r_max >= 2"
-        else:
-            try:
-                alpha = standardized(M)
-                note = ""
-            except DegenerateStatisticError:
-                alpha = None
-                note = "degenerate: variance 0"
-        rows.append(MomentRow(n=n, f=list(frow), m=m, M=M, alpha=alpha, note=note))
+    rows = [_moment_row(n, frow) for n, frow in zip(ns, f_rows)]
     return MomentTable(family, statistic, mode, cap, r_max, rows)
 
 

@@ -80,7 +80,7 @@ def load_sequence(path) -> SequenceFile:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise UsageError(f"cannot read sequence file {path}: {exc}")
+        raise UsageError(f"cannot read sequence file {path}: {exc.strerror or exc}") from None
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError, bytes that are not UTF-8 and
         # integer literals past the interpreter's digit limit; RecursionError

@@ -9,9 +9,13 @@ k-sum once over the whole k-window:
   constant substitution is applied directly, a varying one as forward
   differences Delta_d, d <= cap, which per-(n, k) weights C(a(n, k), d)
   recombine into the substitution at exponents a;
+- a coefficient factor (1 + z_v)^E whose exponent E depends on k alone is
+  a binomial shift along v, applied to each term's own copy of its left
+  store once per stored index m, at k = m + 1, for the indices a window
+  reads (`_TermWalk.push`);
 - for each n, the window's factors are laid out as one column per basis
-  monomial, running over k; the coefficient monomial acts on them as
-  binomial shifts along one variable at a time (`_TermWalk`);
+  monomial, running over k; the coefficient factors that mix n and k act
+  on them as binomial shifts along one variable at a time (`_TermWalk`);
 - the product summed over k is one C-level dot product per in-cap pair of
   monomials, and a window of one summand is one `series.mul_into` product.
 
@@ -68,6 +72,8 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
     for n in range(1, n_max + 1):
         for im in stores:
             im.push(values[n - 1])
+        for term in terms:
+            term.push(n - 1)
         out = [0] * len(basis)
         for term in terms:
             term.add_into(out, n, basis.pairs)
@@ -163,6 +169,26 @@ class _Images:
         for op, part in zip(self.ops, self.parts):
             part.append(apply_operator(op, q))
 
+    def folded(self, shifts: list) -> "_Images":
+        """An empty store with this one's degrees, for the parts times a
+        coefficient whose factors shift along the variables of `shifts`
+        (each a `_TermWalk.shifts` row); the caller fills its parts."""
+        out = object.__new__(_Images)
+        out.varying, out.degrees, out.ops = self.varying, self.degrees, []
+        out.parts = [[] for _ in self.degrees]
+        out.targets = []
+        for targets in self.targets:
+            # a shift along v moves support up along v: to every monomial
+            # some of whose lowerings along v are in the support
+            for chains in shifts if targets is not None else ():
+                support = set(targets)
+                targets = [
+                    i for i, chain in enumerate(chains)
+                    if i in support or any(src in support for _, src in chain)
+                ]
+            out.targets.append(targets)
+        return out
+
     def columns(self, lo: int, hi: int, reverse: bool, evals: dict, cap: int) -> list:
         """Per basis monomial, the image's coefficient over the window of
         stored indices lo .. hi - 1 (reversed when asked), each under the
@@ -187,9 +213,16 @@ class _Images:
 
 
 class _TermWalk:
-    """One term's contribution to each Q_n in truncated mode."""
+    """One term's contribution to each Q_n in truncated mode.
 
-    __slots__ = ("label", "term", "cap", "shifts", "varying", "negative", "coef", "left", "right")
+    The coefficient's factors (1 + z_v)^E whose exponent E has no n term are
+    folded into the term's own copy of its left store, once per stored index
+    m at k = m + 1 (`push`); `_coefficient` applies the rest per window."""
+
+    __slots__ = (
+        "label", "term", "cap", "shifts", "varying", "negative", "coef", "fold", "source", "left",
+        "right",
+    )
 
     def __init__(self, label: str, term, cap: int, shifts: list, image: Callable):
         self.label, self.term, self.cap, self.shifts = label, term, cap, shifts
@@ -198,13 +231,42 @@ class _TermWalk:
             polys += [e for row in mat or () for e in row]
         self.varying = list(dict.fromkeys(e for e in polys if not e.is_constant()))
         self.negative = any(e.is_constant() and e.eval(0, 0) < 0 for e in polys)
-        # the coefficient's nonzero exponents as (variable, int or varying IndexPoly)
-        self.coef = [(v, _constant_or_poly(e)) for v, e in enumerate(term.coef) if e.terms]
+        # the coefficient's nonzero exponents as (variable, int or varying
+        # IndexPoly), split into those that depend on k alone and the rest
+        factors = [(v, _constant_or_poly(e)) for v, e in enumerate(term.coef) if e.terms]
+        self.fold = [
+            (v, e) for v, e in factors if type(e) is int or all(dn == 0 for dn, _ in e.terms)
+        ]
+        self.coef = [f for f in factors if f not in self.fold]
         # a negative constant is refused at the first window, before any
         # matrix is built
-        self.left = self.right = None
+        self.source = self.left = self.right = None
         if not self.negative:
             self.left, self.right = image(term.left), image(term.right)
+            if self.fold:
+                self.source = self.left
+                self.left = self.source.folded([shifts[v] for v, _ in self.fold])
+
+    def push(self, m: int) -> None:
+        """Store the folded left parts of index m, if a window reads them."""
+        k, term = m + 1, self.term
+        if self.source is None or (term.k_high is not None and k > term.k_high):
+            return
+        exps = [e if type(e) is int else e.eval(0, k) for _, e in self.fold]
+        # below k_low no window reads index m; a negative exponent is
+        # refused by the window check at n = k before the value is read
+        if k < term.k_low or min(exps) < 0:
+            for part in self.left.parts:
+                part.append(None)
+            return
+        factors = [
+            (self.shifts[v], binomial_rows([e], self.cap)) for (v, _), e in zip(self.fold, exps)
+        ]
+        for src, part in zip(self.source.parts, self.left.parts):
+            q = src[m]
+            for chains, rows in factors:
+                q = [x + sum(rows[j][0] * q[i] for j, i in chain) for x, chain in zip(q, chains)]
+            part.append(q)
 
     def add_into(self, out: list, n: int, pairs: list) -> None:
         """Add sum over the window of coef * L(Q_(k-1)) * R(Q_(n-k)) to out."""
@@ -219,7 +281,7 @@ class _TermWalk:
             raise UsageError(f"{self.label}: negative exponent at (n={n}, k={ks[first]})")
         lo, hi = ks.start, ks.stop
         left = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
-        left = self._coefficient(left, len(ks), evals)
+        left = self._coefficient(left, evals)
         right = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
         if len(ks) == 1:  # a single summand: one direct product
             mul_into(out, pairs, [c[0] for c in left], [c[0] for c in right])
@@ -229,11 +291,11 @@ class _TermWalk:
                 for j, t in row:
                     out[t] += sum(map(mul, col, right[j]))
 
-    def _coefficient(self, cols: list, w: int, evals: dict) -> list:
-        """The columns of a window of w summands times the coefficient: each
-        factor (1 + z_v)^E is a binomial shift along variable v."""
+    def _coefficient(self, cols: list, evals: dict) -> list:
+        """The columns of a window times the coefficient factors that mix n
+        and k: each factor (1 + z_v)^E is a binomial shift along variable v."""
         for v, e in self.coef:
-            rows = binomial_rows([e] * w if type(e) is int else evals[e], self.cap)
+            rows = binomial_rows(evals[e], self.cap)
             shifted = []
             for col, chain in zip(cols, self.shifts[v]):
                 for j, src in chain:

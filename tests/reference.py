@@ -1,14 +1,19 @@
-"""Definitional references for the brute-force and split engines.
+"""Definitional references for the brute-force, split and moment engines.
 
 The O(n^2) counters in catstats.perms and the split closure in
 catstats.splits are checked against these: every occurrence count here
 comes from classifying subsequences one at a time, and the insertion map's
-bijection is checked by building every image.  None of it is fast, and
-nothing in the package calls it.
+bijection is checked by building every image.  The integer moment rows of
+catstats.moments are checked against the chain of Fraction definitions
+below: raw moments, then central moments, then standardized ones.  None of
+it is fast, and nothing in the package calls it.
 """
+import math
+from fractions import Fraction
 from itertools import combinations
 
-from catstats.errors import UsageError
+from catstats.errors import DegenerateStatisticError, UsageError
+from catstats.moments import StandardizedMoments, stirling2_row
 from catstats.perms import AV123, DEFAULT_ORACLE_LIMIT, enumerate_avoiders, format_perm
 
 
@@ -78,3 +83,48 @@ def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_L
             missing = target - set(seen)
             return False, f"not onto at n={n}: {len(seen)} images vs {len(target)} avoiders, e.g. missing {sorted(missing)[:3]}"
     return True, "ok"
+
+
+def raw_from_factorial(frow) -> "list[Fraction]":
+    """[m_0 .. m_r]: r-th power sums divided by the object count f_0."""
+    if not frow or frow[0] == 0:
+        raise UsageError("cannot normalize by an empty family (f_0 = 0)")
+    f0 = frow[0]
+    out = [Fraction(1)]
+    for r in range(1, len(frow)):
+        srow = stirling2_row(r)
+        total = sum(srow[j] * frow[j] for j in range(1, r + 1))
+        out.append(Fraction(total, f0))
+    return out
+
+
+def central_from_raw(mrow) -> "list[Fraction]":
+    """[M_0 .. M_r] about the mean; M_1 is identically 0."""
+    mean = mrow[1] if len(mrow) > 1 else Fraction(0)
+    out = [Fraction(1)]
+    for r in range(1, len(mrow)):
+        total = Fraction(0)
+        for j in range(r + 1):
+            total += math.comb(r, j) * mrow[j] * (-mean) ** (r - j)
+        out.append(total)
+    return out
+
+
+def standardized(Mrow) -> StandardizedMoments:
+    """Standardize central moments; degenerate variance is an error."""
+    if len(Mrow) < 3:
+        raise UsageError("standardization needs central moments to order >= 2")
+    var = Mrow[2]
+    if var == 0:
+        raise DegenerateStatisticError("variance is 0: standardized moments undefined")
+    if var < 0:
+        raise UsageError("negative variance: inconsistent central moments")
+    ss = []
+    fl = []
+    for r, M in enumerate(Mrow):
+        sq = M * M / var**r
+        sq = sq if M >= 0 else -sq
+        ss.append(sq)
+        root = math.sqrt(float(abs(sq)))
+        fl.append(root if sq >= 0 else -root)
+    return StandardizedMoments(tuple(ss), tuple(fl))

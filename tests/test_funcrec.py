@@ -213,7 +213,9 @@ def test_negative_substitution_exponent_is_a_usage_error():
     # t^(20 - n), once in the right substitution q -> t^(20 - n) q and once
     # as the coefficient, passes the mass check (n <= 12) and first goes
     # negative at n = 21, k = 1; t^(20 - k) first goes negative at the last
-    # summand of n = 21
+    # summand of n = 21.  As a coefficient, t^(20 - k) depends on k alone, so
+    # the truncated walk folds it into the left store at k = m + 1, and the
+    # window check of n = 21 must still be what refuses it
     variables = ("t", "q")
     for e, where in (
         (index_poly({(0, 0): 20, (1, 0): -1}), r"\(n=21, k=1\)"),
@@ -233,6 +235,29 @@ def test_negative_substitution_exponent_is_a_usage_error():
                 eval_truncated(spec, 25, 2)
             with pytest.raises(UsageError, match=where):
                 eval_full(spec, 25)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [None, {"q": {"t": 1, "q": 1}}, {"q": {"t": _NK, "q": 1}}, {"q": {"t": _NK}}],
+    ids=["identity", "constant", "varying", "varying-without-q"],
+)
+def test_a_k_only_coefficient_is_folded_only_where_a_window_reads_it(images):
+    # t^(3 - k) q^k on k <= 3 goes negative past k_high, where no window
+    # reads it; the constant q of the k >= 4 term is folded from k = 4 on.
+    # Under q -> t^(n - k) the differences of the left store reach only
+    # powers of t, and the fold must widen them to the powers of q
+    variables = ("t", "q")
+    low = RecTerm(
+        coef=(index_poly({(0, 0): 3, (0, 1): -1}), index_poly({(0, 1): 1})),
+        k_high=3,
+        left=None if images is None else subst_matrix(variables, images),
+    )
+    high = RecTerm(coef=(IndexPoly.ZERO, IndexPoly.ONE), k_low=4)
+    spec = FuncRecSpec("av132", "synthetic", variables, [low, high])
+    full = eval_full(spec, 8).values
+    for cap in (1, 3, 6):
+        assert eval_truncated(spec, 8, cap).values == [taylor(value, cap) for value in full]
 
 
 def test_mass_check_rejects_a_wrong_recurrence():

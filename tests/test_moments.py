@@ -3,22 +3,22 @@ from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catstats.errors import UsageError
+from catstats.errors import DegenerateStatisticError, UsageError
 from catstats.funcrec import builtin_families, builtin_spec, eval_full, eval_truncated
 from catstats.moments import (
-    central_from_raw,
     factorial_from_full,
     falling_factorial,
+    moment_table_from_rows,
     moments_from_full,
     moments_from_truncated,
     normal_reference,
-    raw_from_factorial,
-    standardized,
     stirling2_row,
 )
 from catstats.perms import enumerate_avoiders
-from reference import count_occurrences
+from reference import central_from_raw, count_occurrences, raw_from_factorial, standardized
 
 
 def test_stirling_and_falling_factorial():
@@ -148,3 +148,50 @@ def test_csv_rows_shape():
     assert "alpha4" in header
     assert len(rows) == 5
     assert all(len(r) == len(header) for r in rows[1:])
+
+
+def _reference_row(frow):
+    """(m, M, alpha, note) by the Fraction definitions, step by step."""
+    m = raw_from_factorial(frow)
+    M = central_from_raw(m)
+    if len(M) < 3:
+        return m, M, None, "standardized moments need r_max >= 2"
+    try:
+        return m, M, standardized(M), ""
+    except DegenerateStatisticError:
+        return m, M, None, "degenerate: variance 0"
+
+
+# a multiset of statistic values: 1-12 objects with counts 0-30, drawn
+# freely or all equal (variance 0)
+COUNTS = st.lists(st.integers(0, 30), min_size=1, max_size=12) | st.builds(
+    lambda c, size: [c] * size, st.integers(0, 30), st.integers(1, 12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COUNTS, st.integers(0, 8))
+def test_integer_rows_equal_the_fraction_definitions(counts, r_max):
+    frow = [sum(falling_factorial(c, r) for c in counts) for r in range(r_max + 1)]
+    row = moment_table_from_rows("x", "y", "full", None, r_max, [frow], [7]).rows[0]
+    m, M, alpha, note = _reference_row(frow)
+    assert (row.n, row.f) == (7, frow)
+    assert row.m == m
+    assert row.M == M
+    assert row.note == note
+    if alpha is None:
+        assert row.alpha is None
+    else:
+        assert row.alpha.signed_square == alpha.signed_square
+        assert row.alpha.float_value == alpha.float_value
+
+
+@pytest.mark.parametrize(
+    "frow,message",
+    [([], "f_0 = 0"), ([0, 0, 0], "f_0 = 0"), ([1, 0, -1], "negative variance")],
+)
+def test_integer_rows_refuse_what_the_definitions_refuse(frow, message):
+    with pytest.raises(UsageError, match=message):
+        _reference_row(frow)
+    with pytest.raises(UsageError, match=message):
+        moment_table_from_rows("x", "y", "full", None, 2, [frow], [0])

@@ -80,6 +80,13 @@ def test_load_rejects_malformed_file(tmp_path):
         load_sequence(path)
 
 
+def test_load_names_a_missing_file_once(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(UsageError) as info:
+        load_sequence(path)
+    assert str(info.value) == f"cannot read sequence file {path}: No such file or directory"
+
+
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old")
