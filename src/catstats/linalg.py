@@ -26,13 +26,17 @@ def _int_rows(rows: "Sequence[Sequence]", ncols: int) -> "list[list[int]]":
     for row in rows:
         if len(row) != ncols:
             raise UsageError("ragged matrix")
+        plain = True
         denom = 1
         for v in row:
+            if type(v) is int:
+                continue
+            plain = False
             if isinstance(v, Fraction):
                 denom = lcm(denom, v.denominator)
             elif not isinstance(v, int):
                 raise UsageError(f"matrix entries must be int or Fraction, got {type(v).__name__}")
-        out.append([int(v * denom) for v in row])
+        out.append(list(row) if plain else [int(v * denom) for v in row])
     return out
 
 

@@ -21,11 +21,14 @@ splits of p other than the two that reproduce p itself ((p, empty) and
 (empty, p)), those two add 2zC*A, so A = B + 2zC*A.  Since
 1 - 2zC = sqrt(1-4z), A = B / sqrt(1-4z) = B * sum_n C(2n, n) z^n.
 `AverageEngine` computes each sequence from this on packed integers (see
-its docstring).  Its cost is its bigint products: per pattern q, one for
-each distinct suffix among q's splits and one by the central binomials, on
-operands cut to the N + 1 - |q| sizes q can occur at.  The census of the
-4,862 length-9 avoiders at N = 30 resolves a closure of 6,918 patterns
-with 11,934 suffix products, where a product per split would take 16,795.
+its docstring), once per pair {q, q^-1}: inversion maps the 132-avoiders
+onto themselves and occurrences of q onto occurrences of q^-1, so the two
+share one sequence.  Its cost is its bigint products: per pattern q, one
+for each distinct suffix among q's splits and one by the central binomials,
+on operands cut to the N + 1 - |q| sizes q can occur at.  The census of
+the 4,862 length-9 avoiders at N = 30 resolves a closure of 3,596
+patterns with 6,217 suffix products, where a product per split would take
+8,710.
 
 The class census groups all length-k patterns by their value sequences,
 keyed by their packed integers, and unpacks one sequence per class.
@@ -59,9 +62,10 @@ MAX_ENGINE_N = 1000
 
 # Largest size, in bits, of the packed sequences one census may keep: 2^31
 # bits is 256 MiB.  A census of the length-k patterns keeps one packed
-# sequence per 132-avoider of length k, c(k) of them, of n_max + 1 - k slots
-# each (the memo drops the k slots below size k), and more for the shorter
-# parts of its closure.
+# sequence per inverse pair of 132-avoiders of length k,
+# `inverse_class_count(k)` of them, of n_max + 1 - k slots each (the memo
+# drops the k slots below size k), and more for the shorter parts of its
+# closure.
 MAX_CENSUS_BITS = 2**31
 
 # the largest size on which a census compares the sequences, by default
@@ -98,6 +102,23 @@ def split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
     return terms
 
 
+def inverse_class_count(k: int) -> int:
+    """Number of classes {p, p^-1} of the 132-avoiders of length k:
+    (c(k) + C(k, floor(k/2)))/2, since C(k, floor(k/2)) of them are
+    involutions (Simion and Schmidt, 1985) and the rest pair up."""
+    return (catalan(k) + comb(k, k // 2)) // 2
+
+
+def _canonical(q: tuple) -> tuple:
+    """The lexicographically smaller of q and its inverse q^-1, which has
+    the same total sequence over the 132-avoiders (see `AverageEngine`)."""
+    inv = [0] * len(q)
+    for i, v in enumerate(q, 1):
+        inv[v - 1] = i
+    inv = tuple(inv)
+    return inv if inv < q else q
+
+
 def _slot_width(n_max: int) -> int:
     """Bits per slot w of a packed sequence A(0..n_max), after checking n_max
     against the engine's bound."""
@@ -118,6 +139,15 @@ class AverageEngine:
     One engine instance amortizes the whole closure of sub-patterns across
     any number of queries (the census asks for thousands of patterns whose
     split parts overlap heavily).
+
+    Inverse pairs.  132 is its own inverse, so pi -> pi^-1 maps the
+    132-avoiders of each size onto themselves, and it maps each occurrence
+    of p in pi to an occurrence of p^-1 in pi^-1 (the same entries, read as
+    (value, position) pairs).  So A_p = A_(p^-1) for every pattern p,
+    132-avoiding or not, and the memo is keyed by one canonical pattern per
+    pair {p, p^-1}, the lexicographically smaller: queries and the prefix
+    and suffix parts of every split are canonicalized before they are looked
+    up, and each pair is computed once.
 
     A pattern p never occurs below size |p|, so `memo[p]` stores
     A_p / z^|p|: it packs A_p(|p|..N), N = n_max, into one integer
@@ -172,7 +202,10 @@ class AverageEngine:
         )
 
     def _packed(self, pattern: tuple) -> int:
-        """memo[pattern], resolving its closure first when it is missing."""
+        """A_pattern / z^|pattern|, packed: the memo value of its canonical
+        representative, resolving that one's closure first when it is
+        missing."""
+        pattern = _canonical(pattern)
         packed = self.memo.get(pattern)
         if packed is None:
             self._resolve(pattern)
@@ -191,7 +224,8 @@ class AverageEngine:
         shortest first, so that every strictly shorter part is already done."""
         memo = self.memo
         # q -> {suffix: [(prefix, one slot up?)]}, without (q, empty) and
-        # (empty, q): those two are the 1/sqrt(1-4z) factor
+        # (empty, q): those two are the 1/sqrt(1-4z) factor; every pattern
+        # here is canonical
         groups: "dict[tuple, dict[tuple, list]]" = {}
         todo = [pattern]
         while todo:
@@ -203,6 +237,7 @@ class AverageEngine:
             for pre, suf, uses_max in split_terms(q):
                 if len(pre) == size or len(suf) == size:
                     continue
+                pre, suf = _canonical(pre), _canonical(suf)
                 own.setdefault(suf, []).append((pre, not uses_max))
                 for part in (pre, suf):
                     if part not in memo and part not in groups:
@@ -303,7 +338,7 @@ def bona_census_132(k: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> CensusResul
         raise UsageError("k must be >= 1")
     if prefix_len < 2 * k:
         raise UsageError(f"prefix_len must be >= 2k = {2 * k} to separate length-{k} patterns sensibly")
-    bits = (prefix_len + 1 - k) * _slot_width(prefix_len) * catalan(k)
+    bits = (prefix_len + 1 - k) * _slot_width(prefix_len) * inverse_class_count(k)
     if bits > MAX_CENSUS_BITS:
         raise UsageError(
             f"a census of the {catalan(k)} length-{k} patterns at n <= {prefix_len} keeps at "

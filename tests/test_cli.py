@@ -475,7 +475,7 @@ def test_census_refuses_past_its_memory_bound_before_enumerating(capsys, monkeyp
     assert (rc, out) == (EXIT_USAGE, "")
     assert err == (
         "error: a census of the 4862 length-9 patterns at n <= 1000 keeps at least "
-        "1716 MiB of packed sequences, over its bound of 256 MiB; lower k or prefix_len\n"
+        "880 MiB of packed sequences, over its bound of 256 MiB; lower k or prefix_len\n"
     )
 
 

@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from catstats.errors import UsageError
 from catstats.linalg import integer_primitive, nullspace
 
 
@@ -50,6 +53,28 @@ def test_nullspace_random_rank_nullity(rng):
             assert any(v)
             for r in rows:
                 assert sum(a * b for a, b in zip(r, v)) == 0
+
+
+def test_int_rows_match_fraction_rows_and_stay_untouched(rng):
+    # plain int rows are copied as they are, rows with a Fraction are scaled;
+    # either way the basis is that of the same rows as Fractions
+    for _ in range(25):
+        ncols = rng.randrange(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randrange(1, 6))]
+        if rng.random() < 0.5:
+            rows[0][0] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        before = [list(r) for r in rows]
+        assert nullspace(rows, ncols) == nullspace([[Fraction(v) for v in r] for r in rows], ncols)
+        assert rows == before
+
+
+def test_nullspace_refuses_ragged_rows_and_non_numbers():
+    with pytest.raises(UsageError, match="^ragged matrix$"):
+        nullspace([[1, 2], [3]], 2)
+    with pytest.raises(UsageError, match="^matrix entries must be int or Fraction, got float$"):
+        nullspace([[1, 2.0]], 2)
+    with pytest.raises(UsageError, match="got str"):
+        nullspace([[Fraction(1, 2), "3"]], 2)
 
 
 def test_integer_primitive():

@@ -6,8 +6,16 @@ from math import comb
 import pytest
 
 from catstats.errors import UsageError
+from catstats.funcrec import builtin_families, builtin_spec, eval_truncated
+from catstats.moments import factorial_from_truncated
 from catstats.perms import AV123, AV132, catalan_list, enumerate_avoiders
-from catstats.splits import AverageEngine, bona_census_123, bona_census_132, split_terms
+from catstats.splits import (
+    AverageEngine,
+    bona_census_123,
+    bona_census_132,
+    inverse_class_count,
+    split_terms,
+)
 from reference import classify_all_subsets, count_occurrences, standardize
 
 
@@ -89,6 +97,65 @@ def test_packed_engine_matches_the_coefficient_recurrence():
         assert all(
             0 <= v < 1 << eng.width * max(n_max + 1 - len(q), 0) for q, v in eng.memo.items()
         )
+
+
+def _inverse(p):
+    """p^-1 by its definition: the position of each value."""
+    return tuple(p.index(v) + 1 for v in range(1, len(p) + 1))
+
+
+def test_engine_matches_the_coefficient_recurrence_on_every_pattern():
+    # every permutation of length <= 7, 132-avoiders or not: the engine
+    # computes one of p and p^-1, the reference computes both
+    eng = AverageEngine(14)
+    memo = {}
+    for k in range(8):
+        for p in permutations(range(1, k + 1)):
+            assert eng.sequence(p) == tuple(_reference_totals(p, 14, memo)), p
+
+
+def test_inverse_patterns_have_equal_brute_force_totals():
+    # A_p(n) = A_(p^-1)(n) for every p of length <= 4 at n <= 8, counted
+    # over the avoiders without the engine, 132-avoiding or not
+    for n in range(9):
+        totals = Counter()
+        for w in enumerate_avoiders(AV132, n):
+            for k in range(1, 5):
+                totals.update(classify_all_subsets(w, k))
+        for k in range(1, 5):
+            for p in permutations(range(1, k + 1)):
+                assert totals[p] == totals[_inverse(p)], (p, n)
+
+
+def test_inverse_class_count_counts_the_inverse_pairs_of_avoiders():
+    for k in range(1, 11):
+        classes = {min(p, _inverse(p)) for p in enumerate_avoiders(AV132, k)}
+        assert inverse_class_count(k) == len(classes), k
+
+
+def test_census_closure_holds_one_entry_per_inverse_pair():
+    # the closure of the length-k avoiders is every avoider of length <= k,
+    # and the memo keeps one of each pair {p, p^-1}, and the empty pattern
+    cats = catalan_list(9)
+    for k in range(1, 10):
+        eng = AverageEngine(30)
+        for p in enumerate_avoiders(AV132, k):
+            eng.sequence(p)
+        pairs = sum((cats[m] + comb(m, m // 2)) // 2 for m in range(1, k + 1))
+        assert len(eng.memo) == 1 + pairs, k
+    assert len(eng.memo) == 3596
+
+
+def test_engine_matches_the_truncated_walk_at_n_200():
+    # f_1 of an av132 spec is the total of its pattern; 231 and 312 are
+    # inverses, with separate specs of the walk
+    specs = [builtin_spec(f, s) for f, s in builtin_families() if f == "av132"]
+    assert len(specs) == 8
+    eng = AverageEngine(200)
+    for spec in specs:
+        walk = [factorial_from_truncated(q)[1] for q in eval_truncated(spec, 200, 1).values]
+        pattern = tuple(int(c) for c in spec.statistic)
+        assert eng.sequence(pattern) == tuple(walk), spec.label
 
 
 def test_tiling_identity_at_n_120():
