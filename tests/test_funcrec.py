@@ -168,10 +168,13 @@ def test_truncated_is_the_series_of_full_on_synthetic_specs(spec, n, cap):
 
 
 # sha256 of the coefficient lists of all 9 catalog specs' truncated values,
-# recorded from the per-(n, k) evaluator this walk replaced
+# recorded from the per-(n, k) evaluator this walk replaced; (8, 40), the n at
+# which moment tables run the av132 specs at cap 8, was recorded from the walk
+# that formed one dot product per in-cap pair of monomials
 DEEP_DIGESTS = {
     (4, 80): "cafb093d13428a44f8f9d8f223bbc141100e58187215921a56858f4d173db82f",
     (8, 24): "ac2bc8806b95bb76eb794300386d60b16ace8d85917affdd9c39637e8b216634",
+    (8, 40): "ac35fbadce6798295e91ff94a73ab44d6ca1466e671a66e2d1b029d564c84512",
 }
 
 
