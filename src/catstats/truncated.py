@@ -24,8 +24,10 @@ UsageError naming the first (n, k) in the walk order of funcrec._summands.
 """
 from __future__ import annotations
 
-from itertools import accumulate
-from operator import add, mul, sub
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
+from operator import add, and_, lshift, mul, sub
+from struct import Struct
 from typing import Callable
 
 from .errors import UsageError
@@ -67,7 +69,15 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
         ]
         for v in range(nv)
     ]
-    terms = [_TermWalk(spec.label, term, cap, shifts, image) for term in spec.terms]
+    # in one variable nothing is packed (see the module docstring)
+    layout = _Layout(basis, n_max) if nv > 1 else None
+
+    def pack(store):
+        if store.pack is None and layout is not None:
+            store.pack = _Packed(store, layout)
+        return store.pack
+
+    terms = [_TermWalk(spec.label, term, basis, shifts, image, pack) for term in spec.terms]
     stores = [im for im in images.values() if im.ops]
     for n in range(1, n_max + 1):
         for im in stores:
@@ -76,7 +86,7 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
             term.push(n - 1)
         out = [0] * len(basis)
         for term in terms:
-            term.add_into(out, n, basis.pairs)
+            term.add_into(out, n)
         values.append(out)
     return [TruncatedSeries(basis, v) for v in values]
 
@@ -142,11 +152,12 @@ class _Images:
     the single degree () and part Op(Q_m).
     """
 
-    __slots__ = ("varying", "degrees", "ops", "targets", "parts")
+    __slots__ = ("varying", "degrees", "ops", "targets", "parts", "pack")
 
     def __init__(self, basis: SeriesBasis, matrix, values: list):
         self.varying, self.degrees, self.ops, self.targets = [], [()], [], [None]
         self.parts = [values]
+        self.pack = None
         if matrix is None:
             return
         slots = [
@@ -176,6 +187,7 @@ class _Images:
         out = object.__new__(_Images)
         out.varying, out.degrees, out.ops = self.varying, self.degrees, []
         out.parts = [[] for _ in self.degrees]
+        out.pack = None
         out.targets = []
         for targets in self.targets:
             # a shift along v moves support up along v: to every monomial
@@ -189,27 +201,150 @@ class _Images:
             out.targets.append(targets)
         return out
 
+    def weights(self, evals: dict, cap: int) -> list:
+        """Per part, its weights C(a, d) over the window at exponents
+        `evals`; None for the degree 0 part, whose weight is 1."""
+        rows = [binomial_rows(evals[p], cap) for p in self.varying]
+        out = []
+        for d in self.degrees:
+            w = None
+            for r, dv in zip(rows, d):
+                if dv:
+                    w = r[dv] if w is None else list(map(mul, w, r[dv]))
+            out.append(w)
+        return out
+
     def columns(self, lo: int, hi: int, reverse: bool, evals: dict, cap: int) -> list:
         """Per basis monomial, the image's coefficient over the window of
         stored indices lo .. hi - 1 (reversed when asked), each under the
         matrix at that window position's exponents `evals`."""
-        weights = [binomial_rows(evals[p], cap) for p in self.varying]
-        acc = None
-        for d, part, targets in zip(self.degrees, self.parts, self.targets):
-            block = part[lo:hi]
-            if reverse:
-                block.reverse()
-            cols = list(zip(*block))
-            if acc is None:  # the degree 0 part has weight 1 and every target
-                acc = cols
-                continue
-            w = None
-            for rows, dv in zip(weights, d):
-                if dv:
-                    w = rows[dv] if w is None else list(map(mul, w, rows[dv]))
-            for i in targets:
-                acc[i] = list(map(add, acc[i], map(mul, w, cols[i])))
+        # the degree 0 part has weight 1 and every target
+        acc = list(zip(*_window(self.parts[0], lo, hi, reverse)))
+        if self.varying:
+            weights = self.weights(evals, cap)
+            for w, part, targets in zip(weights[1:], self.parts[1:], self.targets[1:]):
+                cols = list(zip(*_window(part, lo, hi, reverse)))
+                for i in targets:
+                    acc[i] = list(map(add, acc[i], map(mul, w, cols[i])))
         return acc
+
+
+def _window(values: list, lo: int, hi: int, reverse: bool) -> list:
+    """values[lo:hi], reversed when asked."""
+    if not reverse:
+        return values[lo:hi]
+    return values[hi - 1:lo - 1:-1] if lo else values[hi - 1::-1]
+
+
+class _Layout:
+    """What packing needs to know of a basis, shared by a walk's stores."""
+
+    __slots__ = ("basis", "cap", "n_max", "degs", "lens", "groups", "targets")
+
+    def __init__(self, basis: SeriesBasis, n_max: int):
+        self.basis, self.cap, self.n_max = basis, basis.cap, n_max
+        degs = self.degs = [sum(e) for e in basis.monomials]
+        # lens[d]: the monomials j with deg j <= cap - d, a prefix of the
+        # basis, and the pairs of every monomial of degree d
+        self.lens = [bisect_right(degs, self.cap - d) for d in range(self.cap + 1)]
+        self.groups = [
+            slice(bisect_left(degs, d), bisect_right(degs, d)) for d in range(self.cap + 1)
+        ]
+        self.targets = [t for row in basis.pairs for _, t in row]
+
+
+class _Packed:
+    """A store's parts, each stored value packed into integers of W-bit
+    slots, one slot per basis monomial in basis order, plus a guard slot.
+    `cuts[d]` lists (p, packed) for the parts p with a target of degree
+    <= cap - d, where packed[m] is part p of index m cut to the monomials
+    of degree <= cap - d, with the largest of those slots in the slot after
+    them: the side of the pairs of every monomial of degree d."""
+
+    __slots__ = ("store", "layout", "width", "cuts", "shifts", "masks", "sizes", "chunks")
+
+    def __init__(self, store: _Images, layout: _Layout):
+        self.store, self.layout = store, layout
+        self.cuts = [[] for _ in layout.lens]
+        for p, targets in enumerate(store.targets):
+            low = min(layout.degs[t] for t in targets) if targets else 0
+            for d in range(layout.cap + 1 - low):
+                self.cuts[d].append((p, []))
+        self._widen(0, 1)
+
+    def _widen(self, bits: int, n: int) -> None:
+        """Drop the packed values, for re-packing with slots of more than
+        `bits` bits at Q_n.  Slot sizes grow about linearly in n, so the
+        slots are widened to last until n_max, but by at most half."""
+        bits += min(bits // 2, bits * (self.layout.n_max - n) // n)
+        nb = self.width = bits // 8 + 1
+        for cuts in self.cuts:
+            for _, packed in cuts:
+                packed.clear()
+        lens, degs = self.layout.lens, self.layout.degs
+        self.shifts = [8 * nb * k for k in lens]
+        self.masks = [(1 << shift) - 1 for shift in self.shifts]
+        self.sizes = [nb * (lens[d] + 1) for d in degs]
+        # every product's guard slot is read past, not out
+        self.chunks = Struct("".join(f"{nb}s" * lens[d] + f"{nb}x" for d in degs))
+
+    def _fill(self, n: int) -> None:
+        """Pack the stored values not yet packed, first re-packing them all
+        with wider slots if one of them has a slot that does not fit."""
+        parts, groups, cap = self.store.parts, self.layout.groups, self.layout.cap
+        m = len(self.cuts[0][0][1])
+        while m < len(parts[0]):
+            qs = [part[m] for part in parts]  # None: an index no window reads
+            # tops[p][e]: the largest slot of part p of degree <= e
+            tops = [q and list(accumulate(map(max, map(q.__getitem__, groups)), max)) for q in qs]
+            bits = max(top[-1].bit_length() if top else 0 for top in tops)
+            if bits > 8 * self.width:
+                self._widen(bits, n)
+                m = 0
+                continue
+            nb = self.width
+            full = [
+                q and int.from_bytes(b"".join(map(int.to_bytes, q, repeat(nb), repeat("little"))), "little")
+                for q in qs
+            ]
+            for cuts, mask, shift, e in zip(self.cuts, self.masks, self.shifts, range(cap, -1, -1)):
+                for p, packed in cuts:
+                    q = full[p]
+                    packed.append(q if q is None else (q & mask) + (tops[p][e] << shift))
+            m += 1
+
+    def add_into(
+        self, out: list, n: int, cols: list, lo: int, hi: int, reverse: bool, evals: dict
+    ) -> None:
+        """Add sum over the window of cols[i] * (slot j of the packed value)
+        to out at the index of monomial i*j, for every in-cap pair (i, j):
+        the window is stored indices lo .. hi - 1, reversed when asked, and
+        cols the other side's columns over it."""
+        layout = self.layout
+        weights = self.store.weights(evals, layout.cap)
+        self._fill(n)
+        while True:
+            levels = []
+            for cuts in self.cuts:
+                level = None
+                for p, packed in cuts:
+                    block = _window(packed, lo, hi, reverse)
+                    w = weights[p]
+                    level = block if w is None else list(map(add, level, map(mul, w, block)))
+                levels.append(level)
+            sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
+            try:
+                buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
+                break
+            except OverflowError:  # a guard slot has outgrown the width
+                nb, lens = 8 * self.width, layout.lens
+                self._widen(
+                    max((x >> nb * lens[d]).bit_length() for x, d in zip(sums, layout.degs)), n
+                )
+                self._fill(n)
+        slots = map(int.from_bytes, self.chunks.unpack(buf), repeat("little"))
+        for t, x in zip(layout.targets, slots):
+            out[t] += x
 
 
 class _TermWalk:
@@ -220,12 +355,15 @@ class _TermWalk:
     m at k = m + 1 (`push`); `_coefficient` applies the rest per window."""
 
     __slots__ = (
-        "label", "term", "cap", "shifts", "varying", "negative", "coef", "fold", "source", "left",
-        "right",
+        "label", "term", "cap", "pairs", "shifts", "varying", "negative", "coef", "fold", "source",
+        "left", "right", "packed", "pack_left",
     )
 
-    def __init__(self, label: str, term, cap: int, shifts: list, image: Callable):
-        self.label, self.term, self.cap, self.shifts = label, term, cap, shifts
+    def __init__(
+        self, label: str, term, basis: SeriesBasis, shifts: list, image: Callable, pack: Callable
+    ):
+        self.label, self.term, self.shifts = label, term, shifts
+        self.cap, self.pairs = basis.cap, basis.pairs
         polys = list(term.coef)
         for mat in (term.left, term.right):
             polys += [e for row in mat or () for e in row]
@@ -240,12 +378,17 @@ class _TermWalk:
         self.coef = [f for f in factors if f not in self.fold]
         # a negative constant is refused at the first window, before any
         # matrix is built
-        self.source = self.left = self.right = None
+        self.source = self.left = self.right = self.packed = None
+        self.pack_left = False
         if not self.negative:
             self.left, self.right = image(term.left), image(term.right)
             if self.fold:
                 self.source = self.left
                 self.left = self.source.folded([shifts[v] for v, _ in self.fold])
+            # the packed side: the right one unless only the left one is
+            # independent of the window
+            self.pack_left = bool(self.right.varying) and not self.left.varying
+            self.packed = pack(self.left if self.pack_left else self.right)
 
     def push(self, m: int) -> None:
         """Store the folded left parts of index m, if a window reads them."""
@@ -268,7 +411,7 @@ class _TermWalk:
                 q = [x + sum(rows[j][0] * q[i] for j, i in chain) for x, chain in zip(q, chains)]
             part.append(q)
 
-    def add_into(self, out: list, n: int, pairs: list) -> None:
+    def add_into(self, out: list, n: int) -> None:
         """Add sum over the window of coef * L(Q_(k-1)) * R(Q_(n-k)) to out."""
         ks = self.term.k_range(n)
         if not ks:
@@ -279,17 +422,25 @@ class _TermWalk:
                 next(i for i, x in enumerate(v) if x < 0) for v in evals.values() if min(v) < 0
             )
             raise UsageError(f"{self.label}: negative exponent at (n={n}, k={ks[first]})")
-        lo, hi = ks.start, ks.stop
-        left = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
-        left = self._coefficient(left, evals)
-        right = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
-        if len(ks) == 1:  # a single summand: one direct product
-            mul_into(out, pairs, [c[0] for c in left], [c[0] for c in right])
+        # the coefficient factors that mix n and k go on the side that is
+        # not packed
+        left = (self.left, ks.start - 1, ks.stop - 1, False)
+        right = (self.right, n - ks.stop + 1, n - ks.start + 1, True)
+        scalar, packed = (right, left) if self.pack_left else (left, right)
+        store, lo, hi, reverse = scalar
+        cols = self._coefficient(store.columns(lo, hi, reverse, evals, self.cap), evals)
+        if self.packed is not None and len(ks) > 1:
+            self.packed.add_into(out, n, cols, *packed[1:], evals)
             return
-        for col, row in zip(left, pairs):
+        store, lo, hi, reverse = packed
+        other = store.columns(lo, hi, reverse, evals, self.cap)
+        if len(ks) == 1:  # a single summand: one direct product
+            mul_into(out, self.pairs, [c[0] for c in cols], [c[0] for c in other])
+            return
+        for col, row in zip(cols, self.pairs):  # one variable: a product per pair
             if any(col):
                 for j, t in row:
-                    out[t] += sum(map(mul, col, right[j]))
+                    out[t] += sum(map(mul, col, other[j]))
 
     def _coefficient(self, cols: list, evals: dict) -> list:
         """The columns of a window times the coefficient factors that mix n
