@@ -13,11 +13,56 @@ k-sum once over the whole k-window:
   a binomial shift along v, applied to each term's own copy of its left
   store once per stored index m, at k = m + 1, for the indices a window
   reads (`_TermWalk.push`);
-- for each n, the window's factors are laid out as one column per basis
-  monomial, running over k; the coefficient factors that mix n and k act
-  on them as binomial shifts along one variable at a time (`_TermWalk`);
-- the product summed over k is one C-level dot product per in-cap pair of
-  monomials, and a window of one summand is one `series.mul_into` product.
+- each term has a packed side, whose images do not depend on the window:
+  the identity store, a constant-substitution store or the folded left
+  store, the right side when both qualify.  Its stored values are packed
+  once each, as integers with one W-bit slot per basis monomial, and cut
+  to each degree prefix (`_Packed`).  When both sides vary (av132:321),
+  the right side's parts Delta_d(Q_m) are packed, and each window
+  recombines them with their weights, one C-level pass per part and cut;
+- for each n, the other side's factors are laid out as one column per
+  basis monomial i, running over k; the coefficient factors that mix n and
+  k act on them as binomial shifts along one variable at a time;
+- the product summed over k is one C-level dot product per monomial i,
+  sum(map(mul, column_i, packed values cut to the monomials j with
+  deg i + deg j <= cap)), whose slots are the sums of every in-cap pair
+  (i, j); the slots are read out and added into Q_n at the index of i*j.
+  That is |basis| dot products per window instead of one per in-cap pair
+  (45 instead of 495 for two variables at cap 8, 165 instead of 3,003 for
+  three), with the same scalar products inside.
+
+In one variable nothing is packed: there are only (cap + 2) / 2 in-cap
+pairs per monomial, and a slot, which holds a sum of products, is about
+twice as wide as the entries it is packed from, so packing costs more
+digit work than the dot products it saves (av132:12, 21 and 132 ran 1.0-4x
+slower packed).  There the walk forms one dot product per in-cap pair.  A
+window of one summand is one `series.mul_into` product.
+
+Why the slots are exact.  Packing is evaluation at 2^W, so it is linear:
+a dot product of columns with packed values is the packed dot product of
+the columns with the values, read slot by slot, as long as every slot of
+the result lies in [0, 2^W).  No slot is ever negative.  The values are
+Taylor data at the all-ones point of polynomials with non-negative
+coefficients.  Every entry of every Delta_d is >= 0: the image of a
+deviation variable is a product of (1 + z)^e with e >= 0, minus 1;
+(1 + z)^a = sum over d of C(a, d) z^d has non-negative Newton coefficients
+in a, and products C(a, i) C(a, j) expand with non-negative coefficients
+in C(a, .).  Weights C(a, d) with a >= 0 and binomial shifts are >= 0 too.
+So a slot can go wrong only by reaching 2^W and carrying into the next.
+Each packed cut has one slot more, its guard, holding the largest slot of
+the cut; a recombined cut's guard is the weighted sum of its parts'
+guards, again at least each of its slots.  So in every product, slot
+j = sum over k of c_k * slot_j(k) is at most the product's guard slot,
+sum over k of c_k * guard(k).  The product is written out with
+`int.to_bytes` to its slots and its guard only: that fits exactly when
+the guard is below 2^W, and then no slot carried.  When it does not fit,
+the walk widens W past the guard, re-packs every stored value and forms
+the window again.  A recombined value is checked the same way, by its
+guard, before it enters a product.  Stored values are packed into slots
+wider than their largest entry (`int.to_bytes` refuses a negative one).
+Slots grow about linearly with n, so a widening aims at the width the
+slots would need at n_max if they kept growing as far, but adds at most
+half: av132:321 at cap 4 re-packs 7 times up to n = 80.
 
 Exponents are evaluated over whole windows, and a negative one is a
 UsageError naming the first (n, k) in the walk order of funcrec._summands.
@@ -26,7 +71,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
-from operator import add, and_, lshift, mul, sub
+from operator import add, mul, rshift, sub
 from struct import Struct
 from typing import Callable
 
@@ -229,6 +274,11 @@ class _Images:
         return acc
 
 
+def _pack(q: list, nb: int) -> int:
+    """q as one integer with an nb-byte slot per entry, q[0] lowest."""
+    return int.from_bytes(b"".join(map(int.to_bytes, q, repeat(nb), repeat("little"))), "little")
+
+
 def _window(values: list, lo: int, hi: int, reverse: bool) -> list:
     """values[lo:hi], reversed when asked."""
     if not reverse:
@@ -239,13 +289,14 @@ def _window(values: list, lo: int, hi: int, reverse: bool) -> list:
 class _Layout:
     """What packing needs to know of a basis, shared by a walk's stores."""
 
-    __slots__ = ("basis", "cap", "n_max", "degs", "lens", "groups", "targets")
+    __slots__ = ("cap", "n_max", "degs", "lens", "groups", "targets")
 
     def __init__(self, basis: SeriesBasis, n_max: int):
-        self.basis, self.cap, self.n_max = basis, basis.cap, n_max
+        self.cap, self.n_max = basis.cap, n_max
         degs = self.degs = [sum(e) for e in basis.monomials]
         # lens[d]: the monomials j with deg j <= cap - d, a prefix of the
-        # basis, and the pairs of every monomial of degree d
+        # basis, which pair with every monomial of degree d; groups[d]: the
+        # monomials of degree d; targets: the product index of every pair
         self.lens = [bisect_right(degs, self.cap - d) for d in range(self.cap + 1)]
         self.groups = [
             slice(bisect_left(degs, d), bisect_right(degs, d)) for d in range(self.cap + 1)
@@ -274,8 +325,8 @@ class _Packed:
 
     def _widen(self, bits: int, n: int) -> None:
         """Drop the packed values, for re-packing with slots of more than
-        `bits` bits at Q_n.  Slot sizes grow about linearly in n, so the
-        slots are widened to last until n_max, but by at most half."""
+        `bits` bits at Q_n, plus the growth that scaling to n_max gives, but
+        at most half again (see the module docstring)."""
         bits += min(bits // 2, bits * (self.layout.n_max - n) // n)
         nb = self.width = bits // 8 + 1
         for cuts in self.cuts:
@@ -303,10 +354,7 @@ class _Packed:
                 m = 0
                 continue
             nb = self.width
-            full = [
-                q and int.from_bytes(b"".join(map(int.to_bytes, q, repeat(nb), repeat("little"))), "little")
-                for q in qs
-            ]
+            full = [q and _pack(q, nb) for q in qs]
             for cuts, mask, shift, e in zip(self.cuts, self.masks, self.shifts, range(cap, -1, -1)):
                 for p, packed in cuts:
                     q = full[p]
@@ -332,16 +380,20 @@ class _Packed:
                     w = weights[p]
                     level = block if w is None else list(map(add, level, map(mul, w, block)))
                 levels.append(level)
-            sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
-            try:
-                buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
-                break
-            except OverflowError:  # a guard slot has outgrown the width
-                nb, lens = 8 * self.width, layout.lens
-                self._widen(
-                    max((x >> nb * lens[d]).bit_length() for x, d in zip(sums, layout.degs)), n
-                )
-                self._fill(n)
+            # the guard of a recombined value or of a product, if past the width
+            bits = 0
+            if len(weights) > 1:
+                bits = max((x >> self.shifts[0]).bit_length() for x in levels[0])
+            if bits <= 8 * self.width:
+                sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
+                try:
+                    buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
+                    break
+                except OverflowError:
+                    tops = map(rshift, sums, map(self.shifts.__getitem__, layout.degs))
+                    bits = max(map(int.bit_length, tops))
+            self._widen(bits, n)
+            self._fill(n)
         slots = map(int.from_bytes, self.chunks.unpack(buf), repeat("little"))
         for t, x in zip(layout.targets, slots):
             out[t] += x
