@@ -57,9 +57,12 @@ sum over k of c_k * guard(k).  The product is written out with
 `int.to_bytes` to its slots and its guard only: that fits exactly when
 the guard is below 2^W, and then no slot carried.  When it does not fit,
 the walk widens W past the guard, re-packs every stored value and forms
-the window again.  A recombined value is checked the same way, by its
-guard, before it enters a product.  Stored values are packed into slots
-wider than their largest entry (`int.to_bytes` refuses a negative one).
+the window again.  A recombined value needs no check of its own: the
+constant monomial's column is a mass Q_m(1) >= 1 at every k (the mass
+check makes some term sum over k = 1, so Q_n(1) >= Q_(n-1)(1)), so that
+product's guard is at least every recombined guard, and a recombined
+slot is at most its guard.  Stored values are packed into slots wider
+than their largest entry (`int.to_bytes` refuses a negative one).
 Slots grow about linearly with n, so a widening aims at the width the
 slots would need at n_max if they kept growing as far, but adds at most
 half: av132:321 at cap 4 re-packs 7 times up to n = 80.
@@ -380,20 +383,14 @@ class _Packed:
                     w = weights[p]
                     level = block if w is None else list(map(add, level, map(mul, w, block)))
                 levels.append(level)
-            # the guard of a recombined value or of a product, if past the width
-            bits = 0
-            if len(weights) > 1:
-                bits = max((x >> self.shifts[0]).bit_length() for x in levels[0])
-            if bits <= 8 * self.width:
-                sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
-                try:
-                    buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
-                    break
-                except OverflowError:
-                    tops = map(rshift, sums, map(self.shifts.__getitem__, layout.degs))
-                    bits = max(map(int.bit_length, tops))
-            self._widen(bits, n)
-            self._fill(n)
+            sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
+            try:
+                buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
+                break
+            except OverflowError:  # a guard slot has outgrown the width
+                tops = map(rshift, sums, map(self.shifts.__getitem__, layout.degs))
+                self._widen(max(map(int.bit_length, tops)), n)
+                self._fill(n)
         slots = map(int.from_bytes, self.chunks.unpack(buf), repeat("little"))
         for t, x in zip(layout.targets, slots):
             out[t] += x

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,11 @@ from catstats.funcrec import (
     subst_matrix,
     verify_catalog,
 )
-from catstats import funcrec
+from catstats import funcrec, truncated
 from catstats.cli import EXIT_INTERNAL, main
 from catstats.multipoly import IndexPoly, MultiPoly, index_poly
 from catstats.perms import catalan_list
+from catstats.series import SeriesBasis
 from taylor import taylor
 
 CATALOG = [
@@ -165,6 +167,66 @@ def test_truncated_is_the_series_of_full_on_synthetic_specs(spec, n, cap):
         full.append(value)
     trunc = eval_truncated(spec, len(full) - 1, cap)
     assert trunc.values == [taylor(value, cap) for value in full]
+
+
+def _substitution_pool():
+    """Every substitution matrix of the catalog, with its variables, and
+    every one the synthetic specs draw: q -> t^e q^d."""
+    pool = {}
+    for family, statistic in CATALOG:
+        spec = builtin_spec(family, statistic)
+        for term in spec.terms:
+            for matrix in (term.left, term.right):
+                if matrix is not None:
+                    pool[spec.variables, matrix] = None
+    for e in (IndexPoly.ZERO, IndexPoly.ONE, _K1, _NK, _KNK):
+        for d in (0, 1):
+            pool[("t", "q"), subst_matrix(("t", "q"), {"q": {"t": e, "q": d}})] = None
+    return list(pool)
+
+
+def test_substitution_differences_have_no_negative_entry():
+    # the packed walk reads its slots back exactly only if nothing it packs
+    # or multiplies is negative; the values and the weights C(a, d) are
+    # non-negative, and so must be every operator Delta_d of every store
+    entries = 0
+    for variables, matrix in _substitution_pool():
+        key = tuple(tuple(truncated._constant_or_poly(e) for e in row) for row in matrix)
+        for cap in range(1, 9):
+            images = truncated._Images(SeriesBasis(variables, cap), key, [])
+            coefficients = [c for op in images.ops for col in op for _, c in col]
+            assert min(coefficients) >= 0, (variables, matrix, cap)
+            entries += len(coefficients)
+    assert entries == 19510
+
+
+@pytest.mark.parametrize("family,statistic,n_max,outgrown_by", [
+    ("av123", "213", 9, {"add_into"}),
+    ("av132", "123", 12, {"add_into"}),
+    ("av132", "231", 12, {"_fill", "add_into"}),
+    ("av132", "312", 12, {"_fill", "add_into"}),
+    ("av132", "321", 12, {"_fill", "add_into"}),
+])
+def test_tight_slots_are_repacked_mid_walk_and_stay_exact(
+    monkeypatch, family, statistic, n_max, outgrown_by
+):
+    # widened without headroom, the slots are outgrown again and again: by
+    # a product's guard slot, which makes the window be formed again after
+    # every stored value is re-packed, and, where a store's entries outgrow
+    # what the products needed so far, by a stored value
+    widen, drops = truncated._Packed._widen, []
+
+    def tight(self, bits, n):
+        caller = sys._getframe(1).f_code.co_name
+        drops.append((caller, len(self.cuts[0][0][1])))
+        widen(self, bits, self.layout.n_max)
+
+    monkeypatch.setattr(truncated._Packed, "_widen", tight)
+    spec = builtin_spec(family, statistic)
+    full = eval_full(spec, n_max).values
+    for cap in (1, 4, 8):
+        assert eval_truncated(spec, n_max, cap).values == [taylor(value, cap) for value in full]
+    assert {caller for caller, packed in drops if packed} == outgrown_by
 
 
 # sha256 of the coefficient lists of all 9 catalog specs' truncated values,
