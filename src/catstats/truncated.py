@@ -64,8 +64,8 @@ product's guard is at least every recombined guard, and a recombined
 slot is at most its guard.  Stored values are packed into slots wider
 than their largest entry (`int.to_bytes` refuses a negative one).
 Slots grow about linearly with n, so a widening aims at the width the
-slots would need at n_max if they kept growing as far, but adds at most
-half: av132:321 at cap 4 re-packs 7 times up to n = 80.
+slots would need at n_max if they kept growing as far, but at most
+doubles it: av132:321 at cap 4 re-packs 4 times up to n = 80.
 
 Exponents are evaluated over whole windows, and a negative one is a
 UsageError naming the first (n, k) in the walk order of funcrec._summands.
@@ -329,8 +329,8 @@ class _Packed:
     def _widen(self, bits: int, n: int) -> None:
         """Drop the packed values, for re-packing with slots of more than
         `bits` bits at Q_n, plus the growth that scaling to n_max gives, but
-        at most half again (see the module docstring)."""
-        bits += min(bits // 2, bits * (self.layout.n_max - n) // n)
+        at most twice as wide (see the module docstring)."""
+        bits += min(bits, bits * (self.layout.n_max - n) // n)
         nb = self.width = bits // 8 + 1
         for cuts in self.cuts:
             for _, packed in cuts:
