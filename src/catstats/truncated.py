@@ -13,35 +13,38 @@ k-sum once over the whole k-window:
   a binomial shift along v, applied to each term's own copy of its left
   store once per stored index m, at k = m + 1, for the indices a window
   reads (`_TermWalk.push`);
-- each term has a packed side, whose images do not depend on the window:
+- a term's packed side is one whose images do not depend on the window:
   the identity store, a constant-substitution store or the folded left
-  store, the right side when both qualify.  Its stored values are packed
-  once each, as integers with one W-bit slot per basis monomial, and cut
-  to each degree prefix (`_Packed`).  When both sides vary (av132:321),
-  the right side's parts Delta_d(Q_m) are packed, and each window
-  recombines them with their weights, one C-level pass per part and cut;
+  store, and the right side when both are.  Each of its values is packed
+  once, as an integer with one W-bit slot per basis monomial, in basis
+  order, and cut to each degree prefix (`_Packed`);
 - for each n, the other side's factors are laid out as one column per
   basis monomial i, running over k; the coefficient factors that mix n and
   k act on them as binomial shifts along one variable at a time;
 - the product summed over k is one C-level dot product per monomial i,
   sum(map(mul, column_i, packed values cut to the monomials j with
-  deg i + deg j <= cap)), whose slots are the sums of every in-cap pair
-  (i, j); the slots are read out and added into Q_n at the index of i*j.
-  That is |basis| dot products per window instead of one per in-cap pair
-  (45 instead of 495 for two variables at cap 8, 165 instead of 3,003 for
-  three), with the same scalar products inside.
+  deg i + deg j <= cap)).  Slot j of it is the k-sum of the pair (i, j),
+  which is added into Q_n at the index of i*j.  That is |basis| dot
+  products per window instead of one per in-cap pair (45 instead of 495
+  for two variables at cap 8, 165 instead of 3,003 for three), with the
+  same scalar products inside.
 
-In one variable nothing is packed: there are only (cap + 2) / 2 in-cap
-pairs per monomial, and a slot, which holds a sum of products, is about
-twice as wide as the entries it is packed from, so packing costs more
-digit work than the dot products it saves (av132:12, 21 and 132 ran 1.0-4x
-slower packed).  There the walk forms one dot product per in-cap pair.  A
-window of one summand is one `series.mul_into` product.
+Two kinds of term form one dot product per in-cap pair instead, as the
+walk did before it packed, because packing does not pay for them (times
+in process on a 2-vCPU VM, Python 3.11).  In one variable there are only
+(cap + 2) / 2 pairs per monomial, while a slot holds a sum of products
+and so is about twice as wide as the entries packed into it: packed,
+av132:132 took 2.4-3.9x and av132:12 and 21 up to 1.45x as long.  A term
+whose sides both vary (av132:321) would pack the parts Delta_d(Q_m) of
+one side and recombine them in every window: that took 0.92-1.04x as
+long at n = 80, cap 4 and n = 40 and 20, cap 8, and 1.16x at n = 200,
+cap 4, where the integers are widest.  A window of one summand is one
+`series.mul_into` product.
 
 Why the slots are exact.  Packing is evaluation at 2^W, so it is linear:
-a dot product of columns with packed values is the packed dot product of
-the columns with the values, read slot by slot, as long as every slot of
-the result lies in [0, 2^W).  No slot is ever negative.  The values are
+a dot product of columns with packed values is the packed value of the
+dot products, and reading it slot by slot gives them back as long as
+every slot lies in [0, 2^W).  No slot is ever negative.  The values are
 Taylor data at the all-ones point of polynomials with non-negative
 coefficients.  Every entry of every Delta_d is >= 0: the image of a
 deviation variable is a product of (1 + z)^e with e >= 0, minus 1;
@@ -49,23 +52,17 @@ deviation variable is a product of (1 + z)^e with e >= 0, minus 1;
 in a, and products C(a, i) C(a, j) expand with non-negative coefficients
 in C(a, .).  Weights C(a, d) with a >= 0 and binomial shifts are >= 0 too.
 So a slot can go wrong only by reaching 2^W and carrying into the next.
-Each packed cut has one slot more, its guard, holding the largest slot of
-the cut; a recombined cut's guard is the weighted sum of its parts'
-guards, again at least each of its slots.  So in every product, slot
-j = sum over k of c_k * slot_j(k) is at most the product's guard slot,
-sum over k of c_k * guard(k).  The product is written out with
-`int.to_bytes` to its slots and its guard only: that fits exactly when
-the guard is below 2^W, and then no slot carried.  When it does not fit,
-the walk widens W past the guard, re-packs every stored value and forms
-the window again.  A recombined value needs no check of its own: the
-constant monomial's column is a mass Q_m(1) >= 1 at every k (the mass
-check makes some term sum over k = 1, so Q_n(1) >= Q_(n-1)(1)), so that
-product's guard is at least every recombined guard, and a recombined
-slot is at most its guard.  Stored values are packed into slots wider
-than their largest entry (`int.to_bytes` refuses a negative one).
+Each packed cut has one slot more, its guard, which holds the largest
+slot of the cut.  In a product, slot j = sum over k of c_k * slot_j(k) is
+then at most the guard slot, sum over k of c_k * guard(k).  The product
+is written out with `int.to_bytes` to its slots and its guard only, which
+fits exactly when the guard is below 2^W, and then no slot carried.  When
+it does not fit, the walk widens W past the guard, re-packs every stored
+value and forms the window again.  A value is packed only into slots
+wider than its largest entry (`int.to_bytes` refuses a negative one).
 Slots grow about linearly with n, so a widening aims at the width the
 slots would need at n_max if they kept growing as far, but at most
-doubles it: av132:321 at cap 4 re-packs 4 times up to n = 80.
+doubles it: av123:213 at cap 4 re-packs 4 times up to n = 80.
 
 Exponents are evaluated over whole windows, and a negative one is a
 UsageError naming the first (n, k) in the walk order of funcrec._summands.
@@ -249,31 +246,26 @@ class _Images:
             out.targets.append(targets)
         return out
 
-    def weights(self, evals: dict, cap: int) -> list:
-        """Per part, its weights C(a, d) over the window at exponents
-        `evals`; None for the degree 0 part, whose weight is 1."""
-        rows = [binomial_rows(evals[p], cap) for p in self.varying]
-        out = []
-        for d in self.degrees:
-            w = None
-            for r, dv in zip(rows, d):
-                if dv:
-                    w = r[dv] if w is None else list(map(mul, w, r[dv]))
-            out.append(w)
-        return out
-
     def columns(self, lo: int, hi: int, reverse: bool, evals: dict, cap: int) -> list:
         """Per basis monomial, the image's coefficient over the window of
         stored indices lo .. hi - 1 (reversed when asked), each under the
         matrix at that window position's exponents `evals`."""
-        # the degree 0 part has weight 1 and every target
-        acc = list(zip(*_window(self.parts[0], lo, hi, reverse)))
-        if self.varying:
-            weights = self.weights(evals, cap)
-            for w, part, targets in zip(weights[1:], self.parts[1:], self.targets[1:]):
-                cols = list(zip(*_window(part, lo, hi, reverse)))
-                for i in targets:
-                    acc[i] = list(map(add, acc[i], map(mul, w, cols[i])))
+        weights = [binomial_rows(evals[p], cap) for p in self.varying]
+        acc = None
+        for d, part, targets in zip(self.degrees, self.parts, self.targets):
+            block = part[lo:hi]
+            if reverse:
+                block.reverse()
+            cols = list(zip(*block))
+            if acc is None:  # the degree 0 part has weight 1 and every target
+                acc = cols
+                continue
+            w = None
+            for rows, dv in zip(weights, d):
+                if dv:
+                    w = rows[dv] if w is None else list(map(mul, w, rows[dv]))
+            for i in targets:
+                acc[i] = list(map(add, acc[i], map(mul, w, cols[i])))
         return acc
 
 
@@ -308,22 +300,17 @@ class _Layout:
 
 
 class _Packed:
-    """A store's parts, each stored value packed into integers of W-bit
-    slots, one slot per basis monomial in basis order, plus a guard slot.
-    `cuts[d]` lists (p, packed) for the parts p with a target of degree
-    <= cap - d, where packed[m] is part p of index m cut to the monomials
-    of degree <= cap - d, with the largest of those slots in the slot after
-    them: the side of the pairs of every monomial of degree d."""
+    """A store's values, each packed into integers of W-bit slots, one slot
+    per basis monomial in basis order, plus a guard slot: `cuts[d][m]` is
+    Q_m's image cut to the monomials of degree <= cap - d, the side of the
+    pairs of every monomial of degree d, with the largest of its slots in
+    the slot after them."""
 
     __slots__ = ("store", "layout", "width", "cuts", "shifts", "masks", "sizes", "chunks")
 
     def __init__(self, store: _Images, layout: _Layout):
         self.store, self.layout = store, layout
         self.cuts = [[] for _ in layout.lens]
-        for p, targets in enumerate(store.targets):
-            low = min(layout.degs[t] for t in targets) if targets else 0
-            for d in range(layout.cap + 1 - low):
-                self.cuts[d].append((p, []))
         self._widen(0, 1)
 
     def _widen(self, bits: int, n: int) -> None:
@@ -332,9 +319,8 @@ class _Packed:
         at most twice as wide (see the module docstring)."""
         bits += min(bits, bits * (self.layout.n_max - n) // n)
         nb = self.width = bits // 8 + 1
-        for cuts in self.cuts:
-            for _, packed in cuts:
-                packed.clear()
+        for cut in self.cuts:
+            cut.clear()
         lens, degs = self.layout.lens, self.layout.degs
         self.shifts = [8 * nb * k for k in lens]
         self.masks = [(1 << shift) - 1 for shift in self.shifts]
@@ -345,44 +331,36 @@ class _Packed:
     def _fill(self, n: int) -> None:
         """Pack the stored values not yet packed, first re-packing them all
         with wider slots if one of them has a slot that does not fit."""
-        parts, groups, cap = self.store.parts, self.layout.groups, self.layout.cap
-        m = len(self.cuts[0][0][1])
-        while m < len(parts[0]):
-            qs = [part[m] for part in parts]  # None: an index no window reads
-            # tops[p][e]: the largest slot of part p of degree <= e
-            tops = [q and list(accumulate(map(max, map(q.__getitem__, groups)), max)) for q in qs]
-            bits = max(top[-1].bit_length() if top else 0 for top in tops)
-            if bits > 8 * self.width:
-                self._widen(bits, n)
+        (values,), groups = self.store.parts, self.layout.groups
+        m = len(self.cuts[0])
+        while m < len(values):
+            q = values[m]
+            if q is None:  # an index no window reads
+                for cut in self.cuts:
+                    cut.append(None)
+                m += 1
+                continue
+            # tops[e]: the largest slot of degree <= e
+            tops = list(accumulate(map(max, map(q.__getitem__, groups)), max))
+            if tops[-1].bit_length() > 8 * self.width:
+                self._widen(tops[-1].bit_length(), n)
                 m = 0
                 continue
-            nb = self.width
-            full = [q and _pack(q, nb) for q in qs]
-            for cuts, mask, shift, e in zip(self.cuts, self.masks, self.shifts, range(cap, -1, -1)):
-                for p, packed in cuts:
-                    q = full[p]
-                    packed.append(q if q is None else (q & mask) + (tops[p][e] << shift))
+            q = _pack(q, self.width)
+            tops.reverse()
+            for cut, mask, shift, top in zip(self.cuts, self.masks, self.shifts, tops):
+                cut.append((q & mask) + (top << shift))
             m += 1
 
-    def add_into(
-        self, out: list, n: int, cols: list, lo: int, hi: int, reverse: bool, evals: dict
-    ) -> None:
+    def add_into(self, out: list, n: int, cols: list, lo: int, hi: int, reverse: bool) -> None:
         """Add sum over the window of cols[i] * (slot j of the packed value)
         to out at the index of monomial i*j, for every in-cap pair (i, j):
         the window is stored indices lo .. hi - 1, reversed when asked, and
         cols the other side's columns over it."""
         layout = self.layout
-        weights = self.store.weights(evals, layout.cap)
         self._fill(n)
         while True:
-            levels = []
-            for cuts in self.cuts:
-                level = None
-                for p, packed in cuts:
-                    block = _window(packed, lo, hi, reverse)
-                    w = weights[p]
-                    level = block if w is None else list(map(add, level, map(mul, w, block)))
-                levels.append(level)
+            levels = [_window(cut, lo, hi, reverse) for cut in self.cuts]
             sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
             try:
                 buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
@@ -401,7 +379,8 @@ class _TermWalk:
 
     The coefficient's factors (1 + z_v)^E whose exponent E has no n term are
     folded into the term's own copy of its left store, once per stored index
-    m at k = m + 1 (`push`); `_coefficient` applies the rest per window."""
+    m at k = m + 1 (`push`); `_coefficient` applies the rest per window, to
+    the side that is not packed (the left one when neither is)."""
 
     __slots__ = (
         "label", "term", "cap", "pairs", "shifts", "varying", "negative", "coef", "fold", "source",
@@ -434,10 +413,11 @@ class _TermWalk:
             if self.fold:
                 self.source = self.left
                 self.left = self.source.folded([shifts[v] for v, _ in self.fold])
-            # the packed side: the right one unless only the left one is
-            # independent of the window
+            # the packed side: one independent of the window, the right one
+            # when both are
             self.pack_left = bool(self.right.varying) and not self.left.varying
-            self.packed = pack(self.left if self.pack_left else self.right)
+            if not (self.left.varying and self.right.varying):
+                self.packed = pack(self.left if self.pack_left else self.right)
 
     def push(self, m: int) -> None:
         """Store the folded left parts of index m, if a window reads them."""
@@ -471,22 +451,20 @@ class _TermWalk:
                 next(i for i, x in enumerate(v) if x < 0) for v in evals.values() if min(v) < 0
             )
             raise UsageError(f"{self.label}: negative exponent at (n={n}, k={ks[first]})")
-        # the coefficient factors that mix n and k go on the side that is
-        # not packed
         left = (self.left, ks.start - 1, ks.stop - 1, False)
         right = (self.right, n - ks.stop + 1, n - ks.start + 1, True)
         scalar, packed = (right, left) if self.pack_left else (left, right)
         store, lo, hi, reverse = scalar
         cols = self._coefficient(store.columns(lo, hi, reverse, evals, self.cap), evals)
         if self.packed is not None and len(ks) > 1:
-            self.packed.add_into(out, n, cols, *packed[1:], evals)
+            self.packed.add_into(out, n, cols, *packed[1:])
             return
         store, lo, hi, reverse = packed
         other = store.columns(lo, hi, reverse, evals, self.cap)
         if len(ks) == 1:  # a single summand: one direct product
             mul_into(out, self.pairs, [c[0] for c in cols], [c[0] for c in other])
             return
-        for col, row in zip(cols, self.pairs):  # one variable: a product per pair
+        for col, row in zip(cols, self.pairs):  # nothing packed: a product per pair
             if any(col):
                 for j, t in row:
                     out[t] += sum(map(mul, col, other[j]))
