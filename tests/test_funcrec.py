@@ -202,10 +202,10 @@ def test_substitution_differences_have_no_negative_entry():
 
 @pytest.mark.parametrize("family,statistic,n_max,outgrown_by", [
     ("av123", "213", 9, {"add_into"}),
-    ("av132", "123", 12, {"add_into"}),
-    ("av132", "231", 12, {"_fill", "add_into"}),
-    ("av132", "213", 12, {"add_into"}),
-    ("av132", "312", 12, {"_fill", "add_into"}),
+    ("av132", "123", 10, {"add_into"}),
+    ("av132", "231", 10, {"_fill", "add_into"}),
+    ("av132", "213", 10, {"add_into"}),
+    ("av132", "312", 10, {"_fill", "add_into"}),
 ])
 def test_tight_slots_are_repacked_mid_walk_and_stay_exact(
     monkeypatch, family, statistic, n_max, outgrown_by
