@@ -39,12 +39,17 @@ once.  A constant substitution is a linear map on the coefficient vector,
 applied directly; a varying one is split into per-index differences Delta_d
 (d <= cap) with per-(n, k) weights C(a(n, k), d), exact because every entry
 of the substitution's operator is a polynomial of total degree <= cap in its
-varying exponents a.  For each n the window's coefficients are laid out as
-one column per basis monomial; varying substitutions and the coefficient
-factors that mix n and k (binomial shifts along one variable) enter as
-per-window weight vectors, and the product summed over k is one C-level dot
-product per in-cap pair of monomials.  A coefficient factor whose exponent
-depends on k alone is applied once per stored Q_m instead, on the left side.
+varying exponents a.  A side whose images do not depend on the window
+(an identity or constant substitution) keeps each stored image packed, one
+W-bit slot per basis monomial.  For each n the other side's coefficients
+are laid out as one column per basis monomial; varying substitutions and
+the coefficient factors that mix n and k (binomial shifts along one
+variable) enter as per-window weight vectors, and the product summed over
+k is one C-level dot product per basis monomial, whose slots are the sums
+of its in-cap pairs.  In one variable, or when both sides vary, it is one
+dot product per in-cap pair of monomials.  A coefficient factor whose
+exponent depends on k alone is applied once per stored Q_m instead, on the
+left side.
 
 The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the
