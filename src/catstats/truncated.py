@@ -116,13 +116,14 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
     ]
     # in one variable nothing is packed (see the module docstring)
     layout = _Layout(basis, n_max) if nv > 1 else None
+    packs: dict = {}
 
     def pack(store):
-        if store.pack is None and layout is not None:
-            store.pack = _Packed(store, layout)
-        return store.pack
+        if layout is not None and store not in packs:
+            packs[store] = _Packed(store, layout)
+        return packs.get(store)
 
-    terms = [_TermWalk(spec.label, term, basis, shifts, image, pack) for term in spec.terms]
+    terms = [_TermWalk(spec.label, term, cap, shifts, image, pack) for term in spec.terms]
     stores = [im for im in images.values() if im.ops]
     for n in range(1, n_max + 1):
         for im in stores:
@@ -131,7 +132,7 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
             term.push(n - 1)
         out = [0] * len(basis)
         for term in terms:
-            term.add_into(out, n)
+            term.add_into(out, n, basis.pairs)
         values.append(out)
     return [TruncatedSeries(basis, v) for v in values]
 
@@ -197,12 +198,11 @@ class _Images:
     the single degree () and part Op(Q_m).
     """
 
-    __slots__ = ("varying", "degrees", "ops", "targets", "parts", "pack")
+    __slots__ = ("varying", "degrees", "ops", "targets", "parts")
 
     def __init__(self, basis: SeriesBasis, matrix, values: list):
         self.varying, self.degrees, self.ops, self.targets = [], [()], [], [None]
         self.parts = [values]
-        self.pack = None
         if matrix is None:
             return
         slots = [
@@ -232,7 +232,6 @@ class _Images:
         out = object.__new__(_Images)
         out.varying, out.degrees, out.ops = self.varying, self.degrees, []
         out.parts = [[] for _ in self.degrees]
-        out.pack = None
         out.targets = []
         for targets in self.targets:
             # a shift along v moves support up along v: to every monomial
@@ -267,18 +266,6 @@ class _Images:
             for i in targets:
                 acc[i] = list(map(add, acc[i], map(mul, w, cols[i])))
         return acc
-
-
-def _pack(q: list, nb: int) -> int:
-    """q as one integer with an nb-byte slot per entry, q[0] lowest."""
-    return int.from_bytes(b"".join(map(int.to_bytes, q, repeat(nb), repeat("little"))), "little")
-
-
-def _window(values: list, lo: int, hi: int, reverse: bool) -> list:
-    """values[lo:hi], reversed when asked."""
-    if not reverse:
-        return values[lo:hi]
-    return values[hi - 1:lo - 1:-1] if lo else values[hi - 1::-1]
 
 
 class _Layout:
@@ -346,7 +333,8 @@ class _Packed:
                 self._widen(tops[-1].bit_length(), n)
                 m = 0
                 continue
-            q = _pack(q, self.width)
+            q = b"".join(map(int.to_bytes, q, repeat(self.width), repeat("little")))
+            q = int.from_bytes(q, "little")
             tops.reverse()
             for cut, mask, shift, top in zip(self.cuts, self.masks, self.shifts, tops):
                 cut.append((q & mask) + (top << shift))
@@ -360,7 +348,10 @@ class _Packed:
         layout = self.layout
         self._fill(n)
         while True:
-            levels = [_window(cut, lo, hi, reverse) for cut in self.cuts]
+            levels = [cut[lo:hi] for cut in self.cuts]
+            if reverse:
+                for level in levels:
+                    level.reverse()
             sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
             try:
                 buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
@@ -383,15 +374,12 @@ class _TermWalk:
     the side that is not packed (the left one when neither is)."""
 
     __slots__ = (
-        "label", "term", "cap", "pairs", "shifts", "varying", "negative", "coef", "fold", "source",
-        "left", "right", "packed", "pack_left",
+        "label", "term", "cap", "shifts", "varying", "negative", "coef", "fold", "source", "left",
+        "right", "packed", "pack_left",
     )
 
-    def __init__(
-        self, label: str, term, basis: SeriesBasis, shifts: list, image: Callable, pack: Callable
-    ):
-        self.label, self.term, self.shifts = label, term, shifts
-        self.cap, self.pairs = basis.cap, basis.pairs
+    def __init__(self, label: str, term, cap: int, shifts: list, image: Callable, pack: Callable):
+        self.label, self.term, self.cap, self.shifts = label, term, cap, shifts
         polys = list(term.coef)
         for mat in (term.left, term.right):
             polys += [e for row in mat or () for e in row]
@@ -440,7 +428,7 @@ class _TermWalk:
                 q = [x + sum(rows[j][0] * q[i] for j, i in chain) for x, chain in zip(q, chains)]
             part.append(q)
 
-    def add_into(self, out: list, n: int) -> None:
+    def add_into(self, out: list, n: int, pairs: list) -> None:
         """Add sum over the window of coef * L(Q_(k-1)) * R(Q_(n-k)) to out."""
         ks = self.term.k_range(n)
         if not ks:
@@ -462,9 +450,9 @@ class _TermWalk:
         store, lo, hi, reverse = packed
         other = store.columns(lo, hi, reverse, evals, self.cap)
         if len(ks) == 1:  # a single summand: one direct product
-            mul_into(out, self.pairs, [c[0] for c in cols], [c[0] for c in other])
+            mul_into(out, pairs, [c[0] for c in cols], [c[0] for c in other])
             return
-        for col, row in zip(cols, self.pairs):  # nothing packed: a product per pair
+        for col, row in zip(cols, pairs):  # nothing packed: a product per pair
             if any(col):
                 for j, t in row:
                     out[t] += sum(map(mul, col, other[j]))
