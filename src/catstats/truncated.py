@@ -371,7 +371,8 @@ class _TermWalk:
     The coefficient's factors (1 + z_v)^E whose exponent E has no n term are
     folded into the term's own copy of its left store, once per stored index
     m at k = m + 1 (`push`); `_coefficient` applies the rest per window, to
-    the side that is not packed (the left one when neither is)."""
+    the columns of the side that is not packed (the left one when neither
+    is)."""
 
     __slots__ = (
         "label", "term", "cap", "shifts", "varying", "negative", "coef", "fold", "source", "left",
@@ -439,23 +440,26 @@ class _TermWalk:
                 next(i for i, x in enumerate(v) if x < 0) for v in evals.values() if min(v) < 0
             )
             raise UsageError(f"{self.label}: negative exponent at (n={n}, k={ks[first]})")
-        left = (self.left, ks.start - 1, ks.stop - 1, False)
-        right = (self.right, n - ks.stop + 1, n - ks.start + 1, True)
-        scalar, packed = (right, left) if self.pack_left else (left, right)
-        store, lo, hi, reverse = scalar
-        cols = self._coefficient(store.columns(lo, hi, reverse, evals, self.cap), evals)
+        lo, hi = ks.start, ks.stop
         if self.packed is not None and len(ks) > 1:
-            self.packed.add_into(out, n, cols, *packed[1:])
+            if self.pack_left:
+                cols = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
+                window = lo - 1, hi - 1, False
+            else:
+                cols = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
+                window = n - hi + 1, n - lo + 1, True
+            self.packed.add_into(out, n, self._coefficient(cols, evals), *window)
             return
-        store, lo, hi, reverse = packed
-        other = store.columns(lo, hi, reverse, evals, self.cap)
+        left = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
+        left = self._coefficient(left, evals)
+        right = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
         if len(ks) == 1:  # a single summand: one direct product
-            mul_into(out, pairs, [c[0] for c in cols], [c[0] for c in other])
+            mul_into(out, pairs, [c[0] for c in left], [c[0] for c in right])
             return
-        for col, row in zip(cols, pairs):  # nothing packed: a product per pair
+        for col, row in zip(left, pairs):  # nothing packed: a product per pair
             if any(col):
                 for j, t in row:
-                    out[t] += sum(map(mul, col, other[j]))
+                    out[t] += sum(map(mul, col, right[j]))
 
     def _coefficient(self, cols: list, evals: dict) -> list:
         """The columns of a window times the coefficient factors that mix n
