@@ -13,11 +13,12 @@ k-sum once over the whole k-window:
   a binomial shift along v, applied to each term's own copy of its left
   store once per stored index m, at k = m + 1, for the indices a window
   reads (`_TermWalk.push`);
-- a term's packed side is one whose images do not depend on the window:
-  the identity store, a constant-substitution store or the folded left
-  store, and the right side when both are.  Each of its values is packed
-  once, as an integer with one W-bit slot per basis monomial, in basis
-  order, and cut to each degree prefix (`_Packed`);
+- a term's packed side is a side whose images do not depend on the
+  window: the identity store or a constant-substitution store, with the
+  k-only factors folded in on the left; the right side when both sides
+  qualify.  Each of its values is packed once, as an integer with one
+  W-bit slot per basis monomial, in basis order, and cut to each degree
+  prefix (`_Packed`);
 - for each n, the other side's factors are laid out as one column per
   basis monomial i, running over k; the coefficient factors that mix n and
   k act on them as binomial shifts along one variable at a time;
@@ -29,9 +30,9 @@ k-sum once over the whole k-window:
   for two variables at cap 8, 165 instead of 3,003 for three), with the
   same scalar products inside.
 
-Two kinds of term form one dot product per in-cap pair instead, as the
-walk did before it packed, because packing does not pay for them (times
-in process on a 2-vCPU VM, Python 3.11).  In one variable there are only
+Two kinds of term form one dot product per in-cap pair instead, because
+packing does not pay for them (times in process on a 2-vCPU VM, Python
+3.11).  In one variable there are only
 (cap + 2) / 2 pairs per monomial, while a slot holds a sum of products
 and so is about twice as wide as the entries packed into it: packed,
 av132:132 took 2.4-3.9x and av132:12 and 21 up to 1.45x as long.  A term
