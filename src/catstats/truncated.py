@@ -115,13 +115,12 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
         ]
         for v in range(nv)
     ]
-    # in one variable nothing is packed (see the module docstring)
-    layout = _Layout(basis, n_max) if nv > 1 else None
     packs: dict = {}
 
     def pack(store):
-        if layout is not None and store not in packs:
-            packs[store] = _Packed(store, layout)
+        # in one variable nothing is packed (see the module docstring)
+        if nv > 1 and store not in packs:
+            packs[store] = _Packed(store, basis, n_max)
         return packs.get(store)
 
     terms = [_TermWalk(spec.label, term, cap, shifts, image, pack) for term in spec.terms]
@@ -269,24 +268,6 @@ class _Images:
         return acc
 
 
-class _Layout:
-    """What packing needs to know of a basis, shared by a walk's stores."""
-
-    __slots__ = ("cap", "n_max", "degs", "lens", "groups", "targets")
-
-    def __init__(self, basis: SeriesBasis, n_max: int):
-        self.cap, self.n_max = basis.cap, n_max
-        degs = self.degs = [sum(e) for e in basis.monomials]
-        # lens[d]: the monomials j with deg j <= cap - d, a prefix of the
-        # basis, which pair with every monomial of degree d; groups[d]: the
-        # monomials of degree d; targets: the product index of every pair
-        self.lens = [bisect_right(degs, self.cap - d) for d in range(self.cap + 1)]
-        self.groups = [
-            slice(bisect_left(degs, d), bisect_right(degs, d)) for d in range(self.cap + 1)
-        ]
-        self.targets = [t for row in basis.pairs for _, t in row]
-
-
 class _Packed:
     """A store's values, each packed into integers of W-bit slots, one slot
     per basis monomial in basis order, plus a guard slot: `cuts[d][m]` is
@@ -294,22 +275,32 @@ class _Packed:
     pairs of every monomial of degree d, with the largest of its slots in
     the slot after them."""
 
-    __slots__ = ("store", "layout", "width", "cuts", "shifts", "masks", "sizes", "chunks")
+    __slots__ = (
+        "store", "n_max", "degs", "lens", "groups", "targets", "width", "cuts", "shifts", "masks",
+        "sizes", "chunks",
+    )
 
-    def __init__(self, store: _Images, layout: _Layout):
-        self.store, self.layout = store, layout
-        self.cuts = [[] for _ in layout.lens]
+    def __init__(self, store: _Images, basis: SeriesBasis, n_max: int):
+        self.store, self.n_max, cap = store, n_max, basis.cap
+        degs = self.degs = [sum(e) for e in basis.monomials]
+        # lens[d]: the monomials j with deg j <= cap - d, a prefix of the
+        # basis, which pair with every monomial of degree d; groups[d]: the
+        # monomials of degree d; targets: the product index of every pair
+        self.lens = [bisect_right(degs, cap - d) for d in range(cap + 1)]
+        self.groups = [slice(bisect_left(degs, d), bisect_right(degs, d)) for d in range(cap + 1)]
+        self.targets = [t for row in basis.pairs for _, t in row]
+        self.cuts = [[] for _ in self.lens]
         self._widen(0, 1)
 
     def _widen(self, bits: int, n: int) -> None:
         """Drop the packed values, for re-packing with slots of more than
         `bits` bits at Q_n, plus the growth that scaling to n_max gives, but
         at most twice as wide (see the module docstring)."""
-        bits += min(bits, bits * (self.layout.n_max - n) // n)
+        bits += min(bits, bits * (self.n_max - n) // n)
         nb = self.width = bits // 8 + 1
         for cut in self.cuts:
             cut.clear()
-        lens, degs = self.layout.lens, self.layout.degs
+        lens, degs = self.lens, self.degs
         self.shifts = [8 * nb * k for k in lens]
         self.masks = [(1 << shift) - 1 for shift in self.shifts]
         self.sizes = [nb * (lens[d] + 1) for d in degs]
@@ -319,7 +310,7 @@ class _Packed:
     def _fill(self, n: int) -> None:
         """Pack the stored values not yet packed, first re-packing them all
         with wider slots if one of them has a slot that does not fit."""
-        (values,), groups = self.store.parts, self.layout.groups
+        (values,), groups = self.store.parts, self.groups
         m = len(self.cuts[0])
         while m < len(values):
             q = values[m]
@@ -346,23 +337,22 @@ class _Packed:
         to out at the index of monomial i*j, for every in-cap pair (i, j):
         the window is stored indices lo .. hi - 1, reversed when asked, and
         cols the other side's columns over it."""
-        layout = self.layout
         self._fill(n)
         while True:
             levels = [cut[lo:hi] for cut in self.cuts]
             if reverse:
                 for level in levels:
                     level.reverse()
-            sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, layout.degs)]
+            sums = [sum(map(mul, col, levels[d])) for col, d in zip(cols, self.degs)]
             try:
                 buf = b"".join(map(int.to_bytes, sums, self.sizes, repeat("little")))
                 break
             except OverflowError:  # a guard slot has outgrown the width
-                tops = map(rshift, sums, map(self.shifts.__getitem__, layout.degs))
+                tops = map(rshift, sums, map(self.shifts.__getitem__, self.degs))
                 self._widen(max(map(int.bit_length, tops)), n)
                 self._fill(n)
         slots = map(int.from_bytes, self.chunks.unpack(buf), repeat("little"))
-        for t, x in zip(layout.targets, slots):
+        for t, x in zip(self.targets, slots):
             out[t] += x
 
 

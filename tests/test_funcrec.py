@@ -219,7 +219,7 @@ def test_tight_slots_are_repacked_mid_walk_and_stay_exact(
     def tight(self, bits, n):
         caller = sys._getframe(1).f_code.co_name
         drops.append((caller, len(self.cuts[0])))
-        widen(self, bits, self.layout.n_max)
+        widen(self, bits, self.n_max)
 
     monkeypatch.setattr(truncated._Packed, "_widen", tight)
     spec = builtin_spec(family, statistic)
