@@ -84,6 +84,10 @@ CORPUS = [
     "average --pattern 213 --pattern 1 --max-n 7 --format csv",
     "average --pattern 12",
     "average --pattern 231 --max-n 9 --format json --out a.json",
+    # patterns of more than 255 entries: 1..300 above n_max, where it never
+    # occurs, and 260..1 at n_max = 262
+    f"average --pattern '{' '.join(map(str, range(1, 301)))}' --max-n 5",
+    f"average --pattern '{' '.join(map(str, range(260, 0, -1)))}' --max-n 262",
     # census
     "census --k 3 --prefix-len 12",
     "census --k 3 --prefix-len 12 --format json",
