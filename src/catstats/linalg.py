@@ -8,6 +8,14 @@ substitution happens over Fractions, in `nullspace` only: an inhomogeneous
 system A x = b is solved as the nullspace of [A | b] (see
 `guessing.fit_closed_form`).
 
+Most systems the fitters try have full column rank, so `nullspace` first
+echelons a copy of the leading block, the first ncols + LEAD_SPARE_ROWS
+rows: their span lies inside the row space of the whole system, so if the
+block already has rank ncols, so does the system, and its nullspace is
+{0}.  Otherwise the whole system is eliminated as if the block had not
+been tried.  The spare rows cover systems whose first rows are zero or
+repeat each other, as in sequences that start with zeros.
+
 Nullspace bases are canonical: free columns are taken in increasing column
 order and each basis vector has value 1 at its free column and 0 at the
 other free columns, so downstream normalization is deterministic.
@@ -19,6 +27,9 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .errors import UsageError
+
+# rows past the first ncols that the leading block of `nullspace` takes
+LEAD_SPARE_ROWS = 4
 
 
 def _int_rows(rows: "Sequence[Sequence]", ncols: int) -> "list[list[int]]":
@@ -79,6 +90,9 @@ def _echelon(mat: "list[list[int]]", ncols: int):
 def nullspace(rows: "Sequence[Sequence]", ncols: int) -> "list[list[Fraction]]":
     """Basis of {x : A x = 0}, one vector per free column, canonical form."""
     mat = _int_rows(rows, ncols)
+    lead = ncols + LEAD_SPARE_ROWS
+    if len(mat) > lead and len(_echelon([row[:] for row in mat[:lead]], ncols)) == ncols:
+        return []  # the leading block already has full column rank
     pivots = _echelon(mat, ncols)
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]

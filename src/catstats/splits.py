@@ -24,14 +24,19 @@ splits of p other than the two that reproduce p itself ((p, empty) and
 its docstring), once per pair {q, q^-1}: inversion maps the 132-avoiders
 onto themselves and occurrences of q onto occurrences of q^-1, so the two
 share one sequence.  Its cost is its bigint products: per pattern q, one
-for each distinct suffix among q's splits and one by the central binomials,
-on operands cut to the N + 1 - |q| sizes q can occur at.  The census of
-the 4,862 length-9 avoiders at N = 30 resolves a closure of 3,596
-patterns with 6,217 suffix products, where a product per split would take
-8,710.
+for each distinct suffix among q's splits, on operands cut to the N + 1 - |q|
+sizes q can occur at, and one by the central binomials for each pattern it
+keeps.  The census of the 4,862 length-9 avoiders at N = 30 resolves a
+closure of 3,596 patterns (2,494 of them the length-9 inverse pairs) with
+6,217 suffix products, where a product per split would take 8,710, and
+1,131 central ones: 1,101 for the shorter patterns, 30 for the classes.
+7,348 products in all, where one central product per closure member would
+make 9,812.
 
 The class census groups all length-k patterns by their value sequences,
-keyed by their packed integers, and unpacks one sequence per class.
+keyed by their packed sums before the central binomials, which are equal
+exactly when the sequences are, and multiplies out and unpacks one
+sequence per class.
 Equality is tested on a finite prefix (default length 30), so the census is
 an equality-of-prefix census: classes that first differ beyond the prefix
 would be merged silently, and the report says so.
@@ -62,41 +67,53 @@ MAX_ENGINE_N = 1000
 
 # Largest size, in bits, of the packed sequences one census may keep: 2^31
 # bits is 256 MiB.  A census of the length-k patterns keeps one packed
-# sequence per inverse pair of 132-avoiders of length k,
-# `inverse_class_count(k)` of them, of n_max + 1 - k slots each (the memo
-# drops the k slots below size k), and more for the shorter parts of its
-# closure.
+# key per inverse pair of 132-avoiders of length k, `inverse_class_count(k)`
+# of them, of n_max + 1 - k slots each (the k slots below size k are
+# dropped), and more for the shorter parts of its closure.
 MAX_CENSUS_BITS = 2**31
 
 # the largest size on which a census compares the sequences, by default
 DEFAULT_PREFIX_LEN = 30
 DEFAULT_CENSUS_MAX_N = 9
 
+# Longest pattern the engine resolves: it keys patterns by byte strings, one
+# byte per value.  A longer pattern is refused unless it is longer than
+# n_max, where it never occurs.
+MAX_PATTERN_LEN = 255
 
-def split_terms(p: tuple) -> "list[tuple[tuple, tuple, bool]]":
+_IDENT = bytes(range(256))
+# _LOWER[d] is the `bytes.translate` table that lowers every value v >= d by
+# d; filled on first use, up to the longest pattern split so far
+_LOWER: "list[bytes]" = []
+
+
+def split_terms(p: bytes) -> "list[tuple[bytes, bytes, bool]]":
     """(prefix, suffix, uses_max) for every way an occurrence of the
-    standardized pattern p distributes over (left block, max, right block),
-    by increasing prefix length.
+    standardized pattern p (one byte per value) distributes over (left
+    block, max, right block), by increasing prefix length.
 
     A split is valid when every prefix value exceeds every suffix value, that
     is, when the prefix holds the top values of what the split keeps.  Then the
     suffix is already standardized and the prefix standardizes by subtracting
-    the suffix length, and `low`, the running minimum of the prefix, decides
-    validity: p[:i] holds the top i values of 1..size when low > size - i, and
-    the top i values of 1..size-1 (size itself routed through the maximum) when
-    low >= size - i.  The empty prefix has low = size + 1.
+    the suffix length, one `translate`, and `low`, the running minimum of the
+    prefix, decides validity: p[:i] holds the top i values of 1..size when
+    low > size - i, and the top i values of 1..size-1 (size itself routed
+    through the maximum) when low >= size - i.  The empty prefix has
+    low = size + 1.
     """
     size = len(p)
+    while len(_LOWER) <= size:
+        _LOWER.append(bytes(len(_LOWER)) + _IDENT[: 256 - len(_LOWER)])
     terms = []
     low = size + 1
     for i in range(size + 1):
         rest = size - i
         if low > rest:
-            terms.append((tuple([v - rest for v in p[:i]]), p[i:], False))
+            terms.append((p[:i].translate(_LOWER[rest]), p[i:], False))
         if i < size:
             v = p[i]
             if v == size and low >= rest:
-                terms.append((tuple([w - rest + 1 for w in p[:i]]), p[i + 1 :], True))
+                terms.append((p[:i].translate(_LOWER[rest - 1]), p[i + 1 :], True))
             if v < low:
                 low = v
     return terms
@@ -109,13 +126,13 @@ def inverse_class_count(k: int) -> int:
     return (catalan(k) + comb(k, k // 2)) // 2
 
 
-def _canonical(q: tuple) -> tuple:
+def _canonical(q: bytes) -> bytes:
     """The lexicographically smaller of q and its inverse q^-1, which has
-    the same total sequence over the 132-avoiders (see `AverageEngine`)."""
-    inv = [0] * len(q)
-    for i, v in enumerate(q, 1):
-        inv[v - 1] = i
-    inv = tuple(inv)
+    the same total sequence over the 132-avoiders (see `AverageEngine`).
+    The table that maps q[i] to i + 1 turns the values 1..|q| into their
+    positions."""
+    ident = _IDENT[1 : len(q) + 1]
+    inv = ident.translate(bytes.maketrans(q, ident))
     return inv if inv < q else q
 
 
@@ -145,27 +162,28 @@ class AverageEngine:
     of p in pi to an occurrence of p^-1 in pi^-1 (the same entries, read as
     (value, position) pairs).  So A_p = A_(p^-1) for every pattern p,
     132-avoiding or not, and the memo is keyed by one canonical pattern per
-    pair {p, p^-1}, the lexicographically smaller: queries and the prefix
-    and suffix parts of every split are canonicalized before they are looked
-    up, and each pair is computed once.
+    pair {p, p^-1}, the lexicographically smaller, as a byte string: queries
+    and the prefix and suffix parts of every split are canonicalized before
+    they are looked up, and each pair is computed once.
 
     A pattern p never occurs below size |p|, so `memo[p]` stores
     A_p / z^|p|: it packs A_p(|p|..N), N = n_max, into one integer
     sum_i A_p(|p| + i) * 2^(w*i) over its N + 1 - |p| slots (Kronecker
-    substitution z = 2^w; no slots when |p| > N), and a convolution of two
-    sequences is one bigint product.  Dividing the recurrence of the module
-    docstring by z^|q|, a split into (prefix, suffix) contributes
-    z^e * memo[prefix] * memo[suffix], e = 1 + |prefix| + |suffix| - |q|:
-    e = 1 (one slot up) when the split keeps every entry of q in the blocks,
-    and e = 0 when it routes one through the maximum.  So, with the splits
-    other than (q, empty) and (empty, q) grouped by suffix,
+    substitution z = 2^w), and a convolution of two sequences is one bigint
+    product.  Dividing the recurrence of the module docstring by z^|q|, a
+    split into (prefix, suffix) contributes z^e * memo[prefix] * memo[suffix],
+    e = 1 + |prefix| + |suffix| - |q|: e = 1 (one slot up) when the split
+    keeps every entry of q in the blocks, and e = 0 when it routes one
+    through the maximum.  So, with the splits other than (q, empty) and
+    (empty, q) grouped by suffix,
 
-        A_q / z^|q| = (sum_suf memo[suf] * sum_pre z^e * memo[pre]) * central,
+        B_q = sum_suf memo[suf] * sum_pre z^e * memo[pre],
+        A_q / z^|q| = B_q * central,
 
-    central = sum_n C(2n, n) z^n: one product per distinct suffix and one by
-    the central binomials.  Only the s = N + 1 - |q| low slots of A_q / z^|q|
-    are kept, so every operand is first cut to s slots, and so is each
-    result.
+    central = sum_n C(2n, n) z^n: one product per distinct suffix, then one
+    by the central binomials for each pattern the memo keeps.  Only the
+    s = N + 1 - |q| low slots of A_q / z^|q| are kept, so every operand is
+    first cut to s slots, and so is each result.
 
     Exactness.  Packing is evaluation at z = 2^w, and cutting to s slots is
     reduction modulo 2^(w*s), the image of z^s; both are ring homomorphisms
@@ -178,13 +196,25 @@ class AverageEngine:
     0 <= A_q(n) <= 2^n*c(n) <= 2^N*c(N) < 2^(w-1) with
     w = (2^N*c(N)).bit_length() + 1, and the canonical residue modulo
     2^(w*s) is exactly their packing.
+
+    Keys before the central binomials.  The census compares patterns by
+    B_q, cut to s slots, and multiplies by the central binomials once per
+    class.  Central has constant term 1, so it is a unit modulo z^s, and
+    B_q = A_q / central there: equal B means equal A on every slot.  B_q
+    packs exactly under the same w, since its coefficients are sums of
+    products of non-negative values, and A_q(n) = sum_j B_q(j) C(2(n-j), n-j)
+    >= B_q(n).  The length-k patterns stay out of the memo: at k = 9,
+    N = 30 the census takes 30 central products for the 2,494 length-9
+    pairs, and the memo ends with 1,102 entries, the empty pattern and the
+    1,101 shorter pairs.  `sequence` stores A, as its queries may be parts
+    of later ones.
     """
 
     def __init__(self, n_max: int):
         self.n_max = n_max
         self.width = _slot_width(n_max)
         self._central = self._pack([comb(2 * n, n) for n in range(n_max + 1)])
-        self.memo: "dict[tuple, int]" = {(): self._pack(catalan_list(n_max))}
+        self.memo: "dict[bytes, int]" = {b"": self._pack(catalan_list(n_max))}
 
     def _pack(self, values) -> int:
         packed = 0
@@ -201,32 +231,41 @@ class AverageEngine:
             (packed >> (width * i)) & slot for i in range(count - size)
         )
 
-    def _packed(self, pattern: tuple) -> int:
-        """A_pattern / z^|pattern|, packed: the memo value of its canonical
-        representative, resolving that one's closure first when it is
-        missing."""
-        pattern = _canonical(pattern)
-        packed = self.memo.get(pattern)
-        if packed is None:
-            self._resolve(pattern)
-            packed = self.memo[pattern]
-        return packed
+    def _times_central(self, B: int, size: int) -> int:
+        """A_q / z^|q| from B_q, both packed, for a length-`size` pattern q."""
+        mask = (1 << self.width * (self.n_max + 1 - size)) - 1
+        return B * (self._central & mask) & mask
 
     def sequence(self, pattern) -> "tuple[int, ...]":
         """A_pattern(0..n_max), unpacked from the memo."""
         pattern = tuple(pattern)
-        if sorted(pattern) != list(range(1, len(pattern) + 1)):
+        size = len(pattern)
+        if sorted(pattern) != list(range(1, size + 1)):
             raise UsageError(f"pattern must be standardized, got {pattern}")
-        return self._unpack(self._packed(pattern), len(pattern), self.n_max + 1)
+        if size > self.n_max:
+            return (0,) * (self.n_max + 1)
+        if size > MAX_PATTERN_LEN:
+            raise UsageError(
+                f"patterns are capped at {MAX_PATTERN_LEN} entries, unless longer than "
+                f"n_max (they never occur there), got {size} at n_max = {self.n_max}"
+            )
+        q = _canonical(bytes(pattern))
+        packed = self.memo.get(q)
+        if packed is None:
+            packed = self.memo[q] = self._times_central(self._pre_central(q), size)
+        return self._unpack(packed, size, self.n_max + 1)
 
-    def _resolve(self, pattern: tuple) -> None:
-        """Decompose every pattern of the closure once, then compute them
-        shortest first, so that every strictly shorter part is already done."""
+    def _pre_central(self, pattern: bytes) -> int:
+        """B_q of the canonical pattern q, packed and cut to its slots.
+        Every part of its closure that the memo misses is decomposed once,
+        then computed into the memo shortest first, so that every strictly
+        shorter part is already done; q itself, the longest, comes last and
+        stays out of the memo."""
         memo = self.memo
         # q -> {suffix: [(prefix, one slot up?)]}, without (q, empty) and
         # (empty, q): those two are the 1/sqrt(1-4z) factor; every pattern
-        # here is canonical
-        groups: "dict[tuple, dict[tuple, list]]" = {}
+        # here is canonical, and a part found in the memo already is
+        groups: "dict[bytes, dict[bytes, list]]" = {}
         todo = [pattern]
         while todo:
             q = todo.pop()
@@ -237,21 +276,28 @@ class AverageEngine:
             for pre, suf, uses_max in split_terms(q):
                 if len(pre) == size or len(suf) == size:
                     continue
-                pre, suf = _canonical(pre), _canonical(suf)
+                if pre not in memo:
+                    pre = _canonical(pre)
+                    if pre not in memo and pre not in groups:
+                        todo.append(pre)
+                if suf not in memo:
+                    suf = _canonical(suf)
+                    if suf not in memo and suf not in groups:
+                        todo.append(suf)
                 own.setdefault(suf, []).append((pre, not uses_max))
-                for part in (pre, suf):
-                    if part not in memo and part not in groups:
-                        todo.append(part)
-        width, top, central = self.width, self.n_max + 1, self._central
+        width, top = self.width, self.n_max + 1
         for q in sorted(groups, key=len):
-            mask = (1 << width * max(top - len(q), 0)) - 1
+            mask = (1 << width * (top - len(q))) - 1
             B = 0
             for suf, pres in groups[q].items():
                 inner = 0
                 for pre, up in pres:
                     inner += memo[pre] << width if up else memo[pre]
                 B += (memo[suf] & mask) * (inner & mask)
-            memo[q] = (B & mask) * (central & mask) & mask
+            B &= mask
+            if q != pattern:
+                memo[q] = self._times_central(B, len(q))
+        return B
 
 
 # -- the class censuses ----------------------------------------------------
@@ -331,9 +377,10 @@ def bona_census_132(k: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> CensusResul
     """Group the 132-avoiding length-k patterns by their total-occurrence
     sequences on sizes 0..prefix_len.
 
-    The key of a pattern is its memo value, which packs exactly its values
-    on sizes k..prefix_len, so equal keys are equal sequences, and one
-    sequence per class is unpacked."""
+    The key of a pattern is B_q of its canonical representative q, the
+    packed sum of its splits before the central binomials: equal keys are
+    equal sequences on sizes k..prefix_len (see `AverageEngine`), and one
+    sequence per class is multiplied out and unpacked."""
     if k < 1:
         raise UsageError("k must be >= 1")
     if prefix_len < 2 * k:
@@ -347,12 +394,20 @@ def bona_census_132(k: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> CensusResul
         )
     engine = AverageEngine(prefix_len)
     patterns = enumerate_avoiders(AV132, k, limit=max(k, DEFAULT_ORACLE_LIMIT))
+    keys: "dict[bytes, int]" = {}  # canonical pattern -> its B
+
+    def key(p: tuple) -> int:
+        q = _canonical(bytes(p))
+        if q not in keys:
+            keys[q] = engine._pre_central(q)
+        return keys[q]
+
     return _census(
         "av132",
         k,
         prefix_len,
-        ((p, engine._packed(p)) for p in patterns),
-        lambda key: engine._unpack(key, k, prefix_len + 1),
+        ((p, key(p)) for p in patterns),
+        lambda key: engine._unpack(engine._times_central(key, k), k, prefix_len + 1),
     )
 
 

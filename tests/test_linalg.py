@@ -3,14 +3,16 @@ from fractions import Fraction
 import pytest
 
 from catstats.errors import UsageError
-from catstats.linalg import integer_primitive, nullspace
+from catstats.linalg import LEAD_SPARE_ROWS, integer_primitive, nullspace
 
 
-def rref_rank(rows, ncols):
-    # independent reference: plain Gauss-Jordan rank over the rationals
+def rref(rows, ncols):
+    # independent reference: plain Gauss-Jordan over the rationals; returns
+    # the reduced rows and the pivot columns
     mat = [[Fraction(v) for v in r] for r in rows]
-    rank = 0
+    pivots = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
@@ -21,8 +23,26 @@ def rref_rank(rows, ncols):
             if i != rank and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return mat, pivots
+
+
+def rref_rank(rows, ncols):
+    return len(rref(rows, ncols)[1])
+
+
+def rref_nullspace(rows, ncols):
+    """The canonical basis read off the reduced rows: 1 at its free column,
+    0 at the other free columns, minus that column's entries at the pivots."""
+    mat, pivots = rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -mat[r][free]
+        basis.append(x)
+    return basis
 
 
 def test_known_nullspace():
@@ -66,6 +86,65 @@ def test_int_rows_match_fraction_rows_and_stay_untouched(rng):
         before = [list(r) for r in rows]
         assert nullspace(rows, ncols) == nullspace([[Fraction(v) for v in r] for r in rows], ncols)
         assert rows == before
+
+
+def _tall(rng, ncols, rank, nrows):
+    """nrows random integer rows of the given rank: random combinations of
+    `rank` random rows."""
+    while True:
+        base = [[rng.randint(-5, 5) for _ in range(ncols)] for _ in range(rank)]
+        if rref_rank(base, ncols) == rank:
+            break
+    return [
+        [sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(ncols)]
+        for coeffs in ([rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows))
+    ]
+
+
+def _assert_reference_basis(rows, ncols):
+    before = [list(r) for r in rows]
+    assert nullspace(rows, ncols) == rref_nullspace(rows, ncols)
+    assert rows == before
+
+
+def test_full_rank_past_a_deficient_leading_block(rng):
+    # the leading block (ncols + LEAD_SPARE_ROWS rows) repeats rows or is
+    # zero, so it has no full column rank, but the rows below it do
+    for _ in range(20):
+        ncols = rng.randrange(1, 7)
+        lead = ncols + LEAD_SPARE_ROWS
+        tail = _tall(rng, ncols, ncols, ncols + rng.randrange(0, 4))
+        if rng.random() < 0.5:
+            block = [[0] * ncols for _ in range(lead)]
+        else:
+            block = _tall(rng, ncols, rng.randrange(0, ncols), lead)
+        block[rng.randrange(lead)] = list(block[0])
+        rows = block + tail
+        assert rref_rank(rows[:lead], ncols) < ncols == rref_rank(rows, ncols)
+        _assert_reference_basis(rows, ncols)
+        assert nullspace(rows, ncols) == []
+
+
+def test_tall_systems_with_a_nullspace_match_gauss_jordan(rng):
+    # rank below ncols, with the deficiency showing in the leading block or
+    # not, and rows as tall as the fitters' systems
+    for _ in range(20):
+        ncols = rng.randrange(2, 9)
+        rank = rng.randrange(0, ncols)
+        rows = _tall(rng, ncols, rank, ncols + LEAD_SPARE_ROWS + rng.randrange(1, 30))
+        assert len(nullspace(rows, ncols)) == ncols - rank
+        _assert_reference_basis(rows, ncols)
+
+
+def test_tall_systems_mixing_int_and_fraction_rows(rng):
+    # a row with a Fraction is scaled to integers on its own; the basis is
+    # that of the rational rows, with or without a nullspace
+    for _ in range(20):
+        ncols = rng.randrange(1, 7)
+        rows = _tall(rng, ncols, rng.randrange(1, ncols + 1), ncols + LEAD_SPARE_ROWS + 5)
+        for row in rng.sample(rows, len(rows) // 2):
+            row[rng.randrange(ncols)] = Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+        _assert_reference_basis(rows, ncols)
 
 
 def test_nullspace_refuses_ragged_rows_and_non_numbers():

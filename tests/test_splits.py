@@ -10,6 +10,8 @@ from catstats.funcrec import builtin_families, builtin_spec, eval_truncated
 from catstats.moments import factorial_from_truncated
 from catstats.perms import AV123, AV132, catalan_list, enumerate_avoiders
 from catstats.splits import (
+    DEFAULT_PREFIX_LEN,
+    MAX_PATTERN_LEN,
     AverageEngine,
     bona_census_123,
     bona_census_132,
@@ -19,8 +21,13 @@ from catstats.splits import (
 from reference import classify_all_subsets, count_occurrences, standardize
 
 
+def _terms(p):
+    """split_terms of the tuple p, with tuple parts."""
+    return [(tuple(pre), tuple(suf), uses_max) for pre, suf, uses_max in split_terms(bytes(p))]
+
+
 def test_split_decompose_frozen_example():
-    assert split_terms((2, 1, 3)) == [
+    assert _terms((2, 1, 3)) == [
         ((), (2, 1, 3), False),
         ((2, 1), (), True),
         ((2, 1, 3), (), False),
@@ -51,7 +58,7 @@ def test_split_decompose_matches_its_definition():
     # every permutation of length <= 7, 132-avoiders or not
     for k in range(8):
         for p in permutations(range(1, k + 1)):
-            assert split_terms(p) == _reference_decompose(p), p
+            assert _terms(p) == _reference_decompose(p), p
 
 
 def _reference_totals(p, n_max, memo):
@@ -172,7 +179,7 @@ def test_tiling_identity_at_n_120():
 def test_split_identity_pointwise():
     # splitting an avoider at its maximum splits each occurrence uniquely
     pats = [q for k in (1, 2, 3) for q in permutations(range(1, k + 1))]
-    decomps = {p: split_terms(p) for p in pats}
+    decomps = {p: _terms(p) for p in pats}
     for n in range(1, 8):
         for w in enumerate_avoiders(AV132, n):
             j = w.index(n)
@@ -251,6 +258,32 @@ def test_census_132_matches_grouping_by_the_coefficient_recurrence():
         expected = sorted((tuple(sorted(members)), seq) for seq, members in groups.items())
         got = [(c.patterns, c.prefix) for c in bona_census_132(k, prefix_len=18).classes]
         assert got == expected, k
+
+
+def test_census_132_keys_match_grouping_by_the_engine_sequences():
+    # the census keys length-k patterns before the central binomials; its
+    # classes and prefixes must be those of the full sequences A_p that
+    # `sequence` keeps, at the default prefix length, from k = 1 (whose one
+    # split routes through the maximum) to k = 8
+    eng = AverageEngine(DEFAULT_PREFIX_LEN)
+    for k in range(1, 9):
+        groups = {}
+        for p in enumerate_avoiders(AV132, k):
+            groups.setdefault(eng.sequence(p), []).append(p)
+        expected = sorted((tuple(sorted(members)), seq) for seq, members in groups.items())
+        got = [(c.patterns, c.prefix) for c in bona_census_132(k).classes]
+        assert got == expected, k
+
+
+def test_long_patterns_are_zero_above_n_max_and_capped_below():
+    # one byte per value: a pattern longer than MAX_PATTERN_LEN is refused
+    # unless it never occurs at all
+    for n_max in (0, 5, 255):
+        long = tuple(range(MAX_PATTERN_LEN + 45, 0, -1))
+        assert AverageEngine(n_max).sequence(long) == (0,) * (n_max + 1)
+    for size, n_max in ((260, 262), (MAX_PATTERN_LEN + 1, MAX_PATTERN_LEN + 1)):
+        with pytest.raises(UsageError, match=f"capped at {MAX_PATTERN_LEN} entries.*got {size} at n_max = {n_max}$"):
+            AverageEngine(n_max).sequence(range(size, 0, -1))
 
 
 def test_census_132_k3_frozen():
