@@ -262,20 +262,18 @@ class AverageEngine:
         shorter part is already done; q itself, the longest, comes last and
         stays out of the memo."""
         memo = self.memo
-        # q -> {suffix: [(prefix, one slot up?)]}, without (q, empty) and
-        # (empty, q): those two are the 1/sqrt(1-4z) factor; every pattern
-        # here is canonical, and a part found in the memo already is
+        # q -> {suffix: [(prefix, one slot up?)]}, without the first split,
+        # (empty, q), and the last, (q, empty): those two are the
+        # 1/sqrt(1-4z) factor; every pattern here is canonical, and a part
+        # found in the memo already is
         groups: "dict[bytes, dict[bytes, list]]" = {}
         todo = [pattern]
         while todo:
             q = todo.pop()
             if q in groups:
                 continue
-            size = len(q)
             own = groups[q] = {}
-            for pre, suf, uses_max in split_terms(q):
-                if len(pre) == size or len(suf) == size:
-                    continue
+            for pre, suf, uses_max in split_terms(q)[1:-1]:
                 if pre not in memo:
                     pre = _canonical(pre)
                     if pre not in memo and pre not in groups:
