@@ -256,11 +256,11 @@ class AverageEngine:
         return self._unpack(packed, size, self.n_max + 1)
 
     def _pre_central(self, pattern: bytes) -> int:
-        """B_q of the canonical pattern q, packed and cut to its slots.
-        Every part of its closure that the memo misses is decomposed once,
-        then computed into the memo shortest first, so that every strictly
-        shorter part is already done; q itself, the longest, comes last and
-        stays out of the memo."""
+        """B of the canonical `pattern`, packed and cut to its slots.  Every
+        part of its closure that the memo misses is decomposed once, then
+        computed into the memo shortest first, so that every strictly
+        shorter part is already done; `pattern` itself, the longest, comes
+        last and stays out of the memo."""
         memo = self.memo
         # q -> {suffix: [(prefix, one slot up?)]}, without the first split,
         # (empty, q), and the last, (q, empty): those two are the
@@ -396,16 +396,17 @@ def bona_census_132(k: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> CensusResul
 
     def key(p: tuple) -> int:
         q = _canonical(bytes(p))
-        if q not in keys:
-            keys[q] = engine._pre_central(q)
-        return keys[q]
+        B = keys.get(q)
+        if B is None:
+            B = keys[q] = engine._pre_central(q)
+        return B
 
     return _census(
         "av132",
         k,
         prefix_len,
         ((p, key(p)) for p in patterns),
-        lambda key: engine._unpack(engine._times_central(key, k), k, prefix_len + 1),
+        lambda B: engine._unpack(engine._times_central(B, k), k, prefix_len + 1),
     )
 
 
