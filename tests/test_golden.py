@@ -22,6 +22,7 @@ from pathlib import Path
 from unittest import mock
 
 from catstats.cli import build_parser, main
+from catstats.splits import AverageEngine
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -37,6 +38,9 @@ INPUTS = {
     "catalan.json": _sequence("catalan", CATALAN),
     "catalan-from-1.json": _sequence("catalan", CATALAN[1:40], offset=1),
     "noise.json": _sequence("noise", [(n * n * n + 7) % 1009 for n in range(40)]),
+    # the values and name `average --pattern 2314 --max-n 80` writes: an
+    # A_p file of the kind the census-fit benchmark fits
+    "A2314.json": _sequence("av132:total:2314", AverageEngine(80).sequence((2, 3, 1, 4))),
     "broken.json": '{"name": "catalan", "offset": 0, "values": [1, 1, 2',
     "out-dir/.keep": "",
 }
@@ -107,6 +111,8 @@ CORPUS = [
     "guess --kind p-recursive --input noise.json --max-order 2 --max-degree 2",
     "guess --kind algebraic --input noise.json --max-deg-y 2 --max-deg-z 2",
     "guess --kind closed-form --input noise.json --degree 1",
+    *(f"guess --kind {kind} --input A2314.json --format json"
+      for kind in ("p-recursive", "algebraic", "closed-form")),
     # abnormal
     "abnormal --family synthetic --stat binomial --n-max 60",
     "abnormal --family synthetic --stat binomial --n-max 60 --format json",
