@@ -4,12 +4,16 @@ All three guessers run one pipeline.  `_prepare` normalizes the values and
 checks the holdout, the search bounds and the term count.  The recurrence and
 algebraic guessers walk their (size, degree) bounds with the one graded
 search `_graded` (by total weight, then size), so the first hit is minimal
-for that order; the closed form fits its one degree.  Each system is set up
-on a training prefix, candidates come from `linalg.nullspace`, and a
-candidate is accepted only through the code of its public verifier
-(`verify_recurrence`, `algebraic_residual`, `ClosedFormFit.evaluate`) on
-every term, including a holdout tail the fit never saw.  Nothing found
-within bounds returns None; that is an outcome, not an error.
+for that order; the closed form fits its one degree.
+
+Each fitter states its model as one homogeneous linear system, one row per
+term, built by one row function: a recurrence window's coefficients, a
+series coefficient of Phi(z, y(z)), or [A_n | a(n)] for the closed form.
+`_fits` has one acceptance rule for all three: candidates are the
+`linalg.nullspace` vectors of the training rows, and a candidate is kept only
+when its integer form annihilates every row, the holdout rows the fit never
+saw included.  Those rows are built only once a candidate exists.  Nothing
+found within bounds returns None; that is an outcome, not an error.
 
 Normalization: coefficient vectors are scaled to coprime integers and the
 sign is fixed by the leading object (leading coefficient of the top-order
@@ -20,12 +24,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import UsageError
 from .linalg import integer_primitive, nullspace
 from .multipoly import coeff_to_str, join_signed, norm_coeff
-from .perms import catalan_list
+from .perms import catalan
 
 DEFAULT_HOLDOUT = 10
 # the search bounds of each fitter
@@ -34,6 +38,11 @@ DEFAULT_MAX_DEGREE = 6
 DEFAULT_MAX_DEG_Y = 4
 DEFAULT_MAX_DEG_Z = 12
 DEFAULT_DEGREE = 3
+# the largest n a closed-form row may have.  Its 4^n and c(n) entries have
+# about 2n bits and elimination takes minors of them, so the time grows about
+# as n^2 (README); 1001 is the least cap that keeps every `average --max-n
+# 1000` file
+MAX_CLOSED_FORM_N = 1001
 
 
 def _prepare(values: "Sequence", holdout: int, bounds, need: int, fits: str) -> list:
@@ -60,6 +69,17 @@ def _graded(max_size: int, max_degree: int):
             yield size, weight - size
 
 
+def _fits(row: "Callable[[int], list]", train: int, total: int, ncols: int):
+    """Primitive integer x with row(s) . x = 0 for every s < total, one per
+    nullspace vector of the training rows row(0), ..., row(train - 1)."""
+    basis = nullspace([row(s) for s in range(train)], ncols)
+    holdout = [row(s) for s in range(train, total)] if basis else []
+    for vec in basis:
+        ints = integer_primitive(vec)
+        if not any(sum(map(mul, r, ints)) for r in holdout):
+            yield ints
+
+
 def _times_powers(v, n: int, count: int) -> list:
     """[v, v*n, ..., v*n^(count-1)]: one row block of a system whose unknowns
     are polynomials in n."""
@@ -68,13 +88,6 @@ def _times_powers(v, n: int, count: int) -> list:
     for _ in range(count):
         out.append(v * p)
         p *= n
-    return out
-
-
-def _poly_eval(coeffs: "Sequence[int]", n: int):
-    out = 0
-    for c in reversed(coeffs):
-        out = out * n + c
     return out
 
 
@@ -105,14 +118,6 @@ class PRecurrence(NamedTuple):
     degree: int
     coeffs: "tuple[tuple[int, ...], ...]"  # coeffs[i][j]: n^j term of q_i
     offset: int = 0
-
-    def residual(self, values: "Sequence", n_index: int, offset: int):
-        """Residual at recurrence argument n = offset + n_index."""
-        n = offset + n_index
-        out = 0
-        for i, q in enumerate(self.coeffs):
-            out += _poly_eval(q, n) * values[n_index + i]
-        return out
 
     def render(self) -> str:
         terms = []
@@ -146,8 +151,9 @@ def guess_p_recursive(
 ) -> "PRecurrence | None":
     """Smallest (order, degree) recurrence fitting every term, or None.
 
-    `values[i]` is the term at n = offset + i.  The final `holdout` windows
-    take no part in the fit and only vote during verification.
+    `values[i]` is the term at n = offset + i.  Row s is window s, the
+    coefficients of sum_i q_i(n) a(n+i) at n = offset + s; the final
+    `holdout` windows take no part in the fit and only vote on candidates.
     """
     values = _prepare(
         values, holdout, (("max_order", max_order, 1), ("max_degree", max_degree, 0)),
@@ -156,39 +162,27 @@ def guess_p_recursive(
     )
     for order, degree in _graded(max_order, max_degree):
         w = degree + 1
-        train = len(values) - order - holdout
-        if train < (order + 1) * w:
+        windows = len(values) - order
+        if windows - holdout < (order + 1) * w:
             continue  # fewer training windows than unknowns at these bounds
-        rows = [
-            [x for i in range(order + 1) for x in _times_powers(values[s + i], offset + s, w)]
-            for s in range(train)
-        ]
-        for vec in nullspace(rows, (order + 1) * w):
-            if not any(vec[order * w :]):
-                continue  # really lower order; the earlier search covers it
-            rec = _normalize_p_rec(vec, order, w, offset)
-            if verify_recurrence(rec, values, offset)[0]:
-                return rec
+
+        def row(s):
+            return [x for i in range(order + 1)
+                    for x in _times_powers(values[s + i], offset + s, w)]
+
+        for ints in _fits(row, windows - holdout, windows, (order + 1) * w):
+            if any(ints[order * w :]):  # else really lower order, searched before
+                return _normalize_p_rec(ints, order, w, offset)
     return None
 
 
-def _normalize_p_rec(vec: "Sequence[Fraction]", order: int, w: int, offset: int) -> PRecurrence:
-    ints = integer_primitive(vec)
+def _normalize_p_rec(ints: "list[int]", order: int, w: int, offset: int) -> PRecurrence:
     lead_j = max(j for j in range(w) if ints[order * w + j])
     if ints[order * w + lead_j] < 0:
         ints = [-c for c in ints]
     degree = max(j for j in range(w) for i in range(order + 1) if ints[i * w + j])
     coeffs = tuple(tuple(ints[i * w : i * w + degree + 1]) for i in range(order + 1))
     return PRecurrence(order=order, degree=degree, coeffs=coeffs, offset=offset)
-
-
-def verify_recurrence(rec: PRecurrence, values: "Sequence", offset: int = 0):
-    """(True, None) when every window vanishes, else (False, first bad n)."""
-    values = [norm_coeff(v) for v in values]
-    for s in range(len(values) - rec.order):
-        if rec.residual(values, s, offset) != 0:
-            return False, offset + s
-    return True, None
 
 
 # -- algebraic equations ---------------------------------------------------
@@ -275,45 +269,35 @@ def guess_algebraic(
     holdout: int = DEFAULT_HOLDOUT,
 ) -> "AlgebraicEquation | None":
     """Smallest (deg_y, deg_z) polynomial equation satisfied by the series
-    y(z) = sum values[m] z^m, checked to order len(values)-1, or None."""
+    y(z) = sum values[m] z^m, checked to order len(values)-1, or None.
+
+    Row m holds the z^m coefficients of z^i y^j, so a candidate's row m is
+    the z^m coefficient of Phi(z, y(z)); the last `holdout` of them only
+    vote on candidates."""
     values = _prepare(
         values, holdout, (("max_deg_y", max_deg_y, 1), ("max_deg_z", max_deg_z, 0)),
         need=(max_deg_y + 1) * (max_deg_z + 1) + holdout,
         fits=f"series terms for bounds (deg_y {max_deg_y}, deg_z {max_deg_z})",
     )
     powers = _powers(values, max_deg_y)
-    train = len(values) - holdout
+    T = len(values)
     for dy, dz in _graded(max_deg_y, max_deg_z):
         cols = [(j, i) for j in range(dy + 1) for i in range(dz + 1)]
-        if train < len(cols) + 1:
+        if T - holdout < len(cols) + 1:
             continue
-        rows = [[powers[j][m - i] if m >= i else 0 for j, i in cols] for m in range(train)]
-        for vec in nullspace(rows, len(cols)):
-            if not any(vec[dz + 1 :]):
-                continue  # no y at all cannot model the series
-            ints = integer_primitive(vec)
+
+        def row(m):
+            return [powers[j][m - i] if m >= i else 0 for j, i in cols]
+
+        # every candidate has a y term: without one, its training row m would
+        # be its z^m coefficient alone, for each m <= dz < T - holdout
+        for ints in _fits(row, T - holdout, T, len(cols)):
             lead = max((t for t, c in zip(cols, ints) if c), key=lambda t: (t[0] + t[1], t))
             if ints[cols.index(lead)] < 0:
                 ints = [-c for c in ints]
-            coeffs = sorted(((i, j), c) for (j, i), c in zip(cols, ints) if c)
-            eq = AlgebraicEquation(coeffs=tuple(coeffs))
-            if not any(algebraic_residual(eq, values)):
-                return eq
+            return AlgebraicEquation(
+                coeffs=tuple(sorted(((i, j), c) for (j, i), c in zip(cols, ints) if c)))
     return None
-
-
-def algebraic_residual(eq: AlgebraicEquation, values: "Sequence") -> "list":
-    """Series coefficients of Phi(z, y(z)); all zero when the equation holds."""
-    values = [norm_coeff(v) for v in values]
-    powers = _powers(values, eq.degree_y())
-    out = [0] * len(values)
-    for (i, j), c in eq.coeffs:
-        pj = powers[j]
-        for m in range(i, len(values)):
-            v = pj[m - i]
-            if v:
-                out[m] += c * v
-    return out
 
 
 # -- closed forms ----------------------------------------------------------
@@ -327,20 +311,6 @@ class ClosedFormFit(NamedTuple):
     degree: int
     parts: "tuple[tuple[Fraction, ...], ...]"  # aligned with CLOSED_FORM_PARTS
     offset: int
-
-    def evaluate(self, n: int, cats: "list[int] | None" = None):
-        if cats is None:
-            cats = catalan_list(max(n, 1))
-        c_n = cats[n]
-        c_prev = cats[n - 1] if n >= 1 else 0  # convention: c(-1) = 0
-        vals = (4**n, c_n, c_prev, 1)
-        out = Fraction(0)
-        for poly, v in zip(self.parts, vals):
-            s = Fraction(0)
-            for c in reversed(poly):
-                s = s * n + c
-            out += s * v
-        return norm_coeff(out)
 
     def render(self) -> str:
         bits = []
@@ -380,28 +350,30 @@ def fit_closed_form(
     """Exact fit over the span of {n^i 4^n, n^i c(n), n^i c(n-1), n^i}, or None.
 
     `values[s]` is the term at n = offset + s; offset must be >= 1 because
-    the basis involves c(n-1).  The fit is the solution of [A | b] with the
-    free unknowns at 0: the nullspace vector of the last free column, when
-    that column is b's, negated.
+    the basis involves c(n-1), and offset + len(values) - 1 must be at most
+    MAX_CLOSED_FORM_N.  Row s is [A_n | a(n)] at n = offset + s, so a
+    candidate x with x_b != 0 says A_n (-x_A / x_b) = a(n).  In the canonical
+    basis only b's own vector, the last, can have x_b != 0: the fit is the
+    solution of [A | b] with the free unknowns at 0.
     """
     if offset < 1:
         raise UsageError("closed-form fits need offset >= 1 (the basis uses c(n-1))")
+    last = offset + len(values) - 1
+    if last > MAX_CLOSED_FORM_N:
+        raise UsageError(
+            f"closed-form fits are capped at n = {MAX_CLOSED_FORM_N}; the terms reach n = {last}")
     ncols = 4 * (degree + 1)
     values = _prepare(values, holdout, (("degree", degree, 0),),
                       need=ncols + holdout, fits=f"terms for degree {degree}")
-    T = len(values)
-    cats = catalan_list(offset + T)
-    rows = []
-    for s in range(T - holdout):
+
+    def row(s):
         n = offset + s
-        row = [x for v in (4**n, cats[n], cats[n - 1], 1) for x in _times_powers(v, n, degree + 1)]
-        rows.append(row + [values[s]])
-    basis = nullspace(rows, ncols + 1)
-    if not basis or not basis[-1][ncols]:
-        return None  # b is a pivot column: the training system is inconsistent
-    x = [-c for c in basis[-1]]
-    parts = tuple(tuple(x[b * (degree + 1) : (b + 1) * (degree + 1)]) for b in range(4))
-    fit = ClosedFormFit(degree=degree, parts=parts, offset=offset)
-    if all(fit.evaluate(offset + s, cats) == values[s] for s in range(T)):
-        return fit
+        parts = (4**n, catalan(n), catalan(n - 1), 1)
+        return [x for v in parts for x in _times_powers(v, n, degree + 1)] + [values[s]]
+
+    for ints in _fits(row, len(values) - holdout, len(values), ncols + 1):
+        if ints[ncols]:  # else b is a pivot column: the training system is inconsistent
+            x = [Fraction(-c, ints[ncols]) for c in ints[:ncols]]
+            parts = tuple(tuple(x[b * (degree + 1) : (b + 1) * (degree + 1)]) for b in range(4))
+            return ClosedFormFit(degree=degree, parts=parts, offset=offset)
     return None

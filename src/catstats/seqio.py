@@ -56,6 +56,9 @@ def parse_sequence_obj(obj, source: str = "sequence") -> SequenceFile:
     values = obj["values"]
     if not isinstance(name, str):
         raise UsageError(f"{source}: name must be a string")
+    if not name.isprintable():
+        # the name is echoed into one-line text headers
+        raise UsageError(f"{source}: name must be printable, got {name!r}")
     if not isinstance(offset, int) or isinstance(offset, bool):
         raise UsageError(f"{source}: offset must be an integer")
     if not isinstance(values, list):

@@ -1,12 +1,15 @@
-"""Definitional references for the brute-force, split and moment engines.
+"""Definitional references for the brute-force, split, moment and fitting engines.
 
 The O(n^2) counters in catstats.perms and the split closure in
 catstats.splits are checked against these: every occurrence count here
 comes from classifying subsequences one at a time, and the insertion map's
 bijection is checked by building every image.  The integer moment rows of
 catstats.moments are checked against the chain of Fraction definitions
-below: raw moments, then central moments, then standardized ones.  None of
-it is fast, and nothing in the package calls it.
+below: raw moments, then central moments, then standardized ones.  The fits
+of catstats.guessing are replayed term by term from their printed models:
+a recurrence window by window, an algebraic equation as the series
+Phi(z, y(z)), a closed form at each n.  None of it is fast, and nothing in
+the package calls it.
 """
 import math
 from fractions import Fraction
@@ -128,3 +131,43 @@ def standardized(Mrow) -> StandardizedMoments:
         root = math.sqrt(float(abs(sq)))
         fl.append(root if sq >= 0 else -root)
     return StandardizedMoments(tuple(ss), tuple(fl))
+
+
+def verify_recurrence(rec, values, offset: int = 0):
+    """(True, None) when sum_i q_i(n) a(n+i) vanishes in every window, else
+    (False, the first n where it does not); values[s] is a(offset + s)."""
+    for s in range(len(values) - rec.order):
+        n = offset + s
+        total = sum(
+            sum(c * n**j for j, c in enumerate(q)) * values[s + i]
+            for i, q in enumerate(rec.coeffs)
+        )
+        if total != 0:
+            return False, n
+    return True, None
+
+
+def algebraic_residual(eq, values) -> list:
+    """Series coefficients of Phi(z, y(z)) below z^len(values), for
+    y = sum values[m] z^m; all zero when the equation holds that far."""
+    T = len(values)
+    powers = [[1] + [0] * (T - 1)]
+    for _ in range(eq.degree_y()):
+        prev = powers[-1]
+        powers.append([sum(prev[k] * values[m - k] for k in range(m + 1)) for m in range(T)])
+    out = [0] * T
+    for (i, j), c in eq.coeffs:
+        for m in range(i, T):
+            out[m] += c * powers[j][m - i]
+    return out
+
+
+def closed_form_value(fit, n: int):
+    """The closed form's value at n, with c(-1) = 0."""
+    def cat(k):
+        return math.comb(2 * k, k) // (k + 1) if k >= 0 else 0
+
+    total = Fraction(0)
+    for poly, v in zip(fit.parts, (4**n, cat(n), cat(n - 1), 1)):
+        total += sum(c * n**j for j, c in enumerate(poly)) * v
+    return total

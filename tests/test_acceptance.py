@@ -20,17 +20,18 @@ from catstats.funcrec import (
     eval_truncated,
     verify_catalog,
 )
-from catstats.guessing import (
-    algebraic_residual,
-    guess_algebraic,
-    guess_p_recursive,
-    verify_recurrence,
-)
+from catstats.guessing import guess_algebraic, guess_p_recursive
 from catstats.moments import moments_from_full, moments_from_truncated
 from catstats import perms
 from catstats.perms import AV132, catalan_list, insertion_map
 from catstats.splits import AverageEngine, bona_census_123, bona_census_132, split_terms
-from reference import classify_all_subsets, standardize, validate_insertion_reading
+from reference import (
+    algebraic_residual,
+    classify_all_subsets,
+    standardize,
+    validate_insertion_reading,
+    verify_recurrence,
+)
 
 
 def test_criterion_01_masses_to_60_under_one_second():

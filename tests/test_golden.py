@@ -42,6 +42,8 @@ INPUTS = {
     # A_p file of the kind the census-fit benchmark fits
     "A2314.json": _sequence("av132:total:2314", AverageEngine(80).sequence((2, 3, 1, 4))),
     "broken.json": '{"name": "catalan", "offset": 0, "values": [1, 1, 2',
+    "two-line-name.json": _sequence("a\nb", CATALAN[:40]),
+    "far.json": _sequence("catalan", CATALAN[:40], offset=10**30),
     "out-dir/.keep": "",
 }
 
@@ -145,6 +147,8 @@ CORPUS = [
     "census --family av123 --k 4 --max-n 3",
     "guess --kind p-recursive --input missing.json",
     "guess --kind p-recursive --input broken.json",
+    "guess --kind p-recursive --input two-line-name.json",
+    "guess --kind closed-form --input far.json",
     "guess --kind p-recursive --input catalan.json --holdout 0",
     "guess --kind algebraic --input catalan.json --max-deg-y 0",
     "abnormal --family synthetic --stat 21",

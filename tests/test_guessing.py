@@ -6,14 +6,14 @@ import pytest
 from catstats.errors import UsageError
 from catstats.funcrec import builtin_spec, eval_truncated
 from catstats.guessing import (
-    algebraic_residual,
+    MAX_CLOSED_FORM_N,
     fit_closed_form,
     guess_algebraic,
     guess_p_recursive,
-    verify_recurrence,
 )
 from catstats.moments import moments_from_truncated
 from catstats.perms import catalan_list
+from reference import algebraic_residual, closed_form_value, verify_recurrence
 
 
 def test_catalan_recurrence_recovered_exactly():
@@ -55,6 +55,13 @@ def test_random_order_one_recurrence_recovered(rng):
         assert verify_recurrence(rec, vals) == (True, None)
 
 
+def test_zero_sequence_gets_the_order_one_recurrence():
+    # every vector fits zeros: the first nullspace vector at order 1 is
+    # a(n) = 0, with no a(n+1) term, so it is of order 0 and is skipped
+    rec = guess_p_recursive([0] * 40, max_order=2, max_degree=2)
+    assert (rec.order, rec.degree, rec.coeffs) == (1, 0, ((0,), (1,)))
+
+
 def test_guess_p_recursive_not_found_and_preconditions(rng):
     noise = [rng.randint(1, 10**6) for _ in range(40)]
     assert guess_p_recursive(noise, max_order=2, max_degree=2) is None
@@ -91,7 +98,7 @@ def test_closed_form_synthetic():
     fit = fit_closed_form(vals, offset=1)
     assert fit is not None
     assert fit.render() == "a(n) = 3*4^n + 5"
-    assert all(fit.evaluate(n) == v for n, v in enumerate(vals, start=1))
+    assert all(closed_form_value(fit, n) == v for n, v in enumerate(vals, start=1))
 
 
 def test_closed_form_of_mean_occurrence_totals():
@@ -110,9 +117,48 @@ def test_closed_form_of_mean_occurrence_totals():
     cats = catalan_list(39)
     for n in range(1, 40):
         reference = Fraction(-3, 8) * 4**n + Fraction(n + 2, 2) * (2 * n - 1) * cats[n - 1]
-        assert fit.evaluate(n) == reference == totals[n]
+        assert closed_form_value(fit, n) == reference == totals[n]
 
 
 def test_closed_form_not_found(rng):
     noise = [rng.randint(1, 10**6) for _ in range(40)]
     assert fit_closed_form(noise, offset=1) is None
+
+
+# A held-out term off by one: the training rows still have the Catalan
+# model in their nullspace, and only the holdout rows can refuse it.
+
+
+def _off_by_one_at(values, index):
+    bad = list(values)
+    bad[index] += 1
+    return bad
+
+
+def test_p_recursive_holdout_refuses_a_corrupted_tail():
+    cats = catalan_list(40)
+    assert guess_p_recursive(cats, max_order=2, max_degree=2) is not None
+    assert guess_p_recursive(_off_by_one_at(cats, -2), max_order=2, max_degree=2) is None
+
+
+def test_algebraic_holdout_refuses_a_corrupted_tail():
+    cats = catalan_list(40)
+    assert guess_algebraic(cats, max_deg_y=2, max_deg_z=2) is not None
+    assert guess_algebraic(_off_by_one_at(cats, -2), max_deg_y=2, max_deg_z=2) is None
+
+
+def test_closed_form_holdout_refuses_a_corrupted_tail():
+    cats = catalan_list(40)[1:]
+    assert fit_closed_form(cats, offset=1, degree=1) is not None
+    assert fit_closed_form(_off_by_one_at(cats, -2), offset=1, degree=1) is None
+
+
+def test_closed_form_refuses_terms_past_its_cap():
+    # at n near 10^30 the rows could not even be built; the refusal comes first
+    with pytest.raises(UsageError) as info:
+        fit_closed_form(catalan_list(39), offset=10**30)
+    assert str(info.value) == (
+        f"closed-form fits are capped at n = {MAX_CLOSED_FORM_N}; the terms reach n = {10**30 + 39}"
+    )
+    last = catalan_list(MAX_CLOSED_FORM_N)[-14:]
+    assert fit_closed_form(last, offset=MAX_CLOSED_FORM_N - 13, degree=0, holdout=1) is not None

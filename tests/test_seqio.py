@@ -87,6 +87,15 @@ def test_load_names_a_missing_file_once(tmp_path):
     assert str(info.value) == f"cannot read sequence file {path}: No such file or directory"
 
 
+def test_load_refuses_a_name_that_would_split_a_header_line(tmp_path):
+    path = tmp_path / "s.json"
+    for name in ("a\nb", "a\rb", "tab\there"):
+        path.write_text(json.dumps({"name": name, "offset": 0, "values": [1]}))
+        with pytest.raises(UsageError) as info:
+            load_sequence(path)
+        assert str(info.value) == f"{path}: name must be printable, got {name!r}"
+
+
 def test_atomic_write_replaces_and_cleans_up(tmp_path):
     target = tmp_path / "out.txt"
     target.write_text("old")
