@@ -32,6 +32,7 @@ def _sequence(name: str, values, offset: int = 0) -> str:
 
 
 CATALAN = [comb(2 * n, n) // (n + 1) for n in range(80)]
+A2314 = AverageEngine(80).sequence((2, 3, 1, 4))
 # the files the corpus reads; paths are relative, since `guess` echoes its
 # --input path, so that no digest depends on the working directory's name
 INPUTS = {
@@ -40,7 +41,13 @@ INPUTS = {
     "noise.json": _sequence("noise", [(n * n * n + 7) % 1009 for n in range(40)]),
     # the values and name `average --pattern 2314 --max-n 80` writes: an
     # A_p file of the kind the census-fit benchmark fits
-    "A2314.json": _sequence("av132:total:2314", AverageEngine(80).sequence((2, 3, 1, 4))),
+    "A2314.json": _sequence("av132:total:2314", A2314),
+    # the same values with the next-to-last term raised by 1, which no fit
+    # may pass over
+    "A2314-raised.json": _sequence("av132:total:2314", [*A2314[:-2], A2314[-2] + 1, A2314[-1]]),
+    # the values and name `average --pattern 132 --max-n 80` writes: the
+    # zero sequence, since no av132 permutation contains 132
+    "zeros.json": _sequence("av132:total:132", AverageEngine(80).sequence((1, 3, 2))),
     "broken.json": '{"name": "catalan", "offset": 0, "values": [1, 1, 2',
     "two-line-name.json": _sequence("a\nb", CATALAN[:40]),
     "far.json": _sequence("catalan", CATALAN[:40], offset=10**30),
@@ -114,6 +121,9 @@ CORPUS = [
     "guess --kind algebraic --input noise.json --max-deg-y 2 --max-deg-z 2",
     "guess --kind closed-form --input noise.json --degree 1",
     *(f"guess --kind {kind} --input A2314.json --format json"
+      for kind in ("p-recursive", "algebraic", "closed-form")),
+    "guess --kind algebraic --input A2314-raised.json",
+    *(f"guess --kind {kind} --input zeros.json"
       for kind in ("p-recursive", "algebraic", "closed-form")),
     # abnormal
     "abnormal --family synthetic --stat binomial --n-max 60",
