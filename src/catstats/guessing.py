@@ -12,8 +12,10 @@ series coefficient of Phi(z, y(z)), or [A_n | a(n)] for the closed form.
 `_fits` has one acceptance rule for all three: candidates are the
 `linalg.nullspace` vectors of the training rows, and a candidate is kept only
 when its integer form annihilates every row, the holdout rows the fit never
-saw included.  Those rows are built only once a candidate exists.  Nothing
-found within bounds returns None; that is an outcome, not an error.
+saw included.  Rows are built only when read: the training rows until the
+elimination reaches full rank, when no candidate exists, and the holdout
+rows only once a candidate does.  Nothing found within bounds returns None;
+that is an outcome, not an error.
 
 Normalization: coefficient vectors are scaled to coprime integers and the
 sign is fixed by the leading object (leading coefficient of the top-order
@@ -71,8 +73,11 @@ def _graded(max_size: int, max_degree: int):
 
 def _fits(row: "Callable[[int], list]", train: int, total: int, ncols: int):
     """Primitive integer x with row(s) . x = 0 for every s < total, one per
-    nullspace vector of the training rows row(0), ..., row(train - 1)."""
-    basis = nullspace([row(s) for s in range(train)], ncols)
+    nullspace vector of the training rows row(0), ..., row(train - 1).
+
+    The training rows are built as the elimination reads them, and it stops
+    reading once they have full rank."""
+    basis = nullspace(map(row, range(train)), ncols)
     holdout = [row(s) for s in range(train, total)] if basis else []
     for vec in basis:
         ints = integer_primitive(vec)
@@ -126,6 +131,9 @@ class PRecurrence(NamedTuple):
             if not any(q):
                 continue
             arg = f"a(n+{i})" if i else "a(n)"
+            if not any(q[1:]):
+                terms.append(_term(q[0], arg))
+                continue
             neg = next(c for c in reversed(q) if c) < 0
             body = _poly_str([-c for c in q] if neg else q)
             terms.append(f"{'-' if neg else ''}({body})*{arg}")
@@ -281,6 +289,7 @@ def guess_algebraic(
     )
     powers = _powers(values, max_deg_y)
     T = len(values)
+    nonzero = any(values)
     for dy, dz in _graded(max_deg_y, max_deg_z):
         cols = [(j, i) for j in range(dy + 1) for i in range(dz + 1)]
         if T - holdout < len(cols) + 1:
@@ -290,8 +299,13 @@ def guess_algebraic(
             return [powers[j][m - i] if m >= i else 0 for j, i in cols]
 
         # every candidate has a y term: without one, its training row m would
-        # be its z^m coefficient alone, for each m <= dz < T - holdout
+        # be its z^m coefficient alone, for each m <= dz < T - holdout.  One
+        # without a y^0 term is y*Psi, whose rows below z^T miss the last
+        # terms.  Unless y = 0, y*Psi = 0 exactly when Psi = 0, and Psi has
+        # the lower weight, so the search has already tried it
         for ints in _fits(row, T - holdout, T, len(cols)):
+            if nonzero and not any(ints[: dz + 1]):
+                continue
             lead = max((t for t, c in zip(cols, ints) if c), key=lambda t: (t[0] + t[1], t))
             if ints[cols.index(lead)] < 0:
                 ints = [-c for c in ints]

@@ -1,39 +1,43 @@
-"""Exact linear algebra: fraction-free echelon reduction and nullspace.
+"""Exact linear algebra: fraction-free row-by-row elimination and nullspace.
 
-Input rows may mix ints and Fractions; rows are scaled to integers first.
-The forward pass is one-step fraction-free elimination (divide by the
-previous pivot), which keeps every entry an integer minor of the original
-matrix instead of letting Fraction gcds dominate the runtime.  Back
-substitution happens over Fractions, in `nullspace` only: an inhomogeneous
-system A x = b is solved as the nullspace of [A | b] (see
-`guessing.fit_closed_form`).
+`nullspace(rows, ncols)` reads its rows one at a time, from any iterable,
+and scales each to integers (rows may mix ints and Fractions).  The row is
+then reduced by the pivot rows kept so far, in the order they were kept:
+with p the kept row's entry at its pivot column, f the new row's entry
+there and prev the pivot entry of the row kept before it (1 for the first),
+every entry a of the row becomes (p*a - f*b) // prev, b the kept row's entry
+in that column.  A row that does not reduce to 0 is kept, with its first
+nonzero column as its pivot.  An inhomogeneous system A x = b is solved as
+the nullspace of [A | b] (see `guessing.fit_closed_form`).
 
-Most systems the fitters try have full column rank, so `nullspace` first
-echelons a copy of the leading block, the first ncols + LEAD_SPARE_ROWS
-rows: their span lies inside the row space of the whole system, so if the
-block already has rank ncols, so does the system, and its nullspace is
-{0}.  Otherwise the whole system is eliminated as if the block had not
-been tried.  The spare rows cover systems whose first rows are zero or
-repeat each other, as in sequences that start with zeros.
+The pivot columns are those of the column-ordered echelon form: each kept
+row is 0 at the earlier pivots and at every column before its own, so r
+kept rows lead at r distinct columns, and a space of dimension r has
+exactly r leading columns.  Every division is exact: the kept rows, in
+kept order, are one-step fraction-free elimination (Bareiss, Math. Comp.
+1968) of the matrix with the kept rows and their pivot columns moved first,
+in kept order, so each entry is a minor of the scaled rows; that holds for
+any nonzero pivots, and the step rescales a row even where f = 0 to keep
+it so.  Once ncols rows are kept the nullspace is {0}, and
+no further row is read, so callers can pass rows that are built only when
+read.
 
 Nullspace bases are canonical: free columns are taken in increasing column
 order and each basis vector has value 1 at its free column and 0 at the
-other free columns, so downstream normalization is deterministic.
+other free columns.  That basis depends only on the nullspace and its free
+columns, so downstream normalization is deterministic.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import UsageError
 
-# rows past the first ncols that the leading block of `nullspace` takes
-LEAD_SPARE_ROWS = 4
 
-
-def _int_rows(rows: "Sequence[Sequence]", ncols: int) -> "list[list[int]]":
-    out = []
+def _int_rows(rows: "Iterable[Sequence]", ncols: int):
+    """Each row as a new list of integers, checked and scaled as it is read."""
     for row in rows:
         if len(row) != ncols:
             raise UsageError("ragged matrix")
@@ -47,64 +51,32 @@ def _int_rows(rows: "Sequence[Sequence]", ncols: int) -> "list[list[int]]":
                 denom = lcm(denom, v.denominator)
             elif not isinstance(v, int):
                 raise UsageError(f"matrix entries must be int or Fraction, got {type(v).__name__}")
-        out.append(list(row) if plain else [int(v * denom) for v in row])
-    return out
+        yield list(row) if plain else [int(v * denom) for v in row]
 
 
-def _echelon(mat: "list[list[int]]", ncols: int):
-    """In-place fraction-free echelon form; returns the pivot (row, col) list."""
-    m = len(mat)
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        sel = None
-        for i in range(r, m):
-            if mat[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            mat[r], mat[sel] = mat[sel], mat[r]
-        pr = mat[r]
-        for i in range(r + 1, m):
-            ri = mat[i]
-            if ri[c]:
-                f = ri[c]
-                for j in range(c + 1, ncols):
-                    ri[j] = (pr[c] * ri[j] - f * pr[j]) // prev
-                ri[c] = 0
-            else:
-                # the row still needs the pivot scaling to stay a minor
-                for j in range(c + 1, ncols):
-                    ri[j] = (pr[c] * ri[j]) // prev
-        prev = pr[c]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    return pivots
-
-
-def nullspace(rows: "Sequence[Sequence]", ncols: int) -> "list[list[Fraction]]":
+def nullspace(rows: "Iterable[Sequence]", ncols: int) -> "list[list[Fraction]]":
     """Basis of {x : A x = 0}, one vector per free column, canonical form."""
-    mat = _int_rows(rows, ncols)
-    lead = ncols + LEAD_SPARE_ROWS
-    if len(mat) > lead and len(_echelon([row[:] for row in mat[:lead]], ncols)) == ncols:
-        return []  # the leading block already has full column rank
-    pivots = _echelon(mat, ncols)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in set(pivot_cols)]
+    kept = []  # (pivot column, row), in the order kept
+    for row in _int_rows(rows, ncols):
+        prev = 1
+        for c, piv in kept:
+            p, f = piv[c], row[c]
+            row = [(p * a - f * b) // prev for a, b in zip(row, piv)]
+            prev = p
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is not None:
+            kept.append((c, row))
+            if len(kept) == ncols:
+                return []
+    pivot_cols = {c for c, _ in kept}
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivot_cols):
         x = [Fraction(0)] * ncols
         x[fc] = Fraction(1)
-        for r, c in reversed(pivots):
+        for c, row in reversed(kept):
             if c > fc:
-                continue
+                continue  # the row has entries only past c > fc, so x[c] = 0
             s = Fraction(0)
-            row = mat[r]
             for j in range(c + 1, ncols):
                 if row[j] and x[j]:
                     s += row[j] * x[j]

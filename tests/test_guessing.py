@@ -60,6 +60,15 @@ def test_zero_sequence_gets_the_order_one_recurrence():
     # a(n) = 0, with no a(n+1) term, so it is of order 0 and is skipped
     rec = guess_p_recursive([0] * 40, max_order=2, max_degree=2)
     assert (rec.order, rec.degree, rec.coeffs) == (1, 0, ((0,), (1,)))
+    assert rec.render() == "a(n+1) = 0"
+
+
+def test_constant_coefficient_polynomials_print_without_parentheses():
+    rec = guess_p_recursive([2**n for n in range(40)], max_order=2, max_degree=2)
+    assert rec.coeffs == ((-2,), (1,))
+    assert rec.render() == "a(n+1) - 2*a(n) = 0"
+    rec = rec._replace(order=2, degree=1, coeffs=((-1, 0), (3, 0), (1, 1)))
+    assert rec.render() == "(n + 1)*a(n+2) + 3*a(n+1) - a(n) = 0"
 
 
 def test_guess_p_recursive_not_found_and_preconditions(rng):
@@ -145,6 +154,17 @@ def test_algebraic_holdout_refuses_a_corrupted_tail():
     cats = catalan_list(40)
     assert guess_algebraic(cats, max_deg_y=2, max_deg_z=2) is not None
     assert guess_algebraic(_off_by_one_at(cats, -2), max_deg_y=2, max_deg_z=2) is None
+
+
+def test_algebraic_fit_refuses_y_times_an_equation_that_failed():
+    # y = z^2 C(z) solves z^3 - z*y + y^2 = 0.  With a term raised that
+    # equation fails, but the rows of y times it stop short of the last two
+    # terms, and a candidate without a y^0 term is never the fit
+    shifted = [0, 0] + catalan_list(58)[:58]
+    eq = guess_algebraic(shifted, max_deg_y=3, max_deg_z=3)
+    assert eq.render() == "z^3 - z*y + y^2 = 0"
+    assert guess_algebraic(_off_by_one_at(shifted, -2), max_deg_y=3, max_deg_z=3) is None
+    assert guess_algebraic([0] * 30, max_deg_y=2, max_deg_z=2).render() == "y = 0"
 
 
 def test_closed_form_holdout_refuses_a_corrupted_tail():

@@ -3,7 +3,11 @@ from fractions import Fraction
 import pytest
 
 from catstats.errors import UsageError
-from catstats.linalg import LEAD_SPARE_ROWS, integer_primitive, nullspace
+from catstats.linalg import integer_primitive, nullspace
+
+# spare rows past the first ncols in the leading blocks the tall-system
+# tests build: blocks deep enough to hold repeated and zero rows
+LEAD_SPARE_ROWS = 4
 
 
 def rref(rows, ncols):
@@ -145,6 +149,40 @@ def test_tall_systems_mixing_int_and_fraction_rows(rng):
         for row in rng.sample(rows, len(rows) // 2):
             row[rng.randrange(ncols)] = Fraction(rng.randint(-9, 9), rng.randint(2, 5))
         _assert_reference_basis(rows, ncols)
+
+
+def test_no_row_is_read_past_full_rank(rng):
+    # the rows come from a generator that fails once it is asked for the
+    # row after the one that completes the rank, so elimination must stop
+    for _ in range(20):
+        ncols = rng.randrange(1, 7)
+        rows = _tall(rng, ncols, ncols, ncols + rng.randrange(0, 6))
+        last = next(k for k in range(len(rows)) if rref_rank(rows[: k + 1], ncols) == ncols)
+
+        def read():
+            yield from rows[: last + 1]
+            raise AssertionError("a row past full rank was read")
+
+        assert nullspace(read(), ncols) == []
+
+
+def test_pivots_out_of_column_order_match_gauss_jordan(rng):
+    # the first rows lead at the last columns, so the pivots are found in
+    # decreasing column order; rows may repeat and the rank may be short
+    for _ in range(40):
+        ncols = rng.randrange(2, 8)
+        rows = []
+        for lead in range(ncols - 1, -1, -1):
+            rows.append([0] * lead + [rng.randint(-5, 5) or 1]
+                        + [rng.randint(-5, 5) for _ in range(ncols - lead - 1)])
+        rows = rows[: rng.randrange(1, ncols + 1)]
+        rows += _tall(rng, ncols, rng.randrange(0, ncols), rng.randrange(0, 4))
+        if rng.random() < 0.3:
+            rows[rng.randrange(len(rows))] = list(rows[0])
+        _assert_reference_basis(rows, ncols)
+    assert nullspace([[0, 0, 1], [0, 1, 1]], 3) == [[1, 0, 0]]
+    assert nullspace([[0, 0, 2], [0, 3, 1], [3, 1, 0]], 3) == []
+    assert nullspace([[0, 2, 1], [1, 1, 1]], 3) == rref_nullspace([[0, 2, 1], [1, 1, 1]], 3)
 
 
 def test_nullspace_refuses_ragged_rows_and_non_numbers():
