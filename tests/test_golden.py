@@ -108,6 +108,12 @@ CORPUS = [
     "census --family av123 --k 3 --max-n 6",
     "census --family av123 --k 3 --max-n 6 --format json",
     "census --family av123 --k 4",
+    # the av123 census where k == n_max, where the counted level is the last
+    # one walked, at the smallest size, and at n_max 10
+    "census --family av123 --k 5 --max-n 5 --format json",
+    "census --family av123 --k 5 --max-n 6",
+    "census --family av123 --k 1 --max-n 1",
+    "census --family av123 --k 6 --max-n 10 --format json",
     "census --k 3 --prefix-len 12 --out c.txt",
     # guess
     "guess --kind p-recursive --input catalan.json",
