@@ -30,11 +30,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import UsageError
 from .multipoly import coeff_to_str
-from .series import TruncatedSeries
+
+if TYPE_CHECKING:  # only the truncated walk builds one, and it imports series itself
+    from .series import TruncatedSeries
 
 
 def stirling2_row(r: int) -> "list[int]":

@@ -410,6 +410,50 @@ def bona_census_132(k: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> CensusResul
     )
 
 
+def _insertions_123(q: bytes) -> int:
+    """The number of ways to insert one entry into the 123-avoider q so that
+    the result still avoids 123.
+
+    An insertion (i, j) puts a new entry x of value j after the first i
+    entries and raises every value >= j by one.  q avoids 123, so a 123 of
+    the result uses x, and x may play none of the three roles:
+
+    - x is not the 3: j <= T(i), the least top of an increasing pair in
+      q[:i] (m + 1 if there is none);
+    - x is not the 1: j > B(i), the greatest bottom of an increasing pair in
+      q[i:] (0 if there is none);
+    - x is not the 2: j is not in (L(i), H(i)], L(i) = min q[:i] (m + 1 if
+      i = 0) and H(i) = max q[i:] (0 if i = m).
+
+    Since q avoids 123, B(i) < T(i), B(i) <= L(i) and H(i) <= T(i): else
+    T's pair and B's larger entry, L and B's pair, or T's pair and H would
+    make a 123.  So (L(i), H(i)] lies inside (B(i), T(i)], position i admits
+    T(i) - B(i) - max(0, H(i) - L(i)) values, and one scan from each end
+    sums them in O(m)."""
+    m = len(q)
+    count = 0
+    bottom = high = 0  # B(i) and H(i)
+    highs = [0] * m
+    for i in range(m - 1, -1, -1):
+        v = q[i]
+        if v > high:
+            high = v
+        elif v > bottom:
+            bottom = v
+        highs[i] = high
+        count -= bottom
+    top = low = m + 1  # T(i) and L(i)
+    for v, high in zip(q, highs):
+        count += top
+        if high > low:
+            count -= high - low
+        if v < low:
+            low = v
+        elif v < top:
+            top = v
+    return count + top
+
+
 def bona_census_123(
     k: int, n_max: int = DEFAULT_CENSUS_MAX_N, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> CensusResult:
@@ -421,10 +465,20 @@ def bona_census_123(
     length k along exactly (n-k)!*occ(q, pi) chains, one per occurrence of q
     and order of deleting the other n-k entries.  Every deletion of a
     123-avoider avoids 123, and every avoider shorter than n_max is a
-    deletion of a longer one (prepend the maximum), so one pass down from the
-    avoiders of length n_max visits every avoider of every length.  Each
-    carries its chain counts N_n indexed by the starting length n, and at
-    length k, A_q(n) = N_n(q) / (n-k)!.
+    deletion of a longer one (prepend the maximum), so one pass down from
+    length n_max visits every avoider of every length.  Each carries its
+    chain counts N_n indexed by the starting length n, and at length k,
+    A_q(n) = N_n(q) / (n-k)!.
+
+    The top length is counted, not built.  Each avoider p of length n_max
+    starts one chain, and deleting its value v sends it to some q of length
+    n_max - 1.  (p, v) -> (position of v in p, v) is a bijection from these
+    pairs onto the insertions into q whose result avoids 123, so the top
+    level sends `_insertions_123(q)` chains into q, and the pass starts from
+    the avoiders of length n_max - 1.  Every avoider of length n_max has
+    n_max deletions, so these counts must sum to n_max * c(n_max), which is
+    checked.  At k == n_max the top level holds the patterns themselves and
+    is enumerated.
 
     An avoider is a byte string, one byte per value, so a deletion is one
     `bytes.translate` that drops the entry with value v and lowers every
@@ -452,8 +506,15 @@ def bona_census_123(
     drop = [bytes([v]) for v in range(n_max + 1)]
     down = [bytes.maketrans(bytes(range(v + 1, n_max + 1)), bytes(range(v, n_max)))
             for v in range(n_max + 1)]
-    level = dict.fromkeys(map(bytes, enumerate_avoiders(AV123, n_max, limit)), 0)
-    for m in range(n_max, k - 1, -1):
+    top = n_max if k == n_max else n_max - 1
+    level = dict.fromkeys(map(bytes, enumerate_avoiders(AV123, top, limit)), 0)
+    if top < n_max:
+        inserts = {q: _insertions_123(q) for q in level}
+        total = sum(inserts.values())
+        if total != n_max * catalan(n_max):
+            raise AssertionError(f"{total} insertions into length {top}, not {n_max} * c({n_max})")
+        level = {q: chains << width * n_max for q, chains in inserts.items()}
+    for m in range(top, k - 1, -1):
         if len(level) != catalan(m):
             raise AssertionError(f"deletion pass reached {len(level)} avoiders of length {m}")
         start = 1 << width * m

@@ -3,13 +3,14 @@
 The O(n^2) counters in catstats.perms and the split closure in
 catstats.splits are checked against these: every occurrence count here
 comes from classifying subsequences one at a time, and the insertion map's
-bijection is checked by building every image.  The integer moment rows of
-catstats.moments are checked against the chain of Fraction definitions
-below: raw moments, then central moments, then standardized ones.  The fits
-of catstats.guessing are replayed term by term from their printed models:
-a recurrence window by window, an algebraic equation as the series
-Phi(z, y(z)), a closed form at each n.  None of it is fast, and nothing in
-the package calls it.
+bijection is checked by building every image.  The av123 census is checked
+against a pass of deletion chains that walks every avoider of every length.
+The integer moment rows of catstats.moments are checked against the chain
+of Fraction definitions below: raw moments, then central moments, then
+standardized ones.  The fits of catstats.guessing are replayed term by term
+from their printed models: a recurrence window by window, an algebraic
+equation as the series Phi(z, y(z)), a closed form at each n.  None of it
+is fast, and nothing in the package calls it.
 """
 import math
 from fractions import Fraction
@@ -54,6 +55,37 @@ def classify_all_subsets(perm, k: int) -> dict:
         pat = tuple(rank[v] for v in comb)
         out[pat] = out.get(pat, 0) + 1
     return out
+
+
+def deletion_totals_123(n_max: int, limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
+    """Pattern -> its total-occurrence sequence over the 123-avoiders on
+    sizes 0..n_max, for every 123-avoider of length 1..n_max.
+
+    Deleting one entry at a time and standardizing after each step, a
+    permutation of length n reaches q of length k along (n-k)!*occ(q, pi)
+    chains.  Every deletion of a 123-avoider avoids 123 and every shorter
+    avoider is a deletion of a longer one, so one pass down from the
+    avoiders of length n_max, each carrying its chain counts by starting
+    length, reaches every avoider with all of its chains."""
+    chains = {p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, n_max, limit)}
+    totals = {}
+    for m in range(n_max, 0, -1):
+        below: dict = {}
+        for p, counts in chains.items():
+            counts[m] += 1  # p itself starts a chain of length m
+            seq = [0] * (n_max + 1)
+            for n in range(m, n_max + 1):
+                seq[n], rest = divmod(counts[n], math.factorial(n - m))
+                if rest:
+                    raise AssertionError(f"{counts[n]} chains from {n} to {p} is not a multiple of {n - m}!")
+            totals[p] = tuple(seq)
+            for v in p:
+                q = tuple(w - (w > v) for w in p if w != v)
+                acc = below.setdefault(q, [0] * (n_max + 1))
+                for n in range(m, n_max + 1):
+                    acc[n] += counts[n]
+        chains = below
+    return totals
 
 
 def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_LIMIT):

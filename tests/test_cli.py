@@ -549,16 +549,17 @@ def test_json_output_is_never_rendered_from_a_record(capsys, monkeypatch, tmp_pa
 def test_importing_the_cli_leaves_dataclasses_unloaded():
     # -S keeps site-packages start-up hooks from importing it first
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    # the truncated walk is imported on first use, so that commands which
-    # never evaluate truncated mode do not compile it
+    # the truncated walk and its series are imported on first use, so that
+    # commands which never evaluate truncated mode do not compile them
     code = (
         "import sys, catstats.cli; "
-        "print('dataclasses' in sys.modules, 'catstats.truncated' in sys.modules)"
+        "print('dataclasses' in sys.modules, 'catstats.truncated' in sys.modules, "
+        "'catstats.series' in sys.modules)"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout == "False False\n"
+    assert done.stdout == "False False False\n"
 
 
 @pytest.mark.parametrize(

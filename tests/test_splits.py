@@ -1,10 +1,11 @@
 import random
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
+from catstats import splits
 from catstats.errors import UsageError
 from catstats.funcrec import builtin_families, builtin_spec, eval_truncated
 from catstats.moments import factorial_from_truncated
@@ -13,12 +14,13 @@ from catstats.splits import (
     DEFAULT_PREFIX_LEN,
     MAX_PATTERN_LEN,
     AverageEngine,
+    _insertions_123,
     bona_census_123,
     bona_census_132,
     inverse_class_count,
     split_terms,
 )
-from reference import classify_all_subsets, count_occurrences, standardize
+from reference import classify_all_subsets, count_occurrences, deletion_totals_123, standardize
 
 
 def _terms(p):
@@ -316,9 +318,11 @@ def test_census_123_k3_frozen():
 
 def test_census_123_prefixes_are_occurrence_sums():
     # the deletion-chain totals against the definitional per-permutation count:
-    # one pass over the length-k subsequences of each avoider counts them all
+    # one pass over the length-k subsequences of each avoider counts them all;
+    # at k = 7 the counted top level is the only one above the patterns, and
+    # at k = 8 the patterns are the top level itself
     avoiders = [enumerate_avoiders(AV123, n) for n in range(9)]
-    for k in range(1, 5):
+    for k in (1, 2, 3, 4, 7, 8):
         totals = []
         for ws in avoiders:
             counts = Counter()
@@ -337,6 +341,40 @@ def test_census_123_at_k1_reaches_its_slot_bound():
         (cls,) = bona_census_123(1, n_max=n_max).classes
         assert cls.patterns == ((1,),)
         assert cls.prefix == tuple(n * c for n, c in enumerate(catalan_list(n_max)))
+
+
+def test_insertions_123_match_brute_force_insertion():
+    for m in range(8):
+        for q in enumerate_avoiders(AV123, m):
+            inserted = (
+                tuple(v + (v >= j) for v in q[:i]) + (j,) + tuple(v + (v >= j) for v in q[i:])
+                for i in range(m + 1)
+                for j in range(1, m + 2)
+            )
+            avoiding = sum(not any(a < b < c for a, b, c in combinations(p, 3)) for p in inserted)
+            assert _insertions_123(bytes(q)) == avoiding, q
+
+
+def test_census_123_matches_the_deletion_pass_over_every_avoider():
+    totals = deletion_totals_123(9)
+    for k in range(1, 7):
+        classes = bona_census_123(k, n_max=9).classes
+        got = {p: cls.prefix for cls in classes for p in cls.patterns}
+        assert got == {p: seq for p, seq in totals.items() if len(p) == k}
+        assert len({cls.prefix for cls in classes}) == len(classes)
+
+
+@pytest.mark.parametrize("k, n_max, built", [(4, 7, 6), (6, 7, 6), (7, 7, 7), (1, 1, 1)])
+def test_census_123_enumerates_the_top_length_only_at_k_equal_n_max(monkeypatch, k, n_max, built):
+    asked = []
+
+    def spy(forbidden, n, limit):
+        asked.append((forbidden, n))
+        return enumerate_avoiders(forbidden, n, limit)
+
+    monkeypatch.setattr(splits, "enumerate_avoiders", spy)
+    bona_census_123(k, n_max=n_max)
+    assert asked == [(AV123, built)]
 
 
 def test_census_guards():
