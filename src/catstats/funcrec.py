@@ -18,8 +18,10 @@ bookkeeping turns into monomial substitutions.
 
 A monomial is 1 at the all-ones point, so the masses Q_n(1) follow from the
 terms' k-ranges alone.  Construction checks that they are the Catalan
-numbers for n <= 12, and that every exponent is non-negative there, with the
-same exponent loop (`_summands`) that full mode walks.
+numbers for n <= 12, and that every exponent is non-negative there.  The
+check and both modes read every exponent over a whole k-window from one
+evaluator, `TermExponents.window`, which alone refuses a negative one: all
+three name its first (n, k) in the order n, then term, then k.
 
 Full mode (`eval_full`) is exact, with exponential-size output.  Its walk
 (`_packed_walk`) keeps each Q_m as one integer per catalytic exponent
@@ -60,7 +62,8 @@ enumerators of perms.py.
 """
 from __future__ import annotations
 
-from operator import add, mul
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
@@ -110,23 +113,16 @@ def subst_matrix(variables: "Sequence[str]", images: Mapping) -> SubstMatrix:
         if src not in variables:
             raise UsageError(f"unknown substitution source {src!r}")
     rows = []
-    for i, v in enumerate(variables):
-        img = images.get(v)
-        if img is None:
-            rows.append(tuple(IndexPoly.ONE if j == i else IndexPoly.ZERO for j in range(len(variables))))
-        else:
-            row = []
-            for j, u in enumerate(variables):
-                e = img.get(u, 0)
-                row.append(index_poly(e) if not isinstance(e, IndexPoly) else e)
-            rows.append(tuple(row))
+    for v in variables:
+        row = [images.get(v, {v: 1}).get(u, 0) for u in variables]
+        rows.append(tuple(e if isinstance(e, IndexPoly) else index_poly(e) for e in row))
     return tuple(rows)
 
 
 class FuncRecSpec:
     """A validated functional recurrence for one (family, statistic) pair."""
 
-    __slots__ = ("family", "statistic", "variables", "terms", "tracked", "full_limit")
+    __slots__ = ("family", "statistic", "variables", "terms", "tracked", "full_limit", "exponents")
 
     def __init__(
         self,
@@ -148,7 +144,7 @@ class FuncRecSpec:
         if not self.terms:
             raise UsageError("a spec needs at least one term")
         nv = len(self.variables)
-        fixed = subst_matrix(self.variables, {})[0]
+        unit = subst_matrix(self.variables, {})
         for term in self.terms:
             if term.k_low < 1:
                 raise UsageError("k_low must be >= 1")
@@ -161,11 +157,12 @@ class FuncRecSpec:
                     continue
                 if len(mat) != nv or any(len(row) != nv for row in mat):
                     raise UsageError("substitution matrix arity does not match variables")
-                if tuple(mat[0]) != fixed:
+                if tuple(mat[0]) != unit[0]:
                     raise UsageError(
                         f"{self.label}: a substitution must fix {self.variables[0]}, "
                         "the tracked variable"
                     )
+        self.exponents = tuple(TermExponents(self.label, term, unit) for term in self.terms)
         self._mass_check()
 
     @property
@@ -175,8 +172,9 @@ class FuncRecSpec:
     def _mass_check(self, n_max: int = 12) -> None:
         """At the all-ones point the recurrence must reproduce the Catalan
         numbers; exponent data must also evaluate non-negative on the range."""
-        for _ in _summands(self, n_max):  # refuses a negative exponent
-            pass
+        for n in range(1, n_max + 1):
+            for exps in self.exponents:
+                exps.window(n)  # refuses a negative exponent
         for n, (total, want) in enumerate(zip(_masses(self, n_max), catalan_list(n_max))):
             if total != want:
                 raise UsageError(
@@ -210,32 +208,65 @@ def _masses(spec: FuncRecSpec, n_max: int) -> "list[int]":
     return masses
 
 
-def _summands(spec: FuncRecSpec, n_max: int):
-    """Every summand of Q_1 .. Q_n_max in walk order (n, then term, then k),
-    as (n, k, coef, left, right): the coefficient's exponent vector and the
-    substitutions' exponent rows at (n, k), None for an identity.
+class TermExponents:
+    """A term's exponents, evaluated one k-window at a time.
 
-    Constant exponents are evaluated once per walk, and a negative exponent
-    is a UsageError naming (n, k).  Truncated mode names the same first
-    (n, k).
+    `coef` holds the coefficient's exponent per variable and `left` and
+    `right` the substitutions' exponent rows, identity rows for a missing
+    substitution.  A constant entry is evaluated once, to an int; a varying
+    one stays an IndexPoly, listed once in `varying`.
     """
-    nv = len(spec.variables)
-    unit = subst_matrix(spec.variables, {})
-    identity = tuple(tuple(int(i == j) for j in range(nv)) for i in range(nv))
-    walks = []
-    for term in spec.terms:
-        polys = [*term.coef]
-        polys += [e for mat in (term.left, term.right) for row in mat or unit for e in row]
-        walks.append((term, [e.eval(0, 0) if e.is_constant() else e for e in polys]))
-    for n in range(1, n_max + 1):
-        for term, polys in walks:
-            for k in term.k_range(n):
-                ev = [e if type(e) is int else e.eval(n, k) for e in polys]
-                if min(ev) < 0:
-                    raise UsageError(f"{spec.label}: negative exponent at (n={n}, k={k})")
-                rows = [tuple(ev[i:i + nv]) for i in range(nv, len(ev), nv)]
-                mats = (tuple(rows[:nv]), tuple(rows[nv:]))
-                yield n, k, ev[:nv], *(None if m == identity else m for m in mats)
+
+    __slots__ = ("label", "term", "coef", "left", "right", "varying", "identity", "least")
+
+    def __init__(self, label: str, term: RecTerm, unit: SubstMatrix):
+        def rows(mat):
+            return tuple(tuple(e.eval(0, 0) if e.is_constant() else e for e in row) for row in mat)
+
+        self.label, self.term, self.identity = label, term, rows(unit)
+        (self.coef,) = rows((term.coef,))
+        self.left, self.right = rows(term.left or unit), rows(term.right or unit)
+        entries = [*self.coef, *(e for mat in (self.left, self.right) for row in mat for e in row)]
+        self.varying = list(dict.fromkeys(e for e in entries if type(e) is not int))
+        self.least = min(e for e in entries if type(e) is int)  # row 0 is constant
+
+    def window(self, n: int) -> "tuple[range, dict]":
+        """The term's k-window at n and, per varying exponent, its values
+        over the window, summed from its forward differences in k.  A
+        negative exponent is a UsageError naming the window's first k at
+        which any exponent is negative."""
+        ks = self.term.k_range(n)
+        evals = {p: _window_values(p, n, ks) for p in self.varying}
+        if ks and min([self.least, *map(min, evals.values())]) < 0:
+            k = next(k for k, *row in zip(ks, repeat(self.least), *evals.values()) if min(row) < 0)
+            raise UsageError(f"{self.label}: negative exponent at (n={n}, k={k})")
+        return ks, evals
+
+    def at(self, evals: dict, i: int) -> tuple:
+        """The exponents at position i of a window whose varying values are
+        `evals`: the coefficient's exponent vector and the substitutions'
+        rows, None for an identity."""
+        def pick(row):
+            return tuple(e if type(e) is int else evals[e][i] for e in row)
+
+        left, right = (tuple(map(pick, mat)) for mat in (self.left, self.right))
+        return pick(self.coef), *(None if m == self.identity else m for m in (left, right))
+
+
+def _window_values(poly: IndexPoly, n: int, ks: range) -> "list[int]":
+    """poly(n, k) for k in ks, by summing up its forward differences in k."""
+    deg = max(dk for _, dk in poly.terms)
+    head = [poly.eval(n, k) for k in ks[: deg + 1]]
+    if len(ks) <= deg + 1:
+        return head
+    diffs = []
+    for _ in range(deg + 1):
+        diffs.append(head[0])
+        head = list(map(sub, head[1:], head))
+    seq = [diffs[deg]] * (len(ks) - deg)
+    for first in reversed(diffs[:deg]):
+        seq = list(accumulate(seq, initial=first))
+    return seq
 
 
 def _substitute(value: dict, rows, w: int) -> dict:
@@ -276,14 +307,19 @@ def _packed_walk(spec: FuncRecSpec, n_max: int) -> "list[MultiPoly]":
     w = max(_masses(spec, n_max)).bit_length()
     values: "list[dict]" = [{(0,) * (len(spec.variables) - 1): 1}]
     values += [{} for _ in range(n_max)]
-    for n, k, coef, left, right in _summands(spec, n_max):
-        acc, shift, lift = values[n], w * coef[0], coef[1:]
-        rf = _substitute(values[n - k], right, w)
-        for b, x in _substitute(values[k - 1], left, w).items():
-            b, x = tuple(map(add, b, lift)), x << shift
-            for c, y in rf.items():
-                key = tuple(map(add, b, c))
-                acc[key] = acc.get(key, 0) + x * y
+    for n in range(1, n_max + 1):
+        acc = values[n]
+        for exps in spec.exponents:
+            ks, evals = exps.window(n)
+            for i, k in enumerate(ks):
+                coef, left, right = exps.at(evals, i)
+                shift, lift = w * coef[0], coef[1:]
+                rf = _substitute(values[n - k], right, w)
+                for b, x in _substitute(values[k - 1], left, w).items():
+                    b, x = tuple(map(add, b, lift)), x << shift
+                    for c, y in rf.items():
+                        key = tuple(map(add, b, c))
+                        acc[key] = acc.get(key, 0) + x * y
     mask = (1 << w) - 1
     out = []
     for value in values:

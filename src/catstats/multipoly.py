@@ -13,6 +13,7 @@ The rational helpers (`norm_coeff`, `coeff_to_str`, `coeff_from_str`,
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -35,6 +36,10 @@ def coeff_to_str(c) -> str:
 
 
 def coeff_from_str(s: str):
+    """The rational with wire form s: an integer or 'num/den', in ASCII
+    digits, with an optional '-' on the numerator only."""
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+        raise ValueError(f"not a rational: {s!r}")
     num, _, den = s.partition("/")
     return norm_coeff(Fraction(int(num), int(den) if den else 1))
 

@@ -45,17 +45,15 @@ def catalan_list(n_max: int) -> "list[int]":
 
 
 def parse_perm(text: str) -> Perm:
-    """'213', '2 1 3' and '2,1,3' all denote the same permutation."""
+    """'213', '2 1 3' and '2,1,3' all denote the same permutation: one ASCII
+    digit per entry, or ASCII-digit tokens separated by spaces or commas."""
     text = text.strip()
     if not text:
         return ()
-    if any(ch in text for ch in " ,"):
-        vals = tuple(int(tok) for tok in text.replace(",", " ").split())
-    else:
-        if not text.isdigit():
-            raise UsageError(f"cannot parse permutation {text!r}")
-        vals = tuple(int(ch) for ch in text)
-    p = tuple(vals)
+    tokens = text.replace(",", " ").split() if any(ch in text for ch in " ,") else text
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise UsageError(f"cannot parse permutation {text!r}")
+    p = tuple(map(int, tokens))
     if sorted(p) != list(range(1, len(p) + 1)):
         raise UsageError(f"not a permutation of 1..{len(p)}: {text!r}")
     return p

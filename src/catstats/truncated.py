@@ -12,7 +12,7 @@ k-sum once over the whole k-window:
 - a coefficient factor (1 + z_v)^E whose exponent E depends on k alone is
   a binomial shift along v, applied to each term's own copy of its left
   store once per stored index m, at k = m + 1, for the indices a window
-  reads (`_TermWalk.push`);
+  reads (`_TermWalk._fold`);
 - a term's packed side is a side whose images do not depend on the
   window: the identity store or a constant-substitution store, with the
   k-only factors folded in on the left; the right side when both sides
@@ -65,8 +65,8 @@ Slots grow about linearly with n, so a widening aims at the width the
 slots would need at n_max if they kept growing as far, but at most
 doubles it: av123:213 at cap 4 re-packs 4 times up to n = 80.
 
-Exponents are evaluated over whole windows, and a negative one is a
-UsageError naming the first (n, k) in the walk order of funcrec._summands.
+Every exponent is read from funcrec's `TermExponents.window`, once per term
+and n, which refuses a negative one before anything is formed from it.
 """
 from __future__ import annotations
 
@@ -76,8 +76,6 @@ from operator import add, mul, rshift, sub
 from struct import Struct
 from typing import Callable
 
-from .errors import UsageError
-from .multipoly import IndexPoly
 from .series import (
     SeriesBasis,
     TruncatedSeries,
@@ -93,19 +91,15 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
     """Q_0 .. Q_n_max of a FuncRecSpec as series of total degree <= cap."""
     basis = SeriesBasis(spec.variables, cap)
     values = [[1] + [0] * (len(basis) - 1)]
-    # one image store per distinct matrix, shared by both sides of every term
-    images: dict = {None: _Images(basis, None, values)}
+    # one image store per distinct matrix of exponent rows, shared by both
+    # sides of every term; the identity's images are the values themselves
+    images: dict = {spec.exponents[0].identity: _Images(basis, None, values)}
     nv = len(spec.variables)
-    identity = tuple(tuple(int(i == j) for j in range(nv)) for i in range(nv))
 
-    def image(matrix):
-        key = None
-        if matrix is not None:
-            key = tuple(tuple(_constant_or_poly(e) for e in row) for row in matrix)
-            key = None if key == identity else key
-        if key not in images:
-            images[key] = _Images(basis, key, values)
-        return images[key]
+    def image(rows):
+        if rows not in images:
+            images[rows] = _Images(basis, rows, values)
+        return images[rows]
 
     # shifts[v][i]: (j, index of monomial i lowered by j in variable v), j >= 1
     shifts = [
@@ -123,38 +117,16 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
             packs[store] = _Packed(store, basis, n_max)
         return packs.get(store)
 
-    terms = [_TermWalk(spec.label, term, cap, shifts, image, pack) for term in spec.terms]
+    terms = [_TermWalk(exps, cap, shifts, image, pack) for exps in spec.exponents]
     stores = [im for im in images.values() if im.ops]
     for n in range(1, n_max + 1):
         for im in stores:
             im.push(values[n - 1])
-        for term in terms:
-            term.push(n - 1)
         out = [0] * len(basis)
         for term in terms:
             term.add_into(out, n, basis.pairs)
         values.append(out)
     return [TruncatedSeries(basis, v) for v in values]
-
-
-def _constant_or_poly(e: IndexPoly) -> "int | IndexPoly":
-    return e.eval(0, 0) if e.is_constant() else e
-
-
-def _window_values(poly: IndexPoly, n: int, ks: range) -> "list[int]":
-    """poly(n, k) for k in ks, by summing up its forward differences in k."""
-    deg = max(dk for _, dk in poly.terms)
-    head = [poly.eval(n, k) for k in ks[: deg + 1]]
-    if len(ks) <= deg + 1:
-        return head
-    diffs = []
-    for _ in range(deg + 1):
-        diffs.append(head[0])
-        head = list(map(sub, head[1:], head))
-    seq = [diffs[deg]] * (len(ks) - deg)
-    for first in reversed(diffs[:deg]):
-        seq = list(accumulate(seq, initial=first))
-    return seq
 
 
 def _differences(ops: list, degrees: list, size: int) -> list:
@@ -361,76 +333,60 @@ class _TermWalk:
 
     The coefficient's factors (1 + z_v)^E whose exponent E has no n term are
     folded into the term's own copy of its left store, once per stored index
-    m at k = m + 1 (`push`); `_coefficient` applies the rest per window, to
+    m at k = m + 1 (`_fold`); `_coefficient` applies the rest per window, to
     the columns of the side that is not packed (the left one when neither
-    is)."""
+    is).  Every exponent comes from the term's `TermExponents` (`exps`)."""
 
     __slots__ = (
-        "label", "term", "cap", "shifts", "varying", "negative", "coef", "fold", "source", "left",
-        "right", "packed", "pack_left",
+        "exps", "cap", "shifts", "coef", "fold", "source", "left", "right", "packed", "pack_left",
     )
 
-    def __init__(self, label: str, term, cap: int, shifts: list, image: Callable, pack: Callable):
-        self.label, self.term, self.cap, self.shifts = label, term, cap, shifts
-        polys = list(term.coef)
-        for mat in (term.left, term.right):
-            polys += [e for row in mat or () for e in row]
-        self.varying = list(dict.fromkeys(e for e in polys if not e.is_constant()))
-        self.negative = any(e.is_constant() and e.eval(0, 0) < 0 for e in polys)
+    def __init__(self, exps, cap: int, shifts: list, image: Callable, pack: Callable):
+        self.exps, self.cap, self.shifts = exps, cap, shifts
         # the coefficient's nonzero exponents as (variable, int or varying
         # IndexPoly), split into those that depend on k alone and the rest
-        factors = [(v, _constant_or_poly(e)) for v, e in enumerate(term.coef) if e.terms]
+        factors = [(v, e) for v, e in enumerate(exps.coef) if e != 0]
         self.fold = [
             (v, e) for v, e in factors if type(e) is int or all(dn == 0 for dn, _ in e.terms)
         ]
         self.coef = [f for f in factors if f not in self.fold]
-        # a negative constant is refused at the first window, before any
-        # matrix is built
-        self.source = self.left = self.right = self.packed = None
-        self.pack_left = False
-        if not self.negative:
-            self.left, self.right = image(term.left), image(term.right)
-            if self.fold:
-                self.source = self.left
-                self.left = self.source.folded([shifts[v] for v, _ in self.fold])
-            # the packed side: one independent of the window, the right one
-            # when both are
-            self.pack_left = bool(self.right.varying) and not self.left.varying
-            if not (self.left.varying and self.right.varying):
-                self.packed = pack(self.left if self.pack_left else self.right)
+        self.left, self.right = image(exps.left), image(exps.right)
+        self.source = self.left if self.fold else None
+        if self.fold:
+            self.left = self.source.folded([shifts[v] for v, _ in self.fold])
+        # the packed side: one independent of the window, the right one when
+        # both are; none when both vary
+        self.pack_left = bool(self.right.varying) and not self.left.varying
+        both = self.left.varying and self.right.varying
+        self.packed = None if both else pack(self.left if self.pack_left else self.right)
 
-    def push(self, m: int) -> None:
-        """Store the folded left parts of index m, if a window reads them."""
-        k, term = m + 1, self.term
-        if self.source is None or (term.k_high is not None and k > term.k_high):
-            return
-        exps = [e if type(e) is int else e.eval(0, k) for _, e in self.fold]
-        # below k_low no window reads index m; a negative exponent is
-        # refused by the window check at n = k before the value is read
-        if k < term.k_low or min(exps) < 0:
+    def _fold(self, n: int, ks: range, evals: dict) -> None:
+        """Store the folded left parts of index n - 1, which the windows read
+        at k = n: a placeholder below k_low, nothing past k_high."""
+        if not ks:
             for part in self.left.parts:
                 part.append(None)
             return
+        if ks[-1] < n:
+            return
         factors = [
-            (self.shifts[v], binomial_rows([e], self.cap)) for (v, _), e in zip(self.fold, exps)
+            (self.shifts[v], binomial_rows([e if type(e) is int else evals[e][-1]], self.cap))
+            for v, e in self.fold
         ]
         for src, part in zip(self.source.parts, self.left.parts):
-            q = src[m]
+            q = src[n - 1]
             for chains, rows in factors:
                 q = [x + sum(rows[j][0] * q[i] for j, i in chain) for x, chain in zip(q, chains)]
             part.append(q)
 
     def add_into(self, out: list, n: int, pairs: list) -> None:
-        """Add sum over the window of coef * L(Q_(k-1)) * R(Q_(n-k)) to out."""
-        ks = self.term.k_range(n)
+        """Add sum over the window of coef * L(Q_(k-1)) * R(Q_(n-k)) to out,
+        first folding index n - 1 into the left store."""
+        ks, evals = self.exps.window(n)
+        if self.source is not None:
+            self._fold(n, ks, evals)
         if not ks:
             return
-        evals = {p: _window_values(p, n, ks) for p in self.varying}
-        if self.negative or (evals and min(map(min, evals.values())) < 0):
-            first = 0 if self.negative else min(
-                next(i for i, x in enumerate(v) if x < 0) for v in evals.values() if min(v) < 0
-            )
-            raise UsageError(f"{self.label}: negative exponent at (n={n}, k={ks[first]})")
         lo, hi = ks.start, ks.stop
         if self.packed is not None and len(ks) > 1:
             if self.pack_left:

@@ -563,6 +563,23 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
 
 
 @pytest.mark.parametrize(
+    "pattern", ["1 x", "\u00b21", "1 +2", "\u0661\u0662", "\uff13\uff12\uff11"]
+)
+def test_average_refuses_a_pattern_that_is_not_ascii_digits(pattern):
+    # each of these once reached int(): a ValueError traceback, or a
+    # pattern read as 12 or 321
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "catstats.cli", "average", "--pattern", pattern, "--max-n", "5"],
+        env=env, capture_output=True, text=True, encoding="utf-8",
+    )
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr == f"error: cannot parse permutation {pattern!r}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--family", "av132", "--k", "2", "--max-n", "99"),

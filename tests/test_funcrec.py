@@ -171,17 +171,20 @@ def test_truncated_is_the_series_of_full_on_synthetic_specs(spec, n, cap):
 
 def _substitution_pool():
     """Every substitution matrix of the catalog, with its variables, and
-    every one the synthetic specs draw: q -> t^e q^d."""
-    pool = {}
-    for family, statistic in CATALOG:
-        spec = builtin_spec(family, statistic)
-        for term in spec.terms:
-            for matrix in (term.left, term.right):
-                if matrix is not None:
-                    pool[spec.variables, matrix] = None
+    every one the synthetic specs draw: q -> t^e q^d, each as its
+    TermExponents rows, of which the truncated walk keys its image stores."""
+    specs = [builtin_spec(family, statistic) for family, statistic in CATALOG]
     for e in (IndexPoly.ZERO, IndexPoly.ONE, _K1, _NK, _KNK):
         for d in (0, 1):
-            pool[("t", "q"), subst_matrix(("t", "q"), {"q": {"t": e, "q": d}})] = None
+            left = subst_matrix(("t", "q"), {"q": {"t": e, "q": d}})
+            term = RecTerm(coef=(IndexPoly.ZERO,) * 2, left=left)
+            specs.append(FuncRecSpec("av132", "synthetic", ("t", "q"), [term]))
+    pool = {}
+    for spec in specs:
+        for exps in spec.exponents:
+            for matrix, rows in zip((exps.term.left, exps.term.right), (exps.left, exps.right)):
+                if matrix is not None:
+                    pool[spec.variables, rows] = None
     return list(pool)
 
 
@@ -190,12 +193,11 @@ def test_substitution_differences_have_no_negative_entry():
     # or multiplies is negative; the values and the weights C(a, d) are
     # non-negative, and so must be every operator Delta_d of every store
     entries = 0
-    for variables, matrix in _substitution_pool():
-        key = tuple(tuple(truncated._constant_or_poly(e) for e in row) for row in matrix)
+    for variables, key in _substitution_pool():
         for cap in range(1, 9):
             images = truncated._Images(SeriesBasis(variables, cap), key, [])
             coefficients = [c for op in images.ops for col in op for _, c in col]
-            assert min(coefficients) >= 0, (variables, matrix, cap)
+            assert min(coefficients) >= 0, (variables, key, cap)
             entries += len(coefficients)
     assert entries == 19510
 
@@ -300,6 +302,47 @@ def test_negative_substitution_exponent_is_a_usage_error():
                 eval_truncated(spec, 25, 2)
             with pytest.raises(UsageError, match=where):
                 eval_full(spec, 25)
+
+
+@pytest.mark.parametrize("where", ["coefficient", "substitution"])
+def test_a_negative_constant_past_the_mass_check_is_refused_by_both_modes(where):
+    # the term of k >= 13 has no summand at n <= 12, where construction
+    # checks the exponents, so the spec builds; the constant -1 is then
+    # refused at its first window, (n = 13, k = 13), in both modes alike
+    variables = ("t", "q")
+    zero = (IndexPoly.ZERO, IndexPoly.ZERO)
+    low = RecTerm(coef=zero, k_high=12)
+    if where == "coefficient":
+        high = RecTerm(coef=(index_poly(-1), IndexPoly.ZERO), k_low=13)
+    else:
+        high = RecTerm(coef=zero, k_low=13, left=subst_matrix(variables, {"q": {"t": -1, "q": 1}}))
+    spec = FuncRecSpec("av132", "synthetic", variables, [low, high])
+    full = eval_full(spec, 12).values
+    assert eval_truncated(spec, 12, 3).values == [taylor(value, 3) for value in full]
+    message = r"^av132:synthetic: negative exponent at \(n=13, k=13\)$"
+    with pytest.raises(UsageError, match=message):
+        eval_full(spec, 13)
+    with pytest.raises(UsageError, match=message):
+        eval_truncated(spec, 13, 3)
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["coefficient-first", "substitution-first"])
+def test_both_modes_name_the_smallest_k_at_which_any_exponent_is_negative(swap):
+    # (12 - n) k + 5 and (12 - n) k + 2 are >= 0 for n <= 12; at n = 13 they
+    # first go negative at k = 6 and k = 3, whichever of the coefficient and
+    # the right substitution holds which
+    variables = ("t", "q")
+    late = index_poly({(0, 1): 12, (1, 1): -1, (0, 0): 5})
+    early = index_poly({(0, 1): 12, (1, 1): -1, (0, 0): 2})
+    coef, image = (early, late) if swap else (late, early)
+    right = subst_matrix(variables, {"q": {"t": image, "q": 1}})
+    term = RecTerm(coef=(coef, IndexPoly.ZERO), right=right)
+    spec = FuncRecSpec("av132", "synthetic", variables, [term])
+    message = r"^av132:synthetic: negative exponent at \(n=13, k=3\)$"
+    with pytest.raises(UsageError, match=message):
+        eval_full(spec, 13)
+    with pytest.raises(UsageError, match=message):
+        eval_truncated(spec, 13, 2)
 
 
 @pytest.mark.parametrize(

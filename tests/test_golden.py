@@ -48,6 +48,9 @@ INPUTS = {
     # the values and name `average --pattern 132 --max-n 80` writes: the
     # zero sequence, since no av132 permutation contains 132
     "zeros.json": _sequence("av132:total:132", AverageEngine(80).sequence((1, 3, 2))),
+    # an A_21-named file whose values int() reads but the number grammar
+    # refuses
+    "underscore.json": _sequence("av132:total:21", ["1_000"] * 40),
     "broken.json": '{"name": "catalan", "offset": 0, "values": [1, 1, 2',
     "two-line-name.json": _sequence("a\nb", CATALAN[:40]),
     "far.json": _sequence("catalan", CATALAN[:40], offset=10**30),
@@ -156,6 +159,9 @@ CORPUS = [
     "moments --family av132 --stat 21 --max-n -1",
     "average --pattern 11",
     "average --pattern 12 --max-n 1001",
+    # patterns that are not ASCII digits
+    "average --pattern '1 x' --max-n 5",
+    "average --pattern ²1 --max-n 5",
     "census --k 0",
     "census --k 3 --prefix-len 5",
     "census --k 9 --prefix-len 1000",
@@ -164,6 +170,7 @@ CORPUS = [
     "guess --kind p-recursive --input missing.json",
     "guess --kind p-recursive --input broken.json",
     "guess --kind p-recursive --input two-line-name.json",
+    "guess --kind closed-form --input underscore.json",
     "guess --kind closed-form --input far.json",
     "guess --kind p-recursive --input catalan.json --holdout 0",
     "guess --kind algebraic --input catalan.json --max-deg-y 0",

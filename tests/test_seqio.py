@@ -64,6 +64,21 @@ def test_parse_validation_errors():
             parse_sequence_obj(bad, "mem")
 
 
+@pytest.mark.parametrize(
+    "value", ["1_000", " 1", "1 ", "+1", "1/-2", "1/+2", "\u0661", "\u00b2", "1/", "/2", "-"]
+)
+def test_parse_refuses_what_int_accepts_beyond_the_number_grammar(value):
+    # a value string is -?[0-9]+(/[0-9]+)? and nothing else int() would read
+    obj = {"name": "s", "offset": 0, "values": [1, value]}
+    with pytest.raises(UsageError, match=r"^mem: values\[1\] is not a rational: "):
+        parse_sequence_obj(obj, "mem")
+
+
+def test_parse_refuses_a_zero_denominator():
+    with pytest.raises(UsageError, match=r"values\[0\] is not a rational: '1/0'"):
+        parse_sequence_obj({"name": "s", "offset": 0, "values": ["1/0"]}, "mem")
+
+
 def test_extra_keys_survive_roundtrip(tmp_path):
     obj = {"name": "s", "offset": 0, "values": [1, 2], "tool": "catstats", "k": 3}
     seq = parse_sequence_obj(obj, "mem")
