@@ -45,6 +45,9 @@ INPUTS = {
     # the same values with the next-to-last term raised by 1, which no fit
     # may pass over
     "A2314-raised.json": _sequence("av132:total:2314", [*A2314[:-2], A2314[-2] + 1, A2314[-1]]),
+    # the same values with the last term raised by 1, which only a row past
+    # the data's last term can see
+    "A2314-last-raised.json": _sequence("av132:total:2314", [*A2314[:-1], A2314[-1] + 1]),
     # the values and name `average --pattern 132 --max-n 80` writes: the
     # zero sequence, since no av132 permutation contains 132
     "zeros.json": _sequence("av132:total:132", AverageEngine(80).sequence((1, 3, 2))),
@@ -132,6 +135,7 @@ CORPUS = [
     *(f"guess --kind {kind} --input A2314.json --format json"
       for kind in ("p-recursive", "algebraic", "closed-form")),
     "guess --kind algebraic --input A2314-raised.json",
+    "guess --kind algebraic --input A2314-last-raised.json",
     *(f"guess --kind {kind} --input zeros.json"
       for kind in ("p-recursive", "algebraic", "closed-form")),
     # abnormal
