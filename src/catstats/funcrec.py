@@ -8,10 +8,13 @@ avoidance family decomposes at the position k of the maximum:
           coef(n, k) * subst_L(Q_(k-1)) * subst_R(Q_(n-k))
 
 where coef is the monomial prod_i v_i^(E_i(n, k)) and each substitution
-sends every variable to a monomial in the variables, with exponents that are
-themselves integer polynomials in (n, k).  The first variable, t, tracks the
-statistic, and every substitution fixes it: only the catalytic variables
-after it are substituted.  This shape is exactly what splitting an avoider
+sends every variable to a monomial in the variables.  An exponent is an int
+when it is constant and an IndexPoly, an integer polynomial in (n, k), when
+it varies.  A missing substitution (None) is the identity, and so is one
+whose matrix is the unit matrix: `TermExponents` reads both as None.  The
+first variable (t in the catalog) tracks the statistic, whatever its name,
+and every substitution fixes it: only the catalytic variables after it are
+substituted.  This shape is exactly what splitting an avoider
 at its maximum produces: the statistic of the whole is an index-dependent
 affine combination of the statistics of the two parts, which exponent
 bookkeeping turns into monomial substitutions.
@@ -67,7 +70,7 @@ from operator import add, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import UsageError
-from .multipoly import IndexPoly, MultiPoly, index_poly
+from .multipoly import IndexPoly, MultiPoly
 from .perms import (
     AV132,
     DEFAULT_ORACLE_LIMIT,
@@ -80,8 +83,10 @@ from .perms import (
 DEFAULT_FULL_LIMIT = 64
 
 
+# An exponent: an int when constant, an IndexPoly when it varies with (n, k).
+Exponent = "int | IndexPoly"
 # Substitution: image of variable i is prod_j var_j ^ matrix[i][j](n, k).
-SubstMatrix = "tuple[tuple[IndexPoly, ...], ...]"
+SubstMatrix = "tuple[tuple[Exponent, ...], ...]"
 
 
 class RecTerm(NamedTuple):
@@ -93,7 +98,7 @@ class RecTerm(NamedTuple):
     which the 123-family recurrence needs).
     """
 
-    coef: "tuple[IndexPoly, ...]"
+    coef: "tuple[Exponent, ...]"
     k_low: int = 1
     k_high: "int | None" = None
     left: "SubstMatrix | None" = None
@@ -106,17 +111,13 @@ class RecTerm(NamedTuple):
 def subst_matrix(variables: "Sequence[str]", images: Mapping) -> SubstMatrix:
     """Build a substitution matrix from {source: {target: exponent}}.
 
-    Unmentioned variables map to themselves; exponents are IndexPoly or int.
+    Unmentioned variables map to themselves; exponents are int or IndexPoly.
     """
     variables = tuple(variables)
     for src in images:
         if src not in variables:
             raise UsageError(f"unknown substitution source {src!r}")
-    rows = []
-    for v in variables:
-        row = [images.get(v, {v: 1}).get(u, 0) for u in variables]
-        rows.append(tuple(e if isinstance(e, IndexPoly) else index_poly(e) for e in row))
-    return tuple(rows)
+    return tuple(tuple(images.get(v, {v: 1}).get(u, 0) for u in variables) for v in variables)
 
 
 class FuncRecSpec:
@@ -189,8 +190,7 @@ class EnumeratorSequence(NamedTuple):
     """Q_0 .. Q_N as produced by one of the evaluators."""
 
     spec: FuncRecSpec
-    mode: str  # "full" | "truncated"
-    cap: "int | None"
+    cap: "int | None"  # None in full mode
     values: list
 
 
@@ -212,23 +212,24 @@ class TermExponents:
     """A term's exponents, evaluated one k-window at a time.
 
     `coef` holds the coefficient's exponent per variable and `left` and
-    `right` the substitutions' exponent rows, identity rows for a missing
-    substitution.  A constant entry is evaluated once, to an int; a varying
-    one stays an IndexPoly, listed once in `varying`.
+    `right` the substitutions' exponent rows, None for the identity: a
+    missing substitution or the unit matrix.  A constant entry is an int; a
+    varying one is an IndexPoly, listed once in `varying`.
     """
 
-    __slots__ = ("label", "term", "coef", "left", "right", "varying", "identity", "least")
+    __slots__ = ("label", "term", "coef", "left", "right", "varying", "least")
 
     def __init__(self, label: str, term: RecTerm, unit: SubstMatrix):
         def rows(mat):
-            return tuple(tuple(e.eval(0, 0) if e.is_constant() else e for e in row) for row in mat)
+            mat = mat and tuple(map(tuple, mat))
+            return None if mat == unit else mat
 
-        self.label, self.term, self.identity = label, term, rows(unit)
-        (self.coef,) = rows((term.coef,))
-        self.left, self.right = rows(term.left or unit), rows(term.right or unit)
-        entries = [*self.coef, *(e for mat in (self.left, self.right) for row in mat for e in row)]
+        self.label, self.term, self.coef = label, term, tuple(term.coef)
+        self.left, self.right = rows(term.left), rows(term.right)
+        mats = [mat for mat in (self.left, self.right) if mat]
+        entries = [*self.coef, *(e for mat in mats for row in mat for e in row)]
         self.varying = list(dict.fromkeys(e for e in entries if type(e) is not int))
-        self.least = min(e for e in entries if type(e) is int)  # row 0 is constant
+        self.least = min((e for e in entries if type(e) is int), default=0)
 
     def window(self, n: int) -> "tuple[range, dict]":
         """The term's k-window at n and, per varying exponent, its values
@@ -249,13 +250,12 @@ class TermExponents:
         def pick(row):
             return tuple(e if type(e) is int else evals[e][i] for e in row)
 
-        left, right = (tuple(map(pick, mat)) for mat in (self.left, self.right))
-        return pick(self.coef), *(None if m == self.identity else m for m in (left, right))
+        return pick(self.coef), *(mat and tuple(map(pick, mat)) for mat in (self.left, self.right))
 
 
 def _window_values(poly: IndexPoly, n: int, ks: range) -> "list[int]":
     """poly(n, k) for k in ks, by summing up its forward differences in k."""
-    deg = max(dk for _, dk in poly.terms)
+    deg = max((dk for _, dk in poly.terms), default=0)
     head = [poly.eval(n, k) for k in ks[: deg + 1]]
     if len(ks) <= deg + 1:
         return head
@@ -345,7 +345,7 @@ def eval_full(spec: FuncRecSpec, n_max: int) -> EnumeratorSequence:
             f"full mode on {spec.label} is capped at n = {spec.full_limit}, got "
             f"n = {n_max}; use truncated mode for moment work"
         )
-    return EnumeratorSequence(spec, "full", None, _packed_walk(spec, n_max))
+    return EnumeratorSequence(spec, None, _packed_walk(spec, n_max))
 
 
 def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequence:
@@ -363,22 +363,19 @@ def eval_truncated(spec: FuncRecSpec, n_max: int, cap: int) -> EnumeratorSequenc
     # do not compile it in a process that has no bytecode cache
     from .truncated import walk
 
-    return EnumeratorSequence(spec, "truncated", cap, walk(spec, n_max, cap))
+    return EnumeratorSequence(spec, cap, walk(spec, n_max, cap))
 
 
 # -- builtin catalog -------------------------------------------------------
 
-_E = index_poly
-_K_MINUS_1 = _E({(0, 1): 1, (0, 0): -1})           # k - 1
-_N_MINUS_K = _E({(1, 0): 1, (0, 1): -1})           # n - k
-_K = _E({(0, 1): 1})                               # k
-_K_TIMES_NK = _E({(1, 1): 1, (0, 2): -1})          # k(n - k)
-_K1_TIMES_NK = _E({(1, 1): 1, (0, 2): -1, (1, 0): -1, (0, 1): 1})  # (k-1)(n-k)
-_ZERO = IndexPoly.ZERO
-_ONE = IndexPoly.ONE
+_K_MINUS_1 = IndexPoly({(0, 1): 1, (0, 0): -1})           # k - 1
+_N_MINUS_K = IndexPoly({(1, 0): 1, (0, 1): -1})           # n - k
+_K = IndexPoly({(0, 1): 1})                               # k
+_K_TIMES_NK = IndexPoly({(1, 1): 1, (0, 2): -1})          # k(n - k)
+_K1_TIMES_NK = IndexPoly({(1, 1): 1, (0, 2): -1, (1, 0): -1, (0, 1): 1})  # (k-1)(n-k)
 
 
-def _spec_av132_univariate(stat: str, exponent: IndexPoly, full_limit: int) -> FuncRecSpec:
+def _spec_av132_univariate(stat: str, exponent: Exponent, full_limit: int) -> FuncRecSpec:
     return FuncRecSpec(
         "av132",
         stat,
@@ -406,12 +403,12 @@ def _spec_av132_catalytic(stat, coef_t, coef_q, left_images, right_images, q_pat
 def _spec_av123_213() -> FuncRecSpec:
     variables = ("t", "s1", "s2")
     boundary = RecTerm(
-        coef=(_ZERO, _ZERO, _ONE),  # coefficient s2
+        coef=(0, 0, 1),  # coefficient s2
         k_low=1,
         k_high=1,
     )
     bulk = RecTerm(
-        coef=(_ZERO, _ZERO, _ZERO),  # coefficient 1
+        coef=(0, 0, 0),  # coefficient 1
         k_low=2,
         left=subst_matrix(variables, {"s1": {"t": 1, "s1": 1}, "s2": {"s1": 1, "s2": 1}}),
     )
@@ -430,16 +427,16 @@ def _spec_av123_213() -> FuncRecSpec:
 _CATALOG_BUILDERS = {
     ("av132", "21"): lambda: _spec_av132_univariate("21", _K_TIMES_NK, 42),
     ("av132", "12"): lambda: _spec_av132_univariate("12", _K_MINUS_1, 42),
-    ("av132", "132"): lambda: _spec_av132_univariate("132", _ZERO, DEFAULT_FULL_LIMIT),
+    ("av132", "132"): lambda: _spec_av132_univariate("132", 0, DEFAULT_FULL_LIMIT),
     ("av132", "231"): lambda: _spec_av132_catalytic(
         "231", _K1_TIMES_NK, _K_MINUS_1, {"q": {"t": _N_MINUS_K, "q": 1}}, None, "12", 18
     ),
     ("av132", "123"): lambda: _spec_av132_catalytic(
-        "123", _ZERO, _K_MINUS_1, {"q": {"t": 1, "q": 1}}, None, "12", 20
+        "123", 0, _K_MINUS_1, {"q": {"t": 1, "q": 1}}, None, "12", 20
     ),
     ("av132", "321"): lambda: _spec_av132_catalytic(
         "321",
-        _ZERO,
+        0,
         _K_TIMES_NK,
         {"q": {"t": _N_MINUS_K, "q": 1}},
         {"q": {"t": _K, "q": 1}},
@@ -447,10 +444,10 @@ _CATALOG_BUILDERS = {
         18,
     ),
     ("av132", "213"): lambda: _spec_av132_catalytic(
-        "213", _ZERO, _K_TIMES_NK, {"q": {"t": 1, "q": 1}}, None, "21", 18
+        "213", 0, _K_TIMES_NK, {"q": {"t": 1, "q": 1}}, None, "21", 18
     ),
     ("av132", "312"): lambda: _spec_av132_catalytic(
-        "312", _ZERO, _K_MINUS_1, None, {"q": {"t": _K, "q": 1}}, "12", 18
+        "312", 0, _K_MINUS_1, None, {"q": {"t": _K, "q": 1}}, "12", 18
     ),
     ("av123", "213"): _spec_av123_213,
 }

@@ -72,21 +72,15 @@ def factorial_from_full(coeffs: "Sequence[int]", r_max: int) -> "list[int]":
 
 
 def factorial_from_truncated(series: TruncatedSeries) -> "list[int]":
-    """[f_0 .. f_cap] of the variable t, read off a truncated expansion
-    about all-ones to the series cap."""
+    """[f_0 .. f_cap] of the tracked variable, the first one, read off a
+    truncated expansion about all-ones to the series cap."""
     basis = series.basis
-    try:
-        vi = basis.variables.index("t")
-    except ValueError:
-        raise UsageError("series has no variable 't'") from None
-    nv = len(basis.variables)
+    rest = (0,) * (len(basis.variables) - 1)
     out = []
     fact = 1
     for r in range(basis.cap + 1):
-        if r:
-            fact *= r
-        exps = tuple(r if i == vi else 0 for i in range(nv))
-        out.append(fact * series.coefficient(exps))
+        fact *= max(r, 1)
+        out.append(fact * series.coefficient((r, *rest)))
     return out
 
 
@@ -228,15 +222,16 @@ def moment_table_from_rows(family, statistic, mode, cap, r_max, f_rows, ns) -> M
 
 
 def moments_from_full(seq, r_max: int) -> MomentTable:
-    """Moment table of t from a full-mode EnumeratorSequence (catalytic
-    variables are set to 1 first)."""
+    """Moment table of the tracked variable, the first one, from a full-mode
+    EnumeratorSequence (catalytic variables are set to 1 first)."""
     if r_max < 0:
         raise UsageError(f"moment order r must be >= 0, got r = {r_max}")
     spec = seq.spec
     f_rows = []
     for p in seq.values:
-        terms = p.project(("t",)).terms
-        coeffs = [terms.get((i,), 0) for i in range(max(terms)[0] + 1)]
+        coeffs = [0] * (max(p.terms)[0] + 1)
+        for exps, c in p.terms.items():
+            coeffs[exps[0]] += c
         f_rows.append(factorial_from_full(coeffs, r_max))
     return moment_table_from_rows(
         spec.family, spec.statistic, "full", None, r_max, f_rows, range(len(f_rows))
@@ -244,7 +239,7 @@ def moments_from_full(seq, r_max: int) -> MomentTable:
 
 
 def moments_from_truncated(seq, ns: "Sequence[int] | None" = None) -> MomentTable:
-    """Moment table of t to the evaluation cap from a truncated-mode
+    """Moment table of the tracked variable to the evaluation cap from a truncated-mode
     EnumeratorSequence, with a row for each n in ns (every n when omitted)."""
     spec = seq.spec
     if ns is None:

@@ -1,4 +1,4 @@
-"""Weight enumerators as records, and (n, k)-indexed exponent polynomials.
+"""Weight enumerators as records, and the (n, k)-polynomials of varying exponents.
 
 A MultiPoly is the exact form in which full mode and the brute-force oracles
 hand over weight enumerators: the names of the variables and a terms dict
@@ -7,6 +7,10 @@ from exponent tuples (one non-negative int per variable, in the order of
 the record checks and normalizes nothing, and equality is the tuple's.  It
 has one projection, `project`, which keeps the named variables and sets the
 others to 1, and it prints its terms in ascending graded lexicographic order.
+
+An IndexPoly is an exponent of a functional recurrence that varies with the
+indices (n, k).  A constant exponent is a plain int from the catalog on, so
+the recurrence code tells the two kinds apart by type alone.
 
 The rational helpers (`norm_coeff`, `coeff_to_str`, `coeff_from_str`,
 `join_signed`) serve every exact wire format; no MultiPoly holds a Fraction.
@@ -93,11 +97,11 @@ class MultiPoly(NamedTuple):
 class IndexPoly:
     """Integer polynomial in the recurrence indices n and k.
 
-    Used for exponents inside functional recurrences: a term's coefficient
-    carries t_i ^ E(n, k) and substitution images carry per-variable exponent
-    entries.
-    Immutable; evaluation must be non-negative wherever it is used as an
-    exponent (checked at the use site, not here).
+    The exponent of a functional recurrence that varies with (n, k): a
+    term's coefficient carries t_i ^ E(n, k), and a substitution image
+    carries one exponent per variable.  A constant exponent is a plain int,
+    never an IndexPoly.  Immutable; evaluation must be non-negative wherever
+    it is used as an exponent (checked at the use site, not here).
     """
 
     __slots__ = ("terms",)
@@ -112,18 +116,8 @@ class IndexPoly:
                     clean[(dn, dk)] = c
         self.terms = clean
 
-    @classmethod
-    def const(cls, c: int) -> "IndexPoly":
-        return cls({(0, 0): c})
-
-    ZERO: "IndexPoly"
-    ONE: "IndexPoly"
-
     def eval(self, n: int, k: int) -> int:
         return sum(c * n**dn * k**dk for (dn, dk), c in self.terms.items())
-
-    def is_constant(self) -> bool:
-        return all(key == (0, 0) for key in self.terms)
 
     def __eq__(self, other):
         return isinstance(other, IndexPoly) and self.terms == other.terms
@@ -144,14 +138,3 @@ class IndexPoly:
                     mono += f"{sym}^{d}"
             bits.append(f"{c}{mono}" if mono else str(c))
         return f"IndexPoly({' + '.join(bits)})"
-
-
-IndexPoly.ZERO = IndexPoly()
-IndexPoly.ONE = IndexPoly.const(1)
-
-
-def index_poly(expr: "Mapping[tuple, int] | int") -> IndexPoly:
-    """Shorthand: int -> constant, dict {(dn, dk): c} -> polynomial."""
-    if isinstance(expr, int):
-        return IndexPoly.const(expr)
-    return IndexPoly(expr)

@@ -92,8 +92,8 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
     basis = SeriesBasis(spec.variables, cap)
     values = [[1] + [0] * (len(basis) - 1)]
     # one image store per distinct matrix of exponent rows, shared by both
-    # sides of every term; the identity's images are the values themselves
-    images: dict = {spec.exponents[0].identity: _Images(basis, None, values)}
+    # sides of every term; the identity (None) has the values as its images
+    images: dict = {None: _Images(basis, None, values)}
     nv = len(spec.variables)
 
     def image(rows):

@@ -18,7 +18,7 @@ from catstats.funcrec import (
 )
 from catstats import funcrec, truncated
 from catstats.cli import EXIT_INTERNAL, main
-from catstats.multipoly import IndexPoly, MultiPoly, index_poly
+from catstats.multipoly import IndexPoly, MultiPoly
 from catstats.perms import catalan_list
 from catstats.series import SeriesBasis
 from taylor import taylor
@@ -119,10 +119,10 @@ def test_truncated_is_the_series_of_full_at_every_cap(family_stat, n, cap):
 
 # exponent pool for synthetic specs: constant, k-only, (n-k)-only and mixed,
 # all >= 0 on 1 <= k <= n
-_K1 = index_poly({(0, 1): 1, (0, 0): -1})
-_NK = index_poly({(1, 0): 1, (0, 1): -1})
-_KNK = index_poly({(1, 1): 1, (0, 2): -1})
-EXPONENTS = st.sampled_from([IndexPoly.ZERO, IndexPoly.ONE, _K1, _NK, _KNK])
+_K1 = IndexPoly({(0, 1): 1, (0, 0): -1})
+_NK = IndexPoly({(1, 0): 1, (0, 1): -1})
+_KNK = IndexPoly({(1, 1): 1, (0, 2): -1})
+EXPONENTS = st.sampled_from([0, 1, _K1, _NK, _KNK])
 # full mode's enumerators can grow past millions of terms by n = 9; the
 # comparison stops at the first n whose enumerator has more terms than this
 TERM_BUDGET = 800
@@ -172,18 +172,19 @@ def test_truncated_is_the_series_of_full_on_synthetic_specs(spec, n, cap):
 def _substitution_pool():
     """Every substitution matrix of the catalog, with its variables, and
     every one the synthetic specs draw: q -> t^e q^d, each as its
-    TermExponents rows, of which the truncated walk keys its image stores."""
+    TermExponents rows, of which the truncated walk keys its image stores.
+    The identity (rows None) has no operator: its images are the values."""
     specs = [builtin_spec(family, statistic) for family, statistic in CATALOG]
-    for e in (IndexPoly.ZERO, IndexPoly.ONE, _K1, _NK, _KNK):
+    for e in (0, 1, _K1, _NK, _KNK):
         for d in (0, 1):
             left = subst_matrix(("t", "q"), {"q": {"t": e, "q": d}})
-            term = RecTerm(coef=(IndexPoly.ZERO,) * 2, left=left)
+            term = RecTerm(coef=(0,) * 2, left=left)
             specs.append(FuncRecSpec("av132", "synthetic", ("t", "q"), [term]))
     pool = {}
     for spec in specs:
         for exps in spec.exponents:
-            for matrix, rows in zip((exps.term.left, exps.term.right), (exps.left, exps.right)):
-                if matrix is not None:
+            for rows in (exps.left, exps.right):
+                if rows is not None:
                     pool[spec.variables, rows] = None
     return list(pool)
 
@@ -199,7 +200,7 @@ def test_substitution_differences_have_no_negative_entry():
             coefficients = [c for op in images.ops for col in op for _, c in col]
             assert min(coefficients) >= 0, (variables, key, cap)
             entries += len(coefficients)
-    assert entries == 19510
+    assert entries == 19346
 
 
 @pytest.mark.parametrize("family,statistic,n_max,outgrown_by", [
@@ -285,15 +286,15 @@ def test_negative_substitution_exponent_is_a_usage_error():
     # window check of n = 21 must still be what refuses it
     variables = ("t", "q")
     for e, where in (
-        (index_poly({(0, 0): 20, (1, 0): -1}), r"\(n=21, k=1\)"),
-        (index_poly({(0, 0): 20, (0, 1): -1}), r"\(n=21, k=21\)"),
+        (IndexPoly({(0, 0): 20, (1, 0): -1}), r"\(n=21, k=1\)"),
+        (IndexPoly({(0, 0): 20, (0, 1): -1}), r"\(n=21, k=21\)"),
     ):
         terms = [
             RecTerm(
-                coef=(IndexPoly.ZERO, IndexPoly.ZERO),
+                coef=(0, 0),
                 right=subst_matrix(variables, {"q": {"t": e, "q": 1}}),
             ),
-            RecTerm(coef=(e, IndexPoly.ZERO)),
+            RecTerm(coef=(e, 0)),
         ]
         for term in terms:
             spec = FuncRecSpec("av132", "synthetic", variables, [term])
@@ -310,10 +311,10 @@ def test_a_negative_constant_past_the_mass_check_is_refused_by_both_modes(where)
     # checks the exponents, so the spec builds; the constant -1 is then
     # refused at its first window, (n = 13, k = 13), in both modes alike
     variables = ("t", "q")
-    zero = (IndexPoly.ZERO, IndexPoly.ZERO)
+    zero = (0, 0)
     low = RecTerm(coef=zero, k_high=12)
     if where == "coefficient":
-        high = RecTerm(coef=(index_poly(-1), IndexPoly.ZERO), k_low=13)
+        high = RecTerm(coef=(-1, 0), k_low=13)
     else:
         high = RecTerm(coef=zero, k_low=13, left=subst_matrix(variables, {"q": {"t": -1, "q": 1}}))
     spec = FuncRecSpec("av132", "synthetic", variables, [low, high])
@@ -332,11 +333,11 @@ def test_both_modes_name_the_smallest_k_at_which_any_exponent_is_negative(swap):
     # first go negative at k = 6 and k = 3, whichever of the coefficient and
     # the right substitution holds which
     variables = ("t", "q")
-    late = index_poly({(0, 1): 12, (1, 1): -1, (0, 0): 5})
-    early = index_poly({(0, 1): 12, (1, 1): -1, (0, 0): 2})
+    late = IndexPoly({(0, 1): 12, (1, 1): -1, (0, 0): 5})
+    early = IndexPoly({(0, 1): 12, (1, 1): -1, (0, 0): 2})
     coef, image = (early, late) if swap else (late, early)
     right = subst_matrix(variables, {"q": {"t": image, "q": 1}})
-    term = RecTerm(coef=(coef, IndexPoly.ZERO), right=right)
+    term = RecTerm(coef=(coef, 0), right=right)
     spec = FuncRecSpec("av132", "synthetic", variables, [term])
     message = r"^av132:synthetic: negative exponent at \(n=13, k=3\)$"
     with pytest.raises(UsageError, match=message):
@@ -357,20 +358,55 @@ def test_a_k_only_coefficient_is_folded_only_where_a_window_reads_it(images):
     # powers of t, and the fold must widen them to the powers of q
     variables = ("t", "q")
     low = RecTerm(
-        coef=(index_poly({(0, 0): 3, (0, 1): -1}), index_poly({(0, 1): 1})),
+        coef=(IndexPoly({(0, 0): 3, (0, 1): -1}), IndexPoly({(0, 1): 1})),
         k_high=3,
         left=None if images is None else subst_matrix(variables, images),
     )
-    high = RecTerm(coef=(IndexPoly.ZERO, IndexPoly.ONE), k_low=4)
+    high = RecTerm(coef=(0, 1), k_low=4)
     spec = FuncRecSpec("av132", "synthetic", variables, [low, high])
     full = eval_full(spec, 8).values
     for cap in (1, 3, 6):
         assert eval_truncated(spec, 8, cap).values == [taylor(value, cap) for value in full]
 
 
+def _values_of_both_modes(spec, n_max=9, cap=4):
+    return eval_full(spec, n_max).values, eval_truncated(spec, n_max, cap).values
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_the_unit_matrix_is_the_missing_substitution(side):
+    # both read as None in TermExponents, so both modes take the same path
+    variables = ("t", "q")
+    coef = (_KNK, _K1)
+    specs = [
+        FuncRecSpec("av132", "synthetic", variables, [RecTerm(coef=coef, **{side: mat})])
+        for mat in (subst_matrix(variables, {}), None)
+    ]
+    explicit, missing = (spec.exponents[0] for spec in specs)
+    assert (explicit.left, explicit.right) == (missing.left, missing.right) == (None, None)
+    assert _values_of_both_modes(specs[0]) == _values_of_both_modes(specs[1])
+
+
+@pytest.mark.parametrize("where", ["coefficient", "substitution"])
+def test_a_constant_index_poly_gives_the_values_of_its_int(where):
+    # the int is a constant entry and the IndexPoly a varying one, with no
+    # k term: each mode evaluates both, and they must agree
+    variables = ("t", "q")
+    specs = []
+    for two in (2, IndexPoly({(0, 0): 2})):
+        if where == "coefficient":
+            term = RecTerm(coef=(two, _K1))
+        else:
+            term = RecTerm(coef=(0, _K1), right=subst_matrix(variables, {"q": {"t": two, "q": 1}}))
+        specs.append(FuncRecSpec("av132", "synthetic", variables, [term]))
+    constant, varying = (spec.exponents[0].varying for spec in specs)
+    assert IndexPoly({(0, 0): 2}) in varying and len(varying) == len(constant) + 1
+    assert _values_of_both_modes(specs[0]) == _values_of_both_modes(specs[1])
+
+
 def test_mass_check_rejects_a_wrong_recurrence():
     # two copies of Q_n = sum_k Q_(k-1) Q_(n-k) count 2^n C_n objects, not C_n
-    term = RecTerm(coef=(IndexPoly.ZERO,))
+    term = RecTerm(coef=(0,))
     with pytest.raises(UsageError, match=r"av132:synthetic: mass check failed at n = 1: 2 != 1"):
         FuncRecSpec("av132", "synthetic", ("t",), [term, term])
 
@@ -378,10 +414,10 @@ def test_mass_check_rejects_a_wrong_recurrence():
 @pytest.mark.parametrize(
     "variables,coef,images,message",
     [
-        (("t",), (IndexPoly.ZERO,), {"t": {"t": 2}}, "must fix t"),
-        (("t", "q"), (IndexPoly.ZERO,) * 2, {"t": {"t": 1, "q": 1}}, "must fix t"),
-        (("t", "q"), (IndexPoly.ZERO,), None, "coefficient exponent arity"),
-        (("t",), (IndexPoly.ZERO,) * 2, None, "coefficient exponent arity"),
+        (("t",), (0,), {"t": {"t": 2}}, "must fix t"),
+        (("t", "q"), (0,) * 2, {"t": {"t": 1, "q": 1}}, "must fix t"),
+        (("t", "q"), (0,), None, "coefficient exponent arity"),
+        (("t",), (0,) * 2, None, "coefficient exponent arity"),
     ],
 )
 def test_spec_refuses_a_moving_t_or_a_wrong_arity_at_construction(variables, coef, images, message):

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catstats.errors import DegenerateStatisticError, UsageError
-from catstats.funcrec import builtin_families, builtin_spec, eval_full, eval_truncated
+from catstats.funcrec import (
+    FuncRecSpec, RecTerm, builtin_families, builtin_spec, eval_full, eval_truncated, subst_matrix,
+)
+from catstats.multipoly import IndexPoly
 from catstats.moments import (
     factorial_from_full,
     falling_factorial,
@@ -112,6 +115,25 @@ def test_full_and_truncated_tables_agree():
                 assert b.alpha is None
             else:
                 assert a.alpha.signed_square == b.alpha.signed_square
+
+
+@pytest.mark.parametrize("mode", ["full", "truncated"])
+def test_the_tracked_variable_is_the_first_whatever_its_name(mode):
+    # a two-term spec over (t, q) and the same one with t renamed x: the
+    # tables are of the first variable in both
+    k1 = IndexPoly({(0, 1): 1, (0, 0): -1})
+    nk = IndexPoly({(1, 0): 1, (0, 1): -1})
+    tables = []
+    for variables in (("t", "q"), ("x", "q")):
+        left = subst_matrix(variables, {"q": {variables[0]: nk, "q": 1}})
+        terms = [RecTerm(coef=(k1, 1), k_high=2, left=left), RecTerm(coef=(0, k1), k_low=3)]
+        spec = FuncRecSpec("av132", "synthetic", variables, terms)
+        if mode == "full":
+            tables.append(moments_from_full(eval_full(spec, 8), r_max=4))
+        else:
+            tables.append(moments_from_truncated(eval_truncated(spec, 8, 4)))
+    assert tables[0] == tables[1]
+    assert tables[0].row(8).M[2] > 0
 
 
 def test_standardized_invariants():

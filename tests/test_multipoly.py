@@ -4,10 +4,10 @@ import pytest
 
 from catstats.funcrec import builtin_families, builtin_spec, eval_full
 from catstats.multipoly import (
+    IndexPoly,
     MultiPoly,
     coeff_from_str,
     coeff_to_str,
-    index_poly,
     norm_coeff,
 )
 from catstats.perms import AV123, AV132, brute_sigma_enum, brute_weight_enum, parse_perm
@@ -145,8 +145,9 @@ def test_sorted_terms_is_graded_lex():
 
 
 def test_index_poly():
-    ip = index_poly({(1, 0): 1, (0, 1): -1})  # n - k
+    ip = IndexPoly({(1, 0): 1, (0, 1): -1})  # n - k
     assert ip.eval(7, 3) == 4
-    assert index_poly(5).eval(100, 100) == 5
-    assert index_poly(5).is_constant()
-    assert not ip.is_constant()
+    assert IndexPoly({(0, 0): 5}).eval(100, 100) == 5
+    # zero coefficients are dropped, so every zero polynomial is the empty one
+    assert IndexPoly({(0, 0): 0, (1, 0): 0}) == IndexPoly()
+    assert IndexPoly().eval(7, 3) == 0
