@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -364,6 +365,22 @@ def cmd_oracle(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits with an optional '-'."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
+
+
+def _decimal(text: str) -> float:
+    """A decimal option: ASCII digits with one optional point and an
+    optional exponent, or inf or nan, with an optional '-'.  The words
+    reach the settings checks, which refuse them with their own message."""
+    if not re.fullmatch(r"-?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf|nan)", text):
+        raise argparse.ArgumentTypeError(f"not a decimal number in ASCII digits: {text!r}")
+    return float(text)
+
+
 def _add_common(p, formats=("text", "json", "csv")) -> None:
     p.add_argument("--format", choices=formats, default="text")
     p.add_argument("--out", help="write to this file (atomic) instead of stdout")
@@ -380,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wenum", help="weight enumerator polynomials P_0..P_n")
     p.add_argument("--family", required=True, choices=["av132", "av123"])
     p.add_argument("--stat", required=True, help="pattern whose count t tracks")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument(
         "--vars",
         help="comma-separated variables to keep (others set to 1); "
@@ -392,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="exact moment table of a catalog statistic")
     p.add_argument("--family", required=True, choices=["av132", "av123"])
     p.add_argument("--stat", required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--r", type=int, default=4, help="highest moment order")
+    p.add_argument("--max-n", type=_integer, required=True)
+    p.add_argument("--r", type=_integer, default=4, help="highest moment order")
     p.add_argument("--mode", choices=["truncated", "full"], default="truncated")
     _add_common(p)
     p.set_defaults(fn=cmd_moments)
@@ -401,16 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("average", help="summed pattern counts A_p(n) on av132")
     p.add_argument("--pattern", action="append", required=True,
                    help="pattern like 213; repeat for several")
-    p.add_argument("--max-n", type=int, default=30)
+    p.add_argument("--max-n", type=_integer, default=30)
     _add_common(p)
     p.set_defaults(fn=cmd_average)
 
     p = sub.add_parser("census", help="equality classes of A_p at pattern length k")
     p.add_argument("--family", choices=["av132", "av123"], default="av132")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--prefix-len", type=int, help="av132 only: sequence prefix length "
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--prefix-len", type=_integer, help="av132 only: sequence prefix length "
                    f"used for classing (default {DEFAULT_PREFIX_LEN})")
-    p.add_argument("--max-n", type=int, help="av123 only: brute-force range for classing "
+    p.add_argument("--max-n", type=_integer, help="av123 only: brute-force range for classing "
                    f"(default {DEFAULT_CENSUS_MAX_N})")
     _add_common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_census)
@@ -419,13 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", required=True,
                    choices=["p-recursive", "algebraic", "closed-form"])
     p.add_argument("--input", required=True, help="sequence JSON file")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
-    p.add_argument("--max-deg-y", type=int, default=DEFAULT_MAX_DEG_Y)
-    p.add_argument("--max-deg-z", type=int, default=DEFAULT_MAX_DEG_Z)
-    p.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
+    p.add_argument("--max-order", type=_integer, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--max-degree", type=_integer, default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-deg-y", type=_integer, default=DEFAULT_MAX_DEG_Y)
+    p.add_argument("--max-deg-z", type=_integer, default=DEFAULT_MAX_DEG_Z)
+    p.add_argument("--degree", type=_integer, default=DEFAULT_DEGREE,
                    help="closed-form: highest power of n in the basis")
-    p.add_argument("--holdout", type=int, default=DEFAULT_HOLDOUT)
+    p.add_argument("--holdout", type=_integer, default=DEFAULT_HOLDOUT)
     _add_common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_guess)
 
@@ -434,20 +451,20 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["av132", "av123", "synthetic"])
     p.add_argument("--stat", required=True,
                    help="catalog statistic, or 'binomial' for the synthetic control")
-    p.add_argument("--n-max", type=int, default=DEFAULT_N)
-    p.add_argument("--r", type=int, default=DEFAULT_R)
-    p.add_argument("--tau-skew", type=float, default=DEFAULT_TAU_SKEW)
-    p.add_argument("--tau-kurt", type=float, default=DEFAULT_TAU_KURT)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+    p.add_argument("--n-max", type=_integer, default=DEFAULT_N)
+    p.add_argument("--r", type=_integer, default=DEFAULT_R)
+    p.add_argument("--tau-skew", type=_decimal, default=DEFAULT_TAU_SKEW)
+    p.add_argument("--tau-kurt", type=_decimal, default=DEFAULT_TAU_KURT)
+    p.add_argument("--epsilon", type=_decimal, default=DEFAULT_EPSILON)
+    p.add_argument("--order", type=_integer, default=DEFAULT_ORDER,
                    help="depth of the 1/n-power elimination")
     _add_common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_abnormal)
 
     p = sub.add_parser("oracle", help="cross-check the catalog against brute force")
     p.add_argument("action", choices=["verify"])
-    p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--limit", type=int, default=DEFAULT_ORACLE_LIMIT,
+    p.add_argument("--max-n", type=_integer, default=10)
+    p.add_argument("--limit", type=_integer, default=DEFAULT_ORACLE_LIMIT,
                    help="hard cap on brute-force length")
     _add_common(p, formats=("text", "json"))
     p.set_defaults(fn=cmd_oracle)

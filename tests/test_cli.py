@@ -679,6 +679,49 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+# spellings that int() or float() would read, and the grammar refuses
+REFUSED_NUMBERS = [
+    (["average", "--pattern", "12", "--max-n"], "٥"),
+    (["wenum", "--family", "av132", "--stat", "21", "--n"], "1_0"),
+    (["wenum", "--family", "av132", "--stat", "21", "--n"], " 3"),
+    (["wenum", "--family", "av132", "--stat", "21", "--n"], "+3"),
+    (["wenum", "--family", "av132", "--stat", "21", "--n"], "3.0"),
+    (["oracle", "verify", "--max-n"], "３"),
+    (["abnormal", "--family", "av132", "--stat", "21", "--tau-skew"], "０.５"),
+    (["abnormal", "--family", "av132", "--stat", "21", "--epsilon"], "0.0_1"),
+    (["abnormal", "--family", "av132", "--stat", "21", "--epsilon"], "NaN"),
+    (["abnormal", "--family", "av132", "--stat", "21", "--tau-kurt"], "Infinity"),
+    (["abnormal", "--family", "av132", "--stat", "21", "--tau-kurt"], "1.5.2"),
+    (["abnormal", "--family", "av132", "--stat", "21", "--tau-kurt"], "0x1p-2"),
+    (["abnormal", "--family", "av132", "--stat", "21", "--tau-kurt"], "1e"),
+]
+
+
+@pytest.mark.parametrize("head,number", REFUSED_NUMBERS)
+def test_numbers_outside_the_ascii_grammar_exit_2(capsys, head, number):
+    with pytest.raises(SystemExit) as exc:
+        main([*head, number])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {head[-1]}: not a" in err and repr(number) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spelling,plain", [("1e-1", "0.1"), (".1", "0.1"), ("1.", "1"), ("1E0", "1")])
+def test_decimal_spellings_give_the_plain_decimal(capsys, spelling, plain):
+    head = ["abnormal", "--family", "synthetic", "--stat", "binomial", "--n-max", "60"]
+    assert run(capsys, *head, "--tau-skew", spelling) == run(capsys, *head, "--tau-skew", plain)
+
+
+def test_every_numeric_option_reads_the_ascii_grammar():
+    from catstats.cli import _decimal, _integer, build_parser
+
+    parsers = build_parser()._subparsers._group_actions[0].choices.values()
+    types = {a.type for p in parsers for a in p._actions if a.type is not None}
+    assert types == {_integer, _decimal}
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -189,6 +189,9 @@ CORPUS = [
     "",
     "wenum --family av999 --stat 21 --n 3",
     "census --k 3 --format csv",
+    # numbers outside the ASCII grammar, which int() would read as 5 and 10
+    "average --pattern 12 --max-n ٥",
+    "wenum --family av132 --stat 21 --n 1_0",
 ]
 
 # Cases run while verify_catalog reports two specs as disagreeing with brute
