@@ -17,6 +17,13 @@ elimination reaches full rank, when no candidate exists, and the holdout
 rows only once a candidate does.  Nothing found within bounds returns None;
 that is an outcome, not an error.
 
+A term no row reads could be changed without refusing the fit.  A
+closed-form row holds its term in its b column.  A recurrence window reads
+a(n) .. a(n + order), its last term through q_order(n), so only a root of
+q_order hides one.  A series row m of Phi(z, y) reads a term only from
+m - v on, v the z-valuation of Phi_y, so the algebraic fitter also checks
+the v rows past the data (`guess_algebraic`).
+
 Normalization: coefficient vectors are scaled to coprime integers and the
 sign is fixed by the leading object (leading coefficient of the top-order
 polynomial for recurrences, coefficient of the graded-lex-greatest monomial
@@ -277,11 +284,23 @@ def guess_algebraic(
     holdout: int = DEFAULT_HOLDOUT,
 ) -> "AlgebraicEquation | None":
     """Smallest (deg_y, deg_z) polynomial equation satisfied by the series
-    y(z) = sum values[m] z^m, checked to order len(values)-1, or None.
+    y(z) = sum values[m] z^m, or None.
 
     Row m holds the z^m coefficients of z^i y^j, so a candidate's row m is
-    the z^m coefficient of Phi(z, y(z)); the last `holdout` of them only
-    vote on candidates."""
+    the z^m coefficient of Phi(z, y_T(z)), with y_T the data polynomial of
+    the T terms; the last `holdout` of rows 0..T-1 only vote on candidates.
+
+    Those rows can miss the last terms.  Row r depends on a(m) through
+    d/da(m) = [z^(r-m)] Phi_y(z, y_T), so with v the z-valuation of
+    Phi_y(z, y_T), a(m) first enters row m + v, and no row below T sees the
+    last v terms.  So a candidate must also annihilate rows T..T+v-1 of
+    Phi(z, y_T), which are those of Phi(z, y) for every y extending the
+    data.  A later term a(j), j >= T, enters row r < T + v linearly through
+    [z^(r-j)] Phi_y(z, y), which reads only terms below r - j < v and so is
+    [z^(r-j)] Phi_y(z, y_T) = 0; a product of two later terms needs
+    2T <= r.  Row m + v sees a(m) through [z^v] Phi_y != 0, and a(j), j > m,
+    only in a square, which needs 2j <= m + v; for the last v terms that is
+    ruled out once T - v >= v.  So a candidate with 2v >= T is refused."""
     values = _prepare(
         values, holdout, (("max_deg_y", max_deg_y, 1), ("max_deg_z", max_deg_z, 0)),
         need=(max_deg_y + 1) * (max_deg_z + 1) + holdout,
@@ -306,12 +325,33 @@ def guess_algebraic(
         for ints in _fits(row, T - holdout, T, len(cols)):
             if nonzero and not any(ints[: dz + 1]):
                 continue
+            if not _sees_every_term(ints, cols, values, powers):
+                continue
             lead = max((t for t, c in zip(cols, ints) if c), key=lambda t: (t[0] + t[1], t))
             if ints[cols.index(lead)] < 0:
                 ints = [-c for c in ints]
             return AlgebraicEquation(
                 coeffs=tuple(sorted(((i, j), c) for (j, i), c in zip(cols, ints) if c)))
     return None
+
+
+def _sees_every_term(ints: list, cols: list, values: list, powers: list) -> bool:
+    """Whether the candidate `ints` over `cols` annihilates rows T..T+v-1 of
+    Phi(z, y_T), v the z-valuation of Phi_y(z, y_T), with 2v < T (see
+    `guess_algebraic`).  `powers` holds the powers of y_T to T terms."""
+    T = len(values)
+    terms = [(c * j, j - 1, i) for (j, i), c in zip(cols, ints) if c and j]
+    v = next(
+        (m for m in range((T + 1) // 2)
+         if sum(c * powers[j][m - i] for c, j, i in terms if m >= i)),
+        None,
+    )
+    if v is None:
+        return False
+    powers = _powers([*values, *[0] * v], max(j for j, _ in cols))
+    return not any(
+        sum(c * powers[j][m - i] for (j, i), c in zip(cols, ints) if c) for m in range(T, T + v)
+    )
 
 
 # -- closed forms ----------------------------------------------------------

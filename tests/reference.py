@@ -180,18 +180,30 @@ def verify_recurrence(rec, values, offset: int = 0):
 
 
 def algebraic_residual(eq, values) -> list:
-    """Series coefficients of Phi(z, y(z)) below z^len(values), for
-    y = sum values[m] z^m; all zero when the equation holds that far."""
-    T = len(values)
-    powers = [[1] + [0] * (T - 1)]
+    """Series coefficients of Phi(z, y(z)) below z^(T + v), for the data
+    polynomial y = sum values[m] z^m of T = len(values) terms and v the
+    z-valuation of Phi_y(z, y) (0 when Phi_y is 0): the rows past z^(T-1)
+    are the ones that see the last v terms.  All zero when the equation
+    holds that far.  Every product is formed in full, untruncated."""
+    def times(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    powers = [[1]]
     for _ in range(eq.degree_y()):
-        prev = powers[-1]
-        powers.append([sum(prev[k] * values[m - k] for k in range(m + 1)) for m in range(T)])
-    out = [0] * T
+        powers.append(times(powers[-1], list(values)))
+    size = eq.degree_z() + len(powers[-1])
+    phi, phi_y = [0] * size, [0] * size
     for (i, j), c in eq.coeffs:
-        for m in range(i, T):
-            out[m] += c * powers[j][m - i]
-    return out
+        for m, x in enumerate(powers[j]):
+            phi[i + m] += c * x
+        for m, x in enumerate(powers[j - 1] if j else ()):
+            phi_y[i + m] += c * j * x
+    v = next((m for m, x in enumerate(phi_y) if x), 0)
+    return (phi + [0] * len(values))[: len(values) + v]
 
 
 def closed_form_value(fit, n: int):

@@ -13,6 +13,7 @@ from catstats.guessing import (
 )
 from catstats.moments import moments_from_truncated
 from catstats.perms import catalan_list
+from catstats.splits import AverageEngine
 from reference import algebraic_residual, closed_form_value, verify_recurrence
 
 
@@ -165,6 +166,20 @@ def test_algebraic_fit_refuses_y_times_an_equation_that_failed():
     assert eq.render() == "z^3 - z*y + y^2 = 0"
     assert guess_algebraic(_off_by_one_at(shifted, -2), max_deg_y=3, max_deg_z=3) is None
     assert guess_algebraic([0] * 30, max_deg_y=2, max_deg_z=2).render() == "y = 0"
+
+
+# the length-4 patterns whose A_p file at n <= 80 got an algebraic equation
+# with its last term raised by 1 while the fitter read rows below z^T only
+LAST_TERM_UNSEEN = ("2134", "2314", "2341", "3124", "3241", "3412", "4123", "4213")
+
+
+@pytest.mark.parametrize("pattern", LAST_TERM_UNSEEN)
+def test_algebraic_fit_sees_a_raised_last_term(pattern):
+    values = list(AverageEngine(80).sequence(tuple(map(int, pattern))))
+    assert not any(algebraic_residual(guess_algebraic(values), values))
+    raised = _off_by_one_at(values, -1)
+    eq = guess_algebraic(raised)
+    assert eq is None or not any(algebraic_residual(eq, raised))
 
 
 def test_closed_form_holdout_refuses_a_corrupted_tail():
