@@ -365,20 +365,20 @@ def cmd_oracle(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 
-def _integer(text: str) -> int:
-    """An integer option: ASCII digits with an optional '-'."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"not an integer in ASCII digits: {text!r}")
-    return int(text)
+def _ascii_number(kind: str, grammar: str, convert):
+    """The argparse type of an option whose text must match `grammar`."""
+    def read(text: str):
+        if not re.fullmatch(grammar, text):
+            raise argparse.ArgumentTypeError(f"not {kind} in ASCII digits: {text!r}")
+        return convert(text)
+    return read
 
 
-def _decimal(text: str) -> float:
-    """A decimal option: ASCII digits with one optional point and an
-    optional exponent, or inf or nan, with an optional '-'.  The words
-    reach the settings checks, which refuse them with their own message."""
-    if not re.fullmatch(r"-?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf|nan)", text):
-        raise argparse.ArgumentTypeError(f"not a decimal number in ASCII digits: {text!r}")
-    return float(text)
+# every numeric option is an integer or a decimal, each with an optional
+# '-'; inf and nan reach the threshold checks, which refuse them themselves
+_integer = _ascii_number("an integer", r"-?[0-9]+", int)
+_decimal = _ascii_number(
+    "a decimal number", r"-?(([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|inf|nan)", float)
 
 
 def _add_common(p, formats=("text", "json", "csv")) -> None:

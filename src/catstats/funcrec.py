@@ -435,13 +435,7 @@ _CATALOG_BUILDERS = {
         "123", 0, _K_MINUS_1, {"q": {"t": 1, "q": 1}}, None, "12", 20
     ),
     ("av132", "321"): lambda: _spec_av132_catalytic(
-        "321",
-        0,
-        _K_TIMES_NK,
-        {"q": {"t": _N_MINUS_K, "q": 1}},
-        {"q": {"t": _K, "q": 1}},
-        "21",
-        18,
+        "321", 0, _K_TIMES_NK, {"q": {"t": _N_MINUS_K, "q": 1}}, {"q": {"t": _K, "q": 1}}, "21", 18
     ),
     ("av132", "213"): lambda: _spec_av132_catalytic(
         "213", 0, _K_TIMES_NK, {"q": {"t": 1, "q": 1}}, None, "21", 18

@@ -17,12 +17,10 @@ elimination reaches full rank, when no candidate exists, and the holdout
 rows only once a candidate does.  Nothing found within bounds returns None;
 that is an outcome, not an error.
 
-A term no row reads could be changed without refusing the fit.  A
-closed-form row holds its term in its b column.  A recurrence window reads
-a(n) .. a(n + order), its last term through q_order(n), so only a root of
-q_order hides one.  A series row m of Phi(z, y) reads a term only from
-m - v on, v the z-valuation of Phi_y, so the algebraic fitter also checks
-the v rows past the data (`guess_algebraic`).
+A term that no row reads could change without refusing the fit.  A closed
+form holds each term in its b column, and a recurrence window its last term
+through q_order(n).  A series row reads a term only v rows on, v the
+z-valuation of Phi_y, so the algebraic fitter checks v rows past the data.
 
 Normalization: coefficient vectors are scaled to coprime integers and the
 sign is fixed by the leading object (leading coefficient of the top-order
@@ -290,17 +288,15 @@ def guess_algebraic(
     the z^m coefficient of Phi(z, y_T(z)), with y_T the data polynomial of
     the T terms; the last `holdout` of rows 0..T-1 only vote on candidates.
 
-    Those rows can miss the last terms.  Row r depends on a(m) through
-    d/da(m) = [z^(r-m)] Phi_y(z, y_T), so with v the z-valuation of
-    Phi_y(z, y_T), a(m) first enters row m + v, and no row below T sees the
-    last v terms.  So a candidate must also annihilate rows T..T+v-1 of
-    Phi(z, y_T), which are those of Phi(z, y) for every y extending the
-    data.  A later term a(j), j >= T, enters row r < T + v linearly through
-    [z^(r-j)] Phi_y(z, y), which reads only terms below r - j < v and so is
-    [z^(r-j)] Phi_y(z, y_T) = 0; a product of two later terms needs
-    2T <= r.  Row m + v sees a(m) through [z^v] Phi_y != 0, and a(j), j > m,
-    only in a square, which needs 2j <= m + v; for the last v terms that is
-    ruled out once T - v >= v.  So a candidate with 2v >= T is refused."""
+    Row r depends on a(m) through d/da(m) = [z^(r-m)] Phi_y(z, y_T), so with
+    v the z-valuation of Phi_y(z, y_T), a(m) first enters row m + v: no row
+    below T sees the last v terms, and a candidate must also annihilate rows
+    T..T+v-1.  These are rows of Phi(z, y) for every y extending the data: a
+    later a(j), j >= T, enters them through [z^(r-j)] Phi_y, r - j < v, which
+    reads the data only and is 0, or in a product with another, which needs
+    r >= 2T.  Row m + v sees a(m) through [z^v] Phi_y != 0, and an a(j) with
+    j > m only squared, which needs 2j <= m + v; for the last v terms that is
+    ruled out when T >= 2v, so a candidate with 2v >= T is refused."""
     values = _prepare(
         values, holdout, (("max_deg_y", max_deg_y, 1), ("max_deg_z", max_deg_z, 0)),
         need=(max_deg_y + 1) * (max_deg_z + 1) + holdout,
@@ -340,13 +336,10 @@ def _sees_every_term(ints: list, cols: list, values: list, powers: list) -> bool
     Phi(z, y_T), v the z-valuation of Phi_y(z, y_T), with 2v < T (see
     `guess_algebraic`).  `powers` holds the powers of y_T to T terms."""
     T = len(values)
-    terms = [(c * j, j - 1, i) for (j, i), c in zip(cols, ints) if c and j]
-    v = next(
-        (m for m in range((T + 1) // 2)
-         if sum(c * powers[j][m - i] for c, j, i in terms if m >= i)),
-        None,
-    )
-    if v is None:
+    phi_y = [(c * j, j - 1, i) for (j, i), c in zip(cols, ints) if c and j]
+    v = next((m for m in range((T + 1) // 2)
+              if sum(c * powers[j][m - i] for c, j, i in phi_y if m >= i)), T)
+    if 2 * v >= T:
         return False
     powers = _powers([*values, *[0] * v], max(j for j, _ in cols))
     return not any(

@@ -43,12 +43,8 @@ def stirling2_row(r: int) -> "list[int]":
     """S(r, 0..r) by the triangular recurrence; cached."""
     rows = _STIRLING_ROWS
     while len(rows) <= r:
-        prev = rows[-1]
-        j = len(rows)
-        row = [0] * (j + 1)
-        for m in range(1, j + 1):
-            row[m] = (prev[m - 1] if m - 1 <= j - 1 else 0) + m * (prev[m] if m <= j - 1 else 0)
-        rows.append(row)
+        prev = rows[-1] + [0]  # S(j, j) of the new row j reads S(j - 1, j) = 0
+        rows.append([0] + [prev[m - 1] + m * prev[m] for m in range(1, len(prev))])
     return rows[r]
 
 
@@ -56,10 +52,8 @@ _STIRLING_ROWS: "list[list[int]]" = [[1]]
 
 
 def falling_factorial(i: int, r: int) -> int:
-    out = 1
-    for j in range(r):
-        out *= i - j
-    return out
+    """i (i - 1) ... (i - r + 1), for i, r >= 0."""
+    return math.perm(i, r)
 
 
 def factorial_from_full(coeffs: "Sequence[int]", r_max: int) -> "list[int]":
@@ -74,14 +68,8 @@ def factorial_from_full(coeffs: "Sequence[int]", r_max: int) -> "list[int]":
 def factorial_from_truncated(series: TruncatedSeries) -> "list[int]":
     """[f_0 .. f_cap] of the tracked variable, the first one, read off a
     truncated expansion about all-ones to the series cap."""
-    basis = series.basis
-    rest = (0,) * (len(basis.variables) - 1)
-    out = []
-    fact = 1
-    for r in range(basis.cap + 1):
-        fact *= max(r, 1)
-        out.append(fact * series.coefficient((r, *rest)))
-    return out
+    rest = (0,) * (len(series.basis.variables) - 1)
+    return [math.factorial(r) * series.coefficient((r, *rest)) for r in range(series.basis.cap + 1)]
 
 
 class StandardizedMoments(NamedTuple):

@@ -9,8 +9,8 @@ has one projection, `project`, which keeps the named variables and sets the
 others to 1, and it prints its terms in ascending graded lexicographic order.
 
 An IndexPoly is an exponent of a functional recurrence that varies with the
-indices (n, k).  A constant exponent is a plain int from the catalog on, so
-the recurrence code tells the two kinds apart by type alone.
+indices (n, k); a constant exponent is a plain int, so the recurrence code
+tells the two kinds apart by type alone.
 
 The rational helpers (`norm_coeff`, `coeff_to_str`, `coeff_from_str`,
 `join_signed`) serve every exact wire format; no MultiPoly holds a Fraction.
@@ -99,22 +99,20 @@ class IndexPoly:
 
     The exponent of a functional recurrence that varies with (n, k): a
     term's coefficient carries t_i ^ E(n, k), and a substitution image
-    carries one exponent per variable.  A constant exponent is a plain int,
-    never an IndexPoly.  Immutable; evaluation must be non-negative wherever
-    it is used as an exponent (checked at the use site, not here).
+    carries one exponent per variable.  The catalog writes a constant
+    exponent as a plain int; a constant IndexPoly is read as varying, and
+    evaluates exactly all the same.  Immutable; evaluation must be
+    non-negative wherever it is used as an exponent (checked at the use
+    site, not here).
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: "Mapping[tuple, int] | None" = None):
-        clean = {}
-        if terms:
-            for (dn, dk), c in terms.items():
-                if not isinstance(c, int):
-                    raise UsageError("IndexPoly coefficients must be int")
-                if c:
-                    clean[(dn, dk)] = c
-        self.terms = clean
+        terms = dict(terms or {})
+        if not all(isinstance(c, int) for c in terms.values()):
+            raise UsageError("IndexPoly coefficients must be int")
+        self.terms = {key: c for key, c in terms.items() if c}
 
     def eval(self, n: int, k: int) -> int:
         return sum(c * n**dn * k**dk for (dn, dk), c in self.terms.items())
@@ -126,15 +124,4 @@ class IndexPoly:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        if not self.terms:
-            return "IndexPoly(0)"
-        bits = []
-        for (dn, dk), c in sorted(self.terms.items()):
-            mono = ""
-            for sym, d in (("n", dn), ("k", dk)):
-                if d == 1:
-                    mono += sym
-                elif d > 1:
-                    mono += f"{sym}^{d}"
-            bits.append(f"{c}{mono}" if mono else str(c))
-        return f"IndexPoly({' + '.join(bits)})"
+        return f"IndexPoly({self.terms!r})"
