@@ -13,11 +13,11 @@ when it is constant and an IndexPoly, an integer polynomial in (n, k), when
 it varies.  A missing substitution (None) is the identity, and so is one
 whose matrix is the unit matrix: `TermExponents` reads both as None.  The
 first variable (t in the catalog) tracks the statistic, whatever its name,
-and every substitution fixes it: only the catalytic variables after it are
-substituted.  This shape is exactly what splitting an avoider
-at its maximum produces: the statistic of the whole is an index-dependent
-affine combination of the statistics of the two parts, which exponent
-bookkeeping turns into monomial substitutions.
+and every substitution fixes it, with the int row (1, 0, ..., 0): only the
+catalytic variables after it are substituted.  This shape is exactly what
+splitting an avoider at its maximum produces: the statistic of the whole is
+an index-dependent affine combination of the statistics of the two parts,
+which exponent bookkeeping turns into monomial substitutions.
 
 A monomial is 1 at the all-ones point, so the masses Q_n(1) follow from the
 terms' k-ranges alone.  Construction checks that they are the Catalan
