@@ -37,24 +37,8 @@ total degree, which is all the moment pipeline ever reads.  Each value is a
 TruncatedSeries: a plain coefficient list over a SeriesBasis, with no
 arithmetic of its own.  Substitution images fix the all-ones point
 (monomials always do), so truncation commutes with the recurrence and the
-truncated values are exact initial segments, not approximations.  Its walk
-(truncated.py) is transposed: one n at a time, each term's k-sum formed once
-over the whole k-window.  Every stored Q_m goes through each substitution
-once.  A constant substitution is a linear map on the coefficient vector,
-applied directly; a varying one is split into per-index differences Delta_d
-(d <= cap) with per-(n, k) weights C(a(n, k), d), exact because every entry
-of the substitution's operator is a polynomial of total degree <= cap in its
-varying exponents a.  A side whose images do not depend on the window
-(an identity or constant substitution) keeps each stored image packed, one
-W-bit slot per basis monomial.  For each n the other side's coefficients
-are laid out as one column per basis monomial; varying substitutions and
-the coefficient factors that mix n and k (binomial shifts along one
-variable) enter as per-window weight vectors, and the product summed over
-k is one C-level dot product per basis monomial, whose slots are the sums
-of its in-cap pairs.  In one variable, or when both sides vary, it is one
-dot product per in-cap pair of monomials.  A coefficient factor whose
-exponent depends on k alone is applied once per stored Q_m instead, on the
-left side.
+truncated values are exact initial segments, not approximations.  The walk
+itself is described in truncated.py.
 
 The builtin catalog covers the seven length-3-pattern statistics on the
 132-avoiders (one catalytic variable) and the 213 statistic on the
@@ -214,10 +198,11 @@ class TermExponents:
     `coef` holds the coefficient's exponent per variable and `left` and
     `right` the substitutions' exponent rows, None for the identity: a
     missing substitution or the unit matrix.  A constant entry is an int; a
-    varying one is an IndexPoly, listed once in `varying`.
+    varying one is an IndexPoly, listed once in `varying`.  `moving` tells,
+    per side, whether its rows hold an IndexPoly.
     """
 
-    __slots__ = ("label", "term", "coef", "left", "right", "varying", "least")
+    __slots__ = ("label", "term", "coef", "left", "right", "varying", "least", "moving")
 
     def __init__(self, label: str, term: RecTerm, unit: SubstMatrix):
         def rows(mat):
@@ -230,6 +215,10 @@ class TermExponents:
         entries = [*self.coef, *(e for mat in mats for row in mat for e in row)]
         self.varying = list(dict.fromkeys(e for e in entries if type(e) is not int))
         self.least = min((e for e in entries if type(e) is int), default=0)
+        self.moving = [
+            any(type(e) is not int for row in mat or () for e in row)
+            for mat in (self.left, self.right)
+        ]
 
     def window(self, n: int) -> "tuple[range, dict]":
         """The term's k-window at n and, per varying exponent, its values
@@ -246,11 +235,16 @@ class TermExponents:
     def at(self, evals: dict, i: int) -> tuple:
         """The exponents at position i of a window whose varying values are
         `evals`: the coefficient's exponent vector and the substitutions'
-        rows, None for an identity."""
+        rows, None for an identity, and a side that holds no IndexPoly as
+        stored."""
         def pick(row):
             return tuple(e if type(e) is int else evals[e][i] for e in row)
 
-        return pick(self.coef), *(mat and tuple(map(pick, mat)) for mat in (self.left, self.right))
+        left, right = (
+            tuple(map(pick, mat)) if moving else mat
+            for mat, moving in zip((self.left, self.right), self.moving)
+        )
+        return pick(self.coef), left, right
 
 
 def _window_values(poly: IndexPoly, n: int, ks: range) -> "list[int]":

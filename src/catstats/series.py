@@ -4,7 +4,9 @@ A series is a dense coefficient list over a SeriesBasis: the graded-lex-ordered
 list of all monomials in the deviation variables with total degree <= cap.
 Each basis keeps, per monomial i, the list of (j, index of i*j) over the
 monomials j whose product with i stays within the cap, so `mul_into`, the one
-product loop, walks only in-cap pairs instead of hashing exponent tuples.
+product loop, walks only in-cap pairs instead of hashing exponent tuples; and,
+per variable v, the chain of i's lowerings along v, so `binomial_shift`, the
+one loop that multiplies by (1 + z_v)^E, walks only monomials in the basis.
 Bases are interned per (variables, cap).  `TruncatedSeries` pairs a list with
 its basis for readers that look coefficients up by exponent vector.
 
@@ -21,7 +23,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import repeat
-from operator import add, floordiv, mul, sub
+from math import prod
+from operator import add, floordiv, getitem, mul, sub
 from typing import NamedTuple, Sequence
 
 from .errors import UsageError
@@ -36,11 +39,12 @@ def monomials_upto(nvars: int, cap: int) -> "list[tuple[int, ...]]":
 
 
 class SeriesBasis:
-    """Shared monomial enumeration + in-cap product pairs for one (variables, cap)."""
+    """Shared monomial enumeration, in-cap product pairs and lowering chains
+    for one (variables, cap)."""
 
     _interned: "dict[tuple, SeriesBasis]" = {}
 
-    __slots__ = ("variables", "cap", "monomials", "index", "pairs")
+    __slots__ = ("variables", "cap", "monomials", "index", "pairs", "lowerings")
 
     def __new__(cls, variables: "tuple[str, ...]", cap: int):
         key = (tuple(variables), cap)
@@ -63,6 +67,12 @@ class SeriesBasis:
                 for j, eb in enumerate(self.monomials[: bisect_right(degs, cap - da)])
             ]
             for ea, da in zip(self.monomials, degs)
+        ]
+        # lowerings[v][i] = [(j, index of monomial i lowered by j in v)], j >= 1
+        self.lowerings = [
+            [[(j, self.index[e[:v] + (e[v] - j,) + e[v + 1:]]) for j in range(1, e[v] + 1)]
+             for e in self.monomials]
+            for v in range(len(self.variables))
         ]
         cls._interned[key] = self
         return self
@@ -110,20 +120,23 @@ def binomial_rows(values: "Sequence[int]", cap: int) -> "list[list[int]]":
     return rows
 
 
+def binomial_shift(cols: list, lowering: list, rows: list) -> list:
+    """Columns times (1 + z_v)^E: `cols` holds one column per basis monomial,
+    each running over the positions of a window, `lowering` is the basis's
+    `lowerings[v]` and rows[j] holds C(E, j) at each position."""
+    shifted = []
+    for col, chain in zip(cols, lowering):
+        for j, src in chain:  # a column's sum stays lazy until it is listed
+            col = map(add, col, map(mul, rows[j], cols[src]))
+        shifted.append(list(col))
+    return shifted
+
+
 def monomial_coeffs(basis: SeriesBasis, exps: "Sequence[int]") -> list:
     """The monomial prod_i v_i^exps[i] as the coefficients of the series
-    prod_i (1 + z_i)^exps[i]."""
-    size, nv = len(basis), len(basis.variables)
-    out = [1] + [0] * (size - 1)
-    for v, e in enumerate(exps):
-        if e:
-            power = [0] * size
-            for j, (c,) in enumerate(binomial_rows([e], basis.cap)):
-                power[basis.index[(0,) * v + (j,) + (0,) * (nv - v - 1)]] = c
-            prod = [0] * size
-            mul_into(prod, basis.pairs, out, power)
-            out = prod
-    return out
+    prod_i (1 + z_i)^exps[i]: prod_i C(exps[i], f_i) at z^f."""
+    powers = list(zip(*binomial_rows(exps, basis.cap)))  # powers[i][d] = C(exps[i], d)
+    return [prod(map(getitem, powers, f)) for f in basis.monomials]
 
 
 def substitution_operator(

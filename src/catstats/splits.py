@@ -454,9 +454,7 @@ def _insertions_123(q: bytes) -> int:
     return count + top
 
 
-def bona_census_123(
-    k: int, n_max: int = DEFAULT_CENSUS_MAX_N, limit: int = DEFAULT_ORACLE_LIMIT
-) -> CensusResult:
+def bona_census_123(k: int, n_max: int = DEFAULT_CENSUS_MAX_N) -> CensusResult:
     """Brute-force analog on the 123-avoiders: group length-k patterns that
     avoid 123 by their total-occurrence sequences on sizes 0..n_max.
 
@@ -483,7 +481,8 @@ def bona_census_123(
     An avoider is a byte string, one byte per value, so a deletion is one
     `bytes.translate` that drops the entry with value v and lowers every
     value above v.  Bytes hold values up to 255; n_max is held to the oracle
-    limit (default 12, which the CLI census never raises), far below that.
+    limit (`DEFAULT_ORACLE_LIMIT`, 12, which the census never raises), far
+    below that.
     An avoider's chain counts are packed into one integer, N_n in the w-bit
     slot n, so a level adds 1 << w*m to every avoider of length m and a
     deletion adds its source's integer to the target's.  No slot carries:
@@ -500,14 +499,14 @@ def bona_census_123(
         raise UsageError("k must be >= 1")
     if n_max < k:
         raise UsageError(f"length-{k} patterns never occur below n = {k}; raise n_max")
-    check_oracle_limit(n_max, limit)
+    check_oracle_limit(n_max, DEFAULT_ORACLE_LIMIT)
     width = (factorial(n_max) * catalan(n_max)).bit_length()
     # drop[v] deletes the byte v, down[v] lowers every value above v by one
     drop = [bytes([v]) for v in range(n_max + 1)]
     down = [bytes.maketrans(bytes(range(v + 1, n_max + 1)), bytes(range(v, n_max)))
             for v in range(n_max + 1)]
     top = n_max if k == n_max else n_max - 1
-    level = dict.fromkeys(map(bytes, enumerate_avoiders(AV123, top, limit)), 0)
+    level = dict.fromkeys(map(bytes, enumerate_avoiders(AV123, top, DEFAULT_ORACLE_LIMIT)), 0)
     if top < n_max:
         inserts = {q: _insertions_123(q) for q in level}
         total = sum(inserts.values())

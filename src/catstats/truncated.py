@@ -9,10 +9,10 @@ k-sum once over the whole k-window:
   constant substitution is applied directly, a varying one as forward
   differences Delta_d, d <= cap, which per-(n, k) weights C(a(n, k), d)
   recombine into the substitution at exponents a;
-- a coefficient factor (1 + z_v)^E whose exponent E depends on k alone is
-  a binomial shift along v, applied to each term's own copy of its left
-  store once per stored index m, at k = m + 1, for the indices a window
-  reads (`_TermWalk._fold`);
+- a coefficient factor (1 + z_v)^E is a binomial shift along v
+  (`series.binomial_shift`); one whose exponent E depends on k alone is
+  applied to each term's own copy of its left store once per stored index
+  m, at k = m + 1, for the indices a window reads (`_TermWalk._fold`);
 - a term's packed side is a side whose images do not depend on the
   window: the identity store or a constant-substitution store, with the
   k-only factors folded in on the left; the right side when both sides
@@ -39,8 +39,8 @@ av132:132 took 2.4-3.9x and av132:12 and 21 up to 1.45x as long.  A term
 whose sides both vary (av132:321) would pack the parts Delta_d(Q_m) of
 one side and recombine them in every window: that took 0.92-1.04x as
 long at n = 80, cap 4 and n = 40 and 20, cap 8, and 1.16x at n = 200,
-cap 4, where the integers are widest.  A window of one summand is one
-`series.mul_into` product.
+cap 4, where the integers are widest.  A window of one summand takes the
+per-pair products too.
 
 Why the slots are exact.  Packing is evaluation at 2^W, so it is linear:
 a dot product of columns with packed values is the packed value of the
@@ -81,8 +81,8 @@ from .series import (
     TruncatedSeries,
     apply_operator,
     binomial_rows,
+    binomial_shift,
     monomials_upto,
-    mul_into,
     substitution_operator,
 )
 
@@ -94,37 +94,28 @@ def walk(spec, n_max: int, cap: int) -> "list[TruncatedSeries]":
     # one image store per distinct matrix of exponent rows, shared by both
     # sides of every term; the identity (None) has the values as its images
     images: dict = {None: _Images(basis, None, values)}
-    nv = len(spec.variables)
 
     def image(rows):
         if rows not in images:
             images[rows] = _Images(basis, rows, values)
         return images[rows]
 
-    # shifts[v][i]: (j, index of monomial i lowered by j in variable v), j >= 1
-    shifts = [
-        [
-            [(j, basis.index[e[:v] + (e[v] - j,) + e[v + 1:]]) for j in range(1, e[v] + 1)]
-            for e in basis.monomials
-        ]
-        for v in range(nv)
-    ]
     packs: dict = {}
 
     def pack(store):
         # in one variable nothing is packed (see the module docstring)
-        if nv > 1 and store not in packs:
+        if len(spec.variables) > 1 and store not in packs:
             packs[store] = _Packed(store, basis, n_max)
         return packs.get(store)
 
-    terms = [_TermWalk(exps, cap, shifts, image, pack) for exps in spec.exponents]
+    terms = [_TermWalk(exps, basis, image, pack) for exps in spec.exponents]
     stores = [im for im in images.values() if im.ops]
     for n in range(1, n_max + 1):
         for im in stores:
             im.push(values[n - 1])
         out = [0] * len(basis)
         for term in terms:
-            term.add_into(out, n, basis.pairs)
+            term.add_into(out, n)
         values.append(out)
     return [TruncatedSeries(basis, v) for v in values]
 
@@ -197,10 +188,10 @@ class _Images:
         for op, part in zip(self.ops, self.parts):
             part.append(apply_operator(op, q))
 
-    def folded(self, shifts: list) -> "_Images":
+    def folded(self, lowerings: list) -> "_Images":
         """An empty store with this one's degrees, for the parts times a
-        coefficient whose factors shift along the variables of `shifts`
-        (each a `_TermWalk.shifts` row); the caller fills its parts."""
+        coefficient whose factors shift along the variables of `lowerings`
+        (each a `SeriesBasis.lowerings` row); the caller fills its parts."""
         out = object.__new__(_Images)
         out.varying, out.degrees, out.ops = self.varying, self.degrees, []
         out.parts = [[] for _ in self.degrees]
@@ -208,7 +199,7 @@ class _Images:
         for targets in self.targets:
             # a shift along v moves support up along v: to every monomial
             # some of whose lowerings along v are in the support
-            for chains in shifts if targets is not None else ():
+            for chains in lowerings if targets is not None else ():
                 support = set(targets)
                 targets = [
                     i for i, chain in enumerate(chains)
@@ -337,12 +328,10 @@ class _TermWalk:
     the columns of the side that is not packed (the left one when neither
     is).  Every exponent comes from the term's `TermExponents` (`exps`)."""
 
-    __slots__ = (
-        "exps", "cap", "shifts", "coef", "fold", "source", "left", "right", "packed", "pack_left",
-    )
+    __slots__ = ("exps", "basis", "coef", "fold", "source", "left", "right", "packed", "pack_left")
 
-    def __init__(self, exps, cap: int, shifts: list, image: Callable, pack: Callable):
-        self.exps, self.cap, self.shifts = exps, cap, shifts
+    def __init__(self, exps, basis: SeriesBasis, image: Callable, pack: Callable):
+        self.exps, self.basis = exps, basis
         # the coefficient's nonzero exponents as (variable, int or varying
         # IndexPoly), split into those that depend on k alone and the rest
         factors = [(v, e) for v, e in enumerate(exps.coef) if e != 0]
@@ -353,7 +342,7 @@ class _TermWalk:
         self.left, self.right = image(exps.left), image(exps.right)
         self.source = self.left if self.fold else None
         if self.fold:
-            self.left = self.source.folded([shifts[v] for v, _ in self.fold])
+            self.left = self.source.folded([basis.lowerings[v] for v, _ in self.fold])
         # the packed side: one independent of the window, the right one when
         # both are; none when both vary
         self.pack_left = bool(self.right.varying) and not self.left.varying
@@ -370,16 +359,17 @@ class _TermWalk:
         if ks[-1] < n:
             return
         factors = [
-            (self.shifts[v], binomial_rows([e if type(e) is int else evals[e][-1]], self.cap))
+            (self.basis.lowerings[v],
+             binomial_rows([e if type(e) is int else evals[e][-1]], self.basis.cap))
             for v, e in self.fold
         ]
         for src, part in zip(self.source.parts, self.left.parts):
-            q = src[n - 1]
-            for chains, rows in factors:
-                q = [x + sum(rows[j][0] * q[i] for j, i in chain) for x, chain in zip(q, chains)]
-            part.append(q)
+            cols = [[x] for x in src[n - 1]]  # a window of one
+            for lowering, rows in factors:
+                cols = binomial_shift(cols, lowering, rows)
+            part.append([x for x, in cols])
 
-    def add_into(self, out: list, n: int, pairs: list) -> None:
+    def add_into(self, out: list, n: int) -> None:
         """Add sum over the window of coef * L(Q_(k-1)) * R(Q_(n-k)) to out,
         first folding index n - 1 into the left store."""
         ks, evals = self.exps.window(n)
@@ -388,35 +378,24 @@ class _TermWalk:
         if not ks:
             return
         lo, hi = ks.start, ks.stop
+        # each side with its window; the side not packed comes first
+        sides = (self.left, (lo - 1, hi - 1, False)), (self.right, (n - hi + 1, n - lo + 1, True))
+        (side, window), (other, other_window) = sides[::-1] if self.pack_left else sides
+        cols = self._coefficient(side.columns(*window, evals, self.basis.cap), evals)
         if self.packed is not None and len(ks) > 1:
-            if self.pack_left:
-                cols = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
-                window = lo - 1, hi - 1, False
-            else:
-                cols = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
-                window = n - hi + 1, n - lo + 1, True
-            self.packed.add_into(out, n, self._coefficient(cols, evals), *window)
+            self.packed.add_into(out, n, cols, *other_window)
             return
-        left = self.left.columns(lo - 1, hi - 1, False, evals, self.cap)
-        left = self._coefficient(left, evals)
-        right = self.right.columns(n - hi + 1, n - lo + 1, True, evals, self.cap)
-        if len(ks) == 1:  # a single summand: one direct product
-            mul_into(out, pairs, [c[0] for c in left], [c[0] for c in right])
-            return
-        for col, row in zip(left, pairs):  # nothing packed: a product per pair
+        other = other.columns(*other_window, evals, self.basis.cap)
+        for col, row in zip(cols, self.basis.pairs):  # a product per in-cap pair
             if any(col):
                 for j, t in row:
-                    out[t] += sum(map(mul, col, right[j]))
+                    out[t] += sum(map(mul, col, other[j]))
 
     def _coefficient(self, cols: list, evals: dict) -> list:
         """The columns of a window times the coefficient factors that mix n
-        and k: each factor (1 + z_v)^E is a binomial shift along variable v."""
+        and k, each a binomial shift along its variable."""
         for v, e in self.coef:
-            rows = binomial_rows(evals[e], self.cap)
-            shifted = []
-            for col, chain in zip(cols, self.shifts[v]):
-                for j, src in chain:
-                    col = list(map(add, col, map(mul, rows[j], cols[src])))
-                shifted.append(col)
-            cols = shifted
+            cols = binomial_shift(
+                cols, self.basis.lowerings[v], binomial_rows(evals[e], self.basis.cap)
+            )
         return cols

@@ -274,32 +274,88 @@ def test_guess_rejects_a_bound_below_its_least_value(capsys, catalan41, kind, op
     assert err == f"error: {option[2:].replace('-', '_')} must be >= {least}\n"
 
 
-@settings(max_examples=50, deadline=None)
+# spellings outside the CLI's number grammar, which argparse refuses with
+# exit 2: digits that int() reads but the grammar does not, and non-numbers
+_MALFORMED = st.sampled_from(["٥", "1_0", "+3", " 3", "３", "0x10", "1e", ""])
+
+
+def _misspelt(options):
+    """None three times in four, else one of `options` with a malformed
+    number in its place."""
+    bad = st.tuples(st.sampled_from(sorted(options)), _MALFORMED)
+    return st.one_of(st.none(), st.none(), st.none(), bad)
+
+
+def _exit_code(argv, misspelt):
+    """main(argv)'s exit code, None for argparse's SystemExit(2), which a
+    misspelt number must give and nothing else, and its stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            assert (misspelt is not None, exc.code, out.getvalue()) == (True, 2, ""), argv
+            assert "error: argument" in err.getvalue(), argv
+            return None, out.getvalue(), err.getvalue()
+    assert misspelt is None, argv
+    return rc, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def guess_inputs(tmp_path_factory, catalan41):
+    """Sequence files for the guess sweep: a good one, malformed ones, a
+    missing path and a directory."""
+    folder = tmp_path_factory.mktemp("malformed")
+    head = '{"name": "x", "offset": 0, "values": '
+    texts = {
+        "empty": "",
+        "nested": "[" * 100_000 + "]" * 100_000,
+        "nan": head + "[1, 1, 2, NaN, 14]}",
+        "booleans": head + "[true, false, true]}",
+        "huge": head + "[1, " + "7" * 5_000 + "]}",
+    }
+    paths = {
+        "catalan41": catalan41, "missing": str(folder / "missing.json"), "directory": str(folder)
+    }
+    for name, text in texts.items():
+        path = paths[name] = str(folder / f"{name}.json")
+        Path(path).write_text(text)
+    return paths
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(GUESS_KINDS),
+    source=st.just("catalan41")
+    | st.sampled_from(["empty", "nested", "nan", "booleans", "huge", "missing", "directory"]),
     holdout=st.integers(-3, 12),
     bounds=st.fixed_dictionaries(
         {opt: st.integers(-2, 4) for least in GUESS_BOUNDS.values() for opt in least}
     ),
+    misspelt=_misspelt(["--holdout", *(opt for least in GUESS_BOUNDS.values() for opt in least)]),
 )
-def test_guess_argv_ends_in_an_exit_code_not_a_traceback(catalan41, kind, holdout, bounds):
-    argv = ["guess", "--kind", kind, "--input", catalan41, f"--holdout={holdout}"]
-    argv += [f"{opt}={v}" for opt, v in bounds.items()]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NOT_FOUND)
+def test_guess_argv_ends_in_an_exit_code_not_a_traceback(
+    guess_inputs, kind, source, holdout, bounds, misspelt
+):
+    options = {"--holdout": holdout, **bounds}
+    if misspelt:
+        options.update([misspelt])
+    argv = ["guess", "--kind", kind, "--input", guess_inputs[source]]
+    argv += [f"{opt}={v}" for opt, v in options.items()]
+    rc, _, err = _exit_code(argv, misspelt)
+    assert rc in (None, EXIT_OK, EXIT_USAGE, EXIT_NOT_FOUND)
     if rc == EXIT_USAGE:
-        assert err.getvalue().startswith("error:")
-    else:
-        assert holdout >= 1
+        assert err.startswith("error:")
+    elif rc is not None:
+        assert source == "catalan41" and holdout >= 1
         assert all(bounds[opt] >= least for opt, least in GUESS_BOUNDS[kind].items())
 
 
 # per subcommand: the fixed argv head, then each option's values, which
 # straddle the valid range; the options under "optional" may be left out.
 # Sizes stay small (oracle n <= 5, census n <= 8, abnormal n_max 50), and
-# the options whose defaults are expensive are always given.
+# the options whose defaults are expensive are always given.  The sweep also
+# puts a malformed spelling in place of one numeric option (`NUMERIC`).
 _THRESHOLD = st.sampled_from(["nan", "inf", "0", "-1", "0.02"])
 _ABNORMAL_OPTIONAL = {
     "--r": st.integers(-1, 5), "--tau-skew": _THRESHOLD, "--tau-kurt": _THRESHOLD,
@@ -367,20 +423,30 @@ ARGV_CASES = {
 }
 
 
+NUMERIC = {
+    "--k", "--prefix-len", "--max-n", "--limit", "--r", "--tau-skew", "--tau-kurt", "--epsilon",
+    "--order", "--n-max", "--n",
+}
+
+
 @pytest.mark.parametrize("case", sorted(ARGV_CASES))
 def test_argv_ends_in_an_exit_code_not_a_traceback(case):
     head, required, optional = ARGV_CASES[case]
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.fixed_dictionaries(required, optional=optional))
-    def check(options):
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.fixed_dictionaries(required, optional=optional),
+        _misspelt(NUMERIC.intersection([*required, *optional])),
+    )
+    def check(options, misspelt):
+        options = dict(options)
+        if misspelt:
+            options.update([misspelt])
         argv = head + [f"{opt}={v}" for opt, v in options.items()]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv)
-        assert rc in (EXIT_OK, EXIT_USAGE), argv
+        rc, out, err = _exit_code(argv, misspelt)
+        assert rc in (None, EXIT_OK, EXIT_USAGE), argv
         if rc == EXIT_USAGE:
-            assert (out.getvalue(), err.getvalue()[:6]) == ("", "error:"), argv
+            assert (out, err[:6]) == ("", "error:"), argv
 
     check()
 

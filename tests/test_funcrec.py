@@ -232,6 +232,52 @@ def test_tight_slots_are_repacked_mid_walk_and_stay_exact(
     assert {caller for caller, packed in drops if packed} == outgrown_by
 
 
+# per catalog term, the side the truncated walk packs; None: it forms a
+# product per in-cap pair.  One variable, or both sides varying, packs nothing
+PACKED_SIDES = {
+    ("av123", "213"): ["right", "right"],
+    ("av132", "12"): [None],
+    ("av132", "123"): ["right"],
+    ("av132", "132"): [None],
+    ("av132", "21"): [None],
+    ("av132", "213"): ["right"],
+    ("av132", "231"): ["right"],
+    ("av132", "312"): ["left"],
+    ("av132", "321"): [None],
+}
+
+
+@pytest.mark.parametrize("cap", [4, 8])
+def test_each_catalog_term_takes_its_product(monkeypatch, cap):
+    # the values are the same on either path, so only this sees a term fall
+    # off the packed one: a packed term takes it at every window of more
+    # than one summand, and no other term does
+    terms, calls = [], []
+    init, add_into = truncated._TermWalk.__init__, truncated._Packed.add_into
+
+    def record_term(self, *args):
+        init(self, *args)
+        terms.append(self)
+
+    def record_product(self, *args):
+        calls.append(sys._getframe(1).f_locals["self"])
+        add_into(self, *args)
+
+    monkeypatch.setattr(truncated._TermWalk, "__init__", record_term)
+    monkeypatch.setattr(truncated._Packed, "add_into", record_product)
+    assert sorted(PACKED_SIDES) == CATALOG
+    n_max = 12
+    for (family, statistic), want in PACKED_SIDES.items():
+        terms.clear()
+        calls.clear()
+        eval_truncated(builtin_spec(family, statistic), n_max, cap)
+        sides = [None if t.packed is None else "left" if t.pack_left else "right" for t in terms]
+        assert sides == want, f"{family}:{statistic}"
+        for term in terms:
+            wide = [n for n in range(1, n_max + 1) if len(term.exps.term.k_range(n)) > 1]
+            assert calls.count(term) == (len(wide) if term.packed else 0), f"{family}:{statistic}"
+
+
 # sha256 of the coefficient lists of all 9 catalog specs' truncated values,
 # recorded from the per-(n, k) evaluator this walk replaced; (8, 40), the n at
 # which moment tables run the av132 specs at cap 8, was recorded from the walk

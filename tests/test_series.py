@@ -8,6 +8,7 @@ from catstats.series import (
     TruncatedSeries,
     apply_operator,
     binomial_rows,
+    binomial_shift,
     monomial_coeffs,
     mul_into,
     substitution_operator,
@@ -147,3 +148,22 @@ def test_binomial_series_matches_power_expansion():
         for exps in ((e, 0), (0, e), (e, 3)):
             p = MultiPoly(("t", "q"), {exps: 1})
             assert monomial_coeffs(basis, exps) == taylor(p, 4).coeffs
+
+
+def test_binomial_shift_matches_the_product_with_a_power_at_every_position(rng):
+    # columns over a window of 3 positions, each position its own series and
+    # its own exponent E, all multiplied by v^E at once
+    for variables in (("t",), ("t", "q"), ("t", "s1", "s2")):
+        for cap in range(1, 9):
+            basis = SeriesBasis(variables, cap)
+            polys = [random_poly(rng, variables, max_exp=3) for _ in range(3)]
+            cols = [list(col) for col in zip(*(taylor(p, cap).coeffs for p in polys))]
+            for v in range(len(variables)):
+                exps = [rng.randrange(12) for _ in polys]
+                got = binomial_shift(cols, basis.lowerings[v], binomial_rows(exps, cap))
+                power = [(0,) * v + (e,) + (0,) * (len(variables) - v - 1) for e in exps]
+                want = [
+                    taylor(product(p, MultiPoly(variables, {x: 1})), cap).coeffs
+                    for p, x in zip(polys, power)
+                ]
+                assert got == [list(col) for col in zip(*want)], (variables, cap, v)
