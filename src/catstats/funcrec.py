@@ -198,11 +198,10 @@ class TermExponents:
     `coef` holds the coefficient's exponent per variable and `left` and
     `right` the substitutions' exponent rows, None for the identity: a
     missing substitution or the unit matrix.  A constant entry is an int; a
-    varying one is an IndexPoly, listed once in `varying`.  `moving` tells,
-    per side, whether its rows hold an IndexPoly.
+    varying one is an IndexPoly, listed once in `varying`.
     """
 
-    __slots__ = ("label", "term", "coef", "left", "right", "varying", "least", "moving")
+    __slots__ = ("label", "term", "coef", "left", "right", "varying", "least")
 
     def __init__(self, label: str, term: RecTerm, unit: SubstMatrix):
         def rows(mat):
@@ -215,10 +214,6 @@ class TermExponents:
         entries = [*self.coef, *(e for mat in mats for row in mat for e in row)]
         self.varying = list(dict.fromkeys(e for e in entries if type(e) is not int))
         self.least = min((e for e in entries if type(e) is int), default=0)
-        self.moving = [
-            any(type(e) is not int for row in mat or () for e in row)
-            for mat in (self.left, self.right)
-        ]
 
     def window(self, n: int) -> "tuple[range, dict]":
         """The term's k-window at n and, per varying exponent, its values
@@ -235,16 +230,11 @@ class TermExponents:
     def at(self, evals: dict, i: int) -> tuple:
         """The exponents at position i of a window whose varying values are
         `evals`: the coefficient's exponent vector and the substitutions'
-        rows, None for an identity, and a side that holds no IndexPoly as
-        stored."""
+        rows, None for an identity."""
         def pick(row):
             return tuple(e if type(e) is int else evals[e][i] for e in row)
 
-        left, right = (
-            tuple(map(pick, mat)) if moving else mat
-            for mat, moving in zip((self.left, self.right), self.moving)
-        )
-        return pick(self.coef), left, right
+        return pick(self.coef), *(mat and tuple(map(pick, mat)) for mat in (self.left, self.right))
 
 
 def _window_values(poly: IndexPoly, n: int, ks: range) -> "list[int]":

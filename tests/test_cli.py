@@ -206,17 +206,34 @@ def test_guess_workflow_found_and_not_found(capsys, tmp_path):
     assert "error:" in err
 
 
+_NOT_JSON = "{} is not valid JSON: "
+
+
 @pytest.mark.parametrize(
-    "content",
-    [b'{"name": "\xff", "offset": 0, "values": []}', b"[" * 100000, b"1" * 5000],
-    ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"],
+    "content,error",
+    [
+        (b'{"name": "\xff", "offset": 0, "values": []}', _NOT_JSON),
+        (b"[" * 100000, _NOT_JSON),
+        (b"1" * 5000, _NOT_JSON),
+        (b"", _NOT_JSON),
+        (b'{"name": "x", "offset": 0, "values": [1, 1, 2, NaN, 14]}', "{}: values[3] must be an int"),
+        (b'{"name": "x", "offset": 0, "values": [true, false, true]}', "{}: values[0] must be an int"),
+        (None, "cannot read sequence file {}: Is a directory"),
+    ],
+    ids=[
+        "not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit", "empty",
+        "nan", "booleans", "directory",
+    ],
 )
-def test_guess_on_an_undecodable_sequence_file_is_a_usage_error(capsys, tmp_path, content):
+def test_guess_on_an_undecodable_sequence_file_is_a_usage_error(capsys, tmp_path, content, error):
     path = tmp_path / "bad.json"
-    path.write_bytes(content)
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
     rc, out, err = run(capsys, "guess", "--kind", "p-recursive", "--input", str(path))
     assert (rc, out) == (EXIT_USAGE, "")
-    assert err.startswith(f"error: {path} is not valid JSON: ")
+    assert err.startswith("error: " + error.format(path))
 
 
 def test_guess_algebraic_from_file(capsys, tmp_path):
@@ -280,82 +297,52 @@ _MALFORMED = st.sampled_from(["٥", "1_0", "+3", " 3", "３", "0x10", "1e", ""])
 
 
 def _misspelt(options):
-    """None three times in four, else one of `options` with a malformed
-    number in its place."""
-    bad = st.tuples(st.sampled_from(sorted(options)), _MALFORMED)
-    return st.one_of(st.none(), st.none(), st.none(), bad)
+    """One of `options` with a malformed number."""
+    return st.tuples(st.sampled_from(sorted(options)), _MALFORMED)
 
 
-def _exit_code(argv, misspelt):
-    """main(argv)'s exit code, None for argparse's SystemExit(2), which a
-    misspelt number must give and nothing else, and its stdout and stderr."""
+def _refused(head, options, misspelt):
+    """Assert that argparse refuses head + options with the number of one
+    option misspelt: exit 2, nothing on stdout."""
+    opt, number = misspelt
+    argv = head + [f"{o}={v}" for o, v in {**options, opt: number}.items()]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            assert (misspelt is not None, exc.code, out.getvalue()) == (True, 2, ""), argv
-            assert "error: argument" in err.getvalue(), argv
-            return None, out.getvalue(), err.getvalue()
-    assert misspelt is None, argv
-    return rc, out.getvalue(), err.getvalue()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert (exc.value.code, out.getvalue()) == (2, ""), argv
+    assert "error: argument" in err.getvalue(), argv
 
 
-@pytest.fixture(scope="module")
-def guess_inputs(tmp_path_factory, catalan41):
-    """Sequence files for the guess sweep: a good one, malformed ones, a
-    missing path and a directory."""
-    folder = tmp_path_factory.mktemp("malformed")
-    head = '{"name": "x", "offset": 0, "values": '
-    texts = {
-        "empty": "",
-        "nested": "[" * 100_000 + "]" * 100_000,
-        "nan": head + "[1, 1, 2, NaN, 14]}",
-        "booleans": head + "[true, false, true]}",
-        "huge": head + "[1, " + "7" * 5_000 + "]}",
-    }
-    paths = {
-        "catalan41": catalan41, "missing": str(folder / "missing.json"), "directory": str(folder)
-    }
-    for name, text in texts.items():
-        path = paths[name] = str(folder / f"{name}.json")
-        Path(path).write_text(text)
-    return paths
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(GUESS_KINDS),
-    source=st.just("catalan41")
-    | st.sampled_from(["empty", "nested", "nan", "booleans", "huge", "missing", "directory"]),
     holdout=st.integers(-3, 12),
     bounds=st.fixed_dictionaries(
         {opt: st.integers(-2, 4) for least in GUESS_BOUNDS.values() for opt in least}
     ),
     misspelt=_misspelt(["--holdout", *(opt for least in GUESS_BOUNDS.values() for opt in least)]),
 )
-def test_guess_argv_ends_in_an_exit_code_not_a_traceback(
-    guess_inputs, kind, source, holdout, bounds, misspelt
-):
+def test_guess_argv_ends_in_an_exit_code_not_a_traceback(catalan41, kind, holdout, bounds, misspelt):
+    head = ["guess", "--kind", kind, "--input", catalan41]
     options = {"--holdout": holdout, **bounds}
-    if misspelt:
-        options.update([misspelt])
-    argv = ["guess", "--kind", kind, "--input", guess_inputs[source]]
-    argv += [f"{opt}={v}" for opt, v in options.items()]
-    rc, _, err = _exit_code(argv, misspelt)
-    assert rc in (None, EXIT_OK, EXIT_USAGE, EXIT_NOT_FOUND)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(head + [f"{opt}={v}" for opt, v in options.items()])
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NOT_FOUND)
     if rc == EXIT_USAGE:
-        assert err.startswith("error:")
-    elif rc is not None:
-        assert source == "catalan41" and holdout >= 1
+        assert err.getvalue().startswith("error:")
+    else:
+        assert holdout >= 1
         assert all(bounds[opt] >= least for opt, least in GUESS_BOUNDS[kind].items())
+    _refused(head, options, misspelt)
 
 
 # per subcommand: the fixed argv head, then each option's values, which
 # straddle the valid range; the options under "optional" may be left out.
 # Sizes stay small (oracle n <= 5, census n <= 8, abnormal n_max 50), and
-# the options whose defaults are expensive are always given.  The sweep also
-# puts a malformed spelling in place of one numeric option (`NUMERIC`).
+# the options whose defaults are expensive are always given.  Each example
+# is also run with a malformed spelling in one numeric option (`NUMERIC`).
 _THRESHOLD = st.sampled_from(["nan", "inf", "0", "-1", "0.02"])
 _ABNORMAL_OPTIONAL = {
     "--r": st.integers(-1, 5), "--tau-skew": _THRESHOLD, "--tau-kurt": _THRESHOLD,
@@ -439,14 +426,14 @@ def test_argv_ends_in_an_exit_code_not_a_traceback(case):
         _misspelt(NUMERIC.intersection([*required, *optional])),
     )
     def check(options, misspelt):
-        options = dict(options)
-        if misspelt:
-            options.update([misspelt])
         argv = head + [f"{opt}={v}" for opt, v in options.items()]
-        rc, out, err = _exit_code(argv, misspelt)
-        assert rc in (None, EXIT_OK, EXIT_USAGE), argv
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (EXIT_OK, EXIT_USAGE), argv
         if rc == EXIT_USAGE:
-            assert (out, err[:6]) == ("", "error:"), argv
+            assert (out.getvalue(), err.getvalue()[:6]) == ("", "error:"), argv
+        _refused(head, options, misspelt)
 
     check()
 
@@ -760,6 +747,8 @@ REFUSED_NUMBERS = [
     (["abnormal", "--family", "av132", "--stat", "21", "--tau-kurt"], "1.5.2"),
     (["abnormal", "--family", "av132", "--stat", "21", "--tau-kurt"], "0x1p-2"),
     (["abnormal", "--family", "av132", "--stat", "21", "--tau-kurt"], "1e"),
+    (["census", "--family", "av132", "--k"], "0x10"),
+    (["census", "--family", "av132", "--k"], ""),
 ]
 
 
