@@ -57,6 +57,7 @@ INPUTS = {
     "broken.json": '{"name": "catalan", "offset": 0, "values": [1, 1, 2',
     "two-line-name.json": _sequence("a\nb", CATALAN[:40]),
     "far.json": _sequence("catalan", CATALAN[:40], offset=10**30),
+    "array.json": json.dumps(CATALAN[:40]),
     "out-dir/.keep": "",
 }
 
@@ -163,6 +164,7 @@ CORPUS = [
     "moments --family av132 --stat 21 --max-n -1",
     "average --pattern 11",
     "average --pattern 12 --max-n 1001",
+    "average --pattern 12 --max-n -1",
     # patterns that are not ASCII digits
     "average --pattern '1 x' --max-n 5",
     "average --pattern ²1 --max-n 5",
@@ -174,6 +176,7 @@ CORPUS = [
     "guess --kind p-recursive --input missing.json",
     "guess --kind p-recursive --input broken.json",
     "guess --kind p-recursive --input two-line-name.json",
+    "guess --kind p-recursive --input array.json",
     "guess --kind closed-form --input underscore.json",
     "guess --kind closed-form --input far.json",
     "guess --kind p-recursive --input catalan.json --holdout 0",
@@ -185,6 +188,7 @@ CORPUS = [
     "abnormal --family av132 --stat 21 --n-max 60 --order 5",
     "abnormal --family av123 --stat 213 --n-max 10",
     "oracle verify --max-n 13",
+    "oracle verify --max-n 3 --limit 2",
     # argparse's own refusals
     "",
     "wenum --family av999 --stat 21 --n 3",
