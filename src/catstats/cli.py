@@ -43,7 +43,7 @@ from .guessing import (
     DEFAULT_MAX_ORDER, fit_closed_form, guess_algebraic, guess_p_recursive,
 )
 from .moments import moments_from_full, moments_from_truncated
-from .perms import DEFAULT_ORACLE_LIMIT, format_perm, parse_perm
+from .perms import format_perm, parse_perm
 from .seqio import SequenceFile, atomic_write_text, load_sequence, sequence_file
 from .splits import (
     DEFAULT_CENSUS_MAX_N, DEFAULT_PREFIX_LEN, AverageEngine, bona_census_123, bona_census_132,
@@ -54,6 +54,10 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 
+# The longest brute-force walk: oracle verify's default --limit and the av123
+# census's cap on --max-n.  Nothing below the CLI bounds a brute-force length.
+DEFAULT_ORACLE_LIMIT = 12
+
 
 # -- output ----------------------------------------------------------------
 
@@ -62,7 +66,7 @@ def _finish(args, config: dict, body) -> int:
     """Render a command's body under its config echo and write it out.
 
     In JSON the body's keys follow the echo's, except that a sequence file
-    keeps its own keys first and carries the echo after them.  Otherwise the
+    keeps its own keys first and the echo's follow them.  Otherwise the
     body is the lines under the "# catstats" header line.  The text goes to
     stdout, or atomically to --out, resolved inside $CATSTATS_OUT_DIR when
     that is set.
@@ -71,7 +75,7 @@ def _finish(args, config: dict, body) -> int:
         echo = {"tool": "catstats", "version": __version__, "subcommand": args.cmd,
                 "config": config}
         if isinstance(body, SequenceFile):
-            obj = body._replace(extra=echo).to_json_obj()
+            obj = {**body.to_json_obj(), **echo}
         else:
             obj = {**echo, **body}
         text = json.dumps(obj, indent=2) + "\n"
@@ -211,6 +215,9 @@ def cmd_census(args) -> int:
         if args.prefix_len is not None:
             raise UsageError("--prefix-len applies to --family av132; av123 takes --max-n")
         config["max_n"] = DEFAULT_CENSUS_MAX_N if args.max_n is None else args.max_n
+        if config["max_n"] > DEFAULT_ORACLE_LIMIT:
+            raise UsageError(f"--max-n is capped at {DEFAULT_ORACLE_LIMIT} for --family av123, "
+                             f"got {config['max_n']}")
         result = bona_census_123(args.k, n_max=config["max_n"])
     if args.format == "json":
         return _finish(args, config, {"census": result.to_json_obj()})
@@ -334,7 +341,9 @@ def cmd_abnormal(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    checks = verify_catalog(args.max_n, args.limit)
+    if args.max_n > args.limit:
+        raise UsageError(f"brute force is capped at n = {args.limit}; asked for {args.max_n}")
+    checks = verify_catalog(args.max_n)
     config = {"max_n": args.max_n, "limit": args.limit}
     ok = [label for label, bad in checks.items() if bad is None]
     failures = [(label, *bad) for label, bad in checks.items() if bad is not None]

@@ -57,7 +57,6 @@ from .errors import UsageError
 from .multipoly import IndexPoly, MultiPoly
 from .perms import (
     AV132,
-    DEFAULT_ORACLE_LIMIT,
     brute_sigma_enum,
     brute_weight_enum,
     catalan_list,
@@ -446,7 +445,7 @@ def builtin_spec(family: str, statistic: str) -> FuncRecSpec:
 # -- brute-force oracle ----------------------------------------------------
 
 
-def verify_catalog(max_n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> "dict[str, tuple | None]":
+def verify_catalog(max_n: int) -> "dict[str, tuple | None]":
     """Check every catalog spec's full-mode enumerators against brute force
     for n = 0..max_n.
 
@@ -456,15 +455,13 @@ def verify_catalog(max_n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> "dict[str, 
     av132 pattern jointly, and each av132 spec's enumerator is read off it.
     The av123 spec is checked against the (213, sigma1, sigma2) enumerator.
     """
-    if max_n > limit:
-        raise UsageError(f"brute force is capped at n = {limit}; asked for {max_n}")
     specs = [builtin_spec(family, stat) for family, stat in builtin_families()]
     engine = {spec.label: eval_full(spec, max_n).values for spec in specs}
     patterns = sorted({pat for spec in specs if spec.family == "av132" for _, pat in spec.tracked})
     stats = [parse_perm(p) for p in patterns]
     result: "dict[str, tuple | None]" = dict.fromkeys(engine)
     for n in range(max_n + 1):
-        joint = brute_weight_enum(AV132, stats, n, patterns, limit)
+        joint = brute_weight_enum(AV132, stats, n, patterns)
         for spec in specs:
             if result[spec.label] is not None:
                 continue
@@ -474,7 +471,7 @@ def verify_catalog(max_n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> "dict[str, 
                 names = [dict(spec.tracked)[v] for v in spec.variables]
                 brute = MultiPoly(spec.variables, joint.project(names).terms)
             else:
-                brute = brute_sigma_enum(n, limit)
+                brute = brute_sigma_enum(n)
             if engine[spec.label][n] != brute:
                 result[spec.label] = (n, engine[spec.label][n], brute)
     return result

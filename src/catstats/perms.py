@@ -30,8 +30,6 @@ from .multipoly import MultiPoly
 
 Perm = "tuple[int, ...]"
 
-DEFAULT_ORACLE_LIMIT = 12
-
 AV132 = (1, 3, 2)
 AV123 = (1, 2, 3)
 
@@ -123,15 +121,7 @@ def short_pattern_counts(perm: Perm) -> "dict[Perm, int]":
     }
 
 
-def check_oracle_limit(n: int, limit: int) -> None:
-    if n > limit:
-        raise UsageError(
-            f"n = {n} exceeds the brute-force oracle limit {limit}; "
-            "raise the limit explicitly if you really want this"
-        )
-
-
-def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMIT):
+def enumerate_avoiders(forbidden: Perm, n: int):
     """All permutations of 1..n avoiding the forbidden pattern, lex order.
 
     Only the two length-3 patterns this package studies are supported.  The
@@ -143,13 +133,16 @@ def enumerate_avoiders(forbidden: Perm, n: int, limit: int = DEFAULT_ORACLE_LIMI
     increasing pair precedes it (m would end a 123): at any position up to
     and including the end of its longest decreasing prefix.  The
     123-avoiders are grown that way, one length at a time, and then sorted.
+
+    There are c(n) of them, and n is not bounded here: the CLI holds every
+    brute-force length to its caps (`oracle verify --max-n` to `--limit`,
+    the av123 census's `--max-n` to 12).
     """
     forbidden = tuple(forbidden)
     if forbidden not in (AV132, AV123):
         raise UsageError("avoider enumeration supports forbidden patterns 132 and 123 only")
     if n < 0:
         raise UsageError("n must be >= 0")
-    check_oracle_limit(n, limit)
     if forbidden == AV132:
         levels: "list[list[Perm]]" = [[()]]
         for m in range(1, n + 1):
@@ -232,7 +225,6 @@ def brute_weight_enum(
     stats: "Sequence[Perm]",
     n: int,
     variables: "Sequence[str]",
-    limit: int = DEFAULT_ORACLE_LIMIT,
 ) -> MultiPoly:
     """Sum over avoiders of prod_i var_i ^ (occurrences of stats[i]).
 
@@ -247,17 +239,17 @@ def brute_weight_enum(
         if len(s) > 3:
             raise UsageError(f"brute force counts patterns of length <= 3, got {format_perm(s)}")
     terms: "dict[tuple, int]" = {}
-    for p in enumerate_avoiders(forbidden, n, limit):
+    for p in enumerate_avoiders(forbidden, n):
         counts = short_pattern_counts(p)
         key = tuple(counts.get(s, 0) for s in stats)
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(tuple(variables), terms)
 
 
-def brute_sigma_enum(n: int, limit: int = DEFAULT_ORACLE_LIMIT) -> MultiPoly:
+def brute_sigma_enum(n: int) -> MultiPoly:
     """Weight enumerator of (213-count, sigma1, sigma2) over the 123-avoiders."""
     terms: "dict[tuple, int]" = {}
-    for p in enumerate_avoiders(AV123, n, limit):
+    for p in enumerate_avoiders(AV123, n):
         key = _sigma_key(p)
         terms[key] = terms.get(key, 0) + 1
     return MultiPoly(("t", "s1", "s2"), terms)

@@ -6,8 +6,8 @@ The on-disk shape is JSON:
 
 Values are "num/den" strings (plain integers allowed) so nothing is lost to
 floating point.  The offset records the index of the first value, which
-matters when a recurrence only holds from some starting index on.  Extra
-keys (config echoes and the like) are preserved on load and ignored.
+matters when a recurrence only holds from some starting index on.  Other
+keys (config echoes and the like) are ignored on load and not kept.
 """
 
 from __future__ import annotations
@@ -26,23 +26,18 @@ class SequenceFile(NamedTuple):
     name: str
     offset: int
     values: "tuple[Fraction | int, ...]"
-    extra: dict  # every constructor passes its own dict, never a shared default
 
     def to_json_obj(self) -> dict:
-        obj = {
+        return {
             "name": self.name,
             "offset": self.offset,
             "values": [v if isinstance(v, int) else coeff_to_str(v) for v in self.values],
         }
-        for k, v in self.extra.items():
-            if k not in obj:
-                obj[k] = v
-        return obj
 
 
-def sequence_file(name, values, offset: int = 0, extra=None) -> SequenceFile:
+def sequence_file(name, values, offset: int = 0) -> SequenceFile:
     vals = tuple(norm_coeff(v) for v in values)
-    return SequenceFile(str(name), int(offset), vals, dict(extra or {}))
+    return SequenceFile(str(name), int(offset), vals)
 
 
 def parse_sequence_obj(obj, source: str = "sequence") -> SequenceFile:
@@ -74,8 +69,7 @@ def parse_sequence_obj(obj, source: str = "sequence") -> SequenceFile:
                 raise UsageError(f"{source}: values[{i}] is not a rational: {v!r}")
         else:
             raise UsageError(f"{source}: values[{i}] must be an int or 'num/den' string")
-    extra = {k: v for k, v in obj.items() if k not in ("name", "offset", "values")}
-    return SequenceFile(name, offset, tuple(parsed), extra)
+    return SequenceFile(name, offset, tuple(parsed))
 
 
 def load_sequence(path) -> SequenceFile:

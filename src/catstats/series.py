@@ -51,8 +51,6 @@ class SeriesBasis:
         hit = cls._interned.get(key)
         if hit is not None:
             return hit
-        if cap < 1:
-            raise UsageError("series cap must be >= 1")
         self = object.__new__(cls)
         self.variables = key[0]
         self.cap = cap

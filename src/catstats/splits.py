@@ -50,10 +50,8 @@ from .errors import UsageError
 from .perms import (
     AV123,
     AV132,
-    DEFAULT_ORACLE_LIMIT,
     catalan,
     catalan_list,
-    check_oracle_limit,
     enumerate_avoiders,
     format_perm,
 )
@@ -391,7 +389,7 @@ def bona_census_132(k: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> CensusResul
             f"{MAX_CENSUS_BITS >> 23} MiB; lower k or prefix_len"
         )
     engine = AverageEngine(prefix_len)
-    patterns = enumerate_avoiders(AV132, k, limit=max(k, DEFAULT_ORACLE_LIMIT))
+    patterns = enumerate_avoiders(AV132, k)
     keys: "dict[bytes, int]" = {}  # canonical pattern -> its B
 
     def key(p: tuple) -> int:
@@ -480,9 +478,8 @@ def bona_census_123(k: int, n_max: int = DEFAULT_CENSUS_MAX_N) -> CensusResult:
 
     An avoider is a byte string, one byte per value, so a deletion is one
     `bytes.translate` that drops the entry with value v and lowers every
-    value above v.  Bytes hold values up to 255; n_max is held to the oracle
-    limit (`DEFAULT_ORACLE_LIMIT`, 12, which the census never raises), far
-    below that.
+    value above v.  Bytes hold values up to 255, and the CLI holds n_max to
+    12, far below that.
     An avoider's chain counts are packed into one integer, N_n in the w-bit
     slot n, so a level adds 1 << w*m to every avoider of length m and a
     deletion adds its source's integer to the target's.  No slot carries:
@@ -499,14 +496,13 @@ def bona_census_123(k: int, n_max: int = DEFAULT_CENSUS_MAX_N) -> CensusResult:
         raise UsageError("k must be >= 1")
     if n_max < k:
         raise UsageError(f"length-{k} patterns never occur below n = {k}; raise n_max")
-    check_oracle_limit(n_max, DEFAULT_ORACLE_LIMIT)
     width = (factorial(n_max) * catalan(n_max)).bit_length()
     # drop[v] deletes the byte v, down[v] lowers every value above v by one
     drop = [bytes([v]) for v in range(n_max + 1)]
     down = [bytes.maketrans(bytes(range(v + 1, n_max + 1)), bytes(range(v, n_max)))
             for v in range(n_max + 1)]
     top = n_max if k == n_max else n_max - 1
-    level = dict.fromkeys(map(bytes, enumerate_avoiders(AV123, top, DEFAULT_ORACLE_LIMIT)), 0)
+    level = dict.fromkeys(map(bytes, enumerate_avoiders(AV123, top)), 0)
     if top < n_max:
         inserts = {q: _insertions_123(q) for q in level}
         total = sum(inserts.values())

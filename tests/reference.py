@@ -18,7 +18,7 @@ from itertools import combinations
 
 from catstats.errors import DegenerateStatisticError, UsageError
 from catstats.moments import StandardizedMoments, stirling2_row
-from catstats.perms import AV123, DEFAULT_ORACLE_LIMIT, enumerate_avoiders, format_perm
+from catstats.perms import AV123, enumerate_avoiders, format_perm
 
 
 def standardize(seq) -> tuple:
@@ -57,7 +57,7 @@ def classify_all_subsets(perm, k: int) -> dict:
     return out
 
 
-def deletion_totals_123(n_max: int, limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
+def deletion_totals_123(n_max: int) -> dict:
     """Pattern -> its total-occurrence sequence over the 123-avoiders on
     sizes 0..n_max, for every 123-avoider of length 1..n_max.
 
@@ -67,7 +67,7 @@ def deletion_totals_123(n_max: int, limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
     avoider is a deletion of a longer one, so one pass down from the
     avoiders of length n_max, each carrying its chain counts by starting
     length, reaches every avoider with all of its chains."""
-    chains = {p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, n_max, limit)}
+    chains = {p: [0] * (n_max + 1) for p in enumerate_avoiders(AV123, n_max)}
     totals = {}
     for m in range(n_max, 0, -1):
         below: dict = {}
@@ -88,17 +88,17 @@ def deletion_totals_123(n_max: int, limit: int = DEFAULT_ORACLE_LIMIT) -> dict:
     return totals
 
 
-def validate_insertion_reading(insert, n_max: int, limit: int = DEFAULT_ORACLE_LIMIT):
+def validate_insertion_reading(insert, n_max: int):
     """Check the (k, left, right) composition is a bijection for every n <= n_max.
 
     Returns (ok, diagnostic).
     """
     for n in range(0, n_max + 1):
-        target = set(enumerate_avoiders(AV123, n, limit))
+        target = set(enumerate_avoiders(AV123, n))
         seen = {}
         for k in range(1, n + 1):
-            rights = enumerate_avoiders(AV123, k - 1, limit)
-            for left in enumerate_avoiders(AV123, n - k, limit):
+            rights = enumerate_avoiders(AV123, k - 1)
+            for left in enumerate_avoiders(AV123, n - k):
                 for right in rights:
                     u = insert(right)
                     img = tuple(v + len(u) for v in left) + u

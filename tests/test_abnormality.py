@@ -7,6 +7,8 @@ from catstats.abnormality import (
     DEFAULT_ORDER,
     VERDICT_ABNORMAL,
     VERDICT_INCONCLUSIVE,
+    MomentEvidence,
+    _verdict,
     analyze,
     analyze_table,
     binomial_control_table,
@@ -125,6 +127,27 @@ def test_verdict_is_a_function_of_the_reported_evidence():
         )
         assert obj["verdict"] == ("abnormal" if abnormal else "inconclusive")
         assert obj["verdict"] == rep.verdict
+
+
+@pytest.mark.parametrize(
+    "skew, kurt, verdict, criterion",
+    [
+        ((0.0, 0.0), (3.5, 1e-6), VERDICT_ABNORMAL,
+         "kurtosis limit estimate 3.5 is more than 0.1 away from 3 and its convergence "
+         "metric 1e-06 is below 0.001"),
+        ((0.5, 0.1), (3.0, 0.0), VERDICT_INCONCLUSIVE,
+         "skewness deviates but its extrapolation has not settled; no claim of normality is made"),
+        ((0.0, 0.0), (3.5, 0.1), VERDICT_INCONCLUSIVE,
+         "kurtosis deviates but its extrapolation has not settled; no claim of normality is made"),
+    ],
+    ids=["kurtosis-abnormal", "skewness-unsettled", "kurtosis-unsettled"],
+)
+def test_verdict_branches_on_each_moment(skew, kurt, verdict, criterion):
+    # (limit estimate, convergence metric) per moment, against tau 0.1 and
+    # epsilon 1e-3
+    e3 = MomentEvidence(3, 0, (), *skew)
+    e4 = MomentEvidence(4, 3, (), *kurt)
+    assert _verdict(e3, e4, 0.1, 0.1, 1e-3) == (verdict, criterion)
 
 
 def test_overlapping_checkpoints_share_exact_values():

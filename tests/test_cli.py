@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catstats import __version__
-from catstats.cli import EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main
+from catstats.cli import (
+    DEFAULT_ORACLE_LIMIT, EXIT_INTERNAL, EXIT_NOT_FOUND, EXIT_OK, EXIT_USAGE, main,
+)
 from catstats.funcrec import builtin_families, builtin_spec
 from catstats.seqio import load_sequence, sequence_file
-from catstats.perms import DEFAULT_ORACLE_LIMIT, brute_sigma_enum, catalan_list
+from catstats.perms import brute_sigma_enum, catalan_list
 from catstats.splits import MAX_ENGINE_N, AverageEngine
 
 
@@ -135,7 +137,7 @@ def test_average_json_is_a_sequence_file(capsys, tmp_path):
     seq = load_sequence(dest)
     assert seq.name == "av132:total:213"
     assert seq.values == (0, 0, 0, 1, 11, 81, 500, 2794, 14649, 73489)
-    assert seq.extra["tool"] == "catstats"
+    assert json.loads(dest.read_text())["tool"] == "catstats"
 
 
 def test_census_text(capsys):
@@ -491,12 +493,15 @@ def test_oracle_verify_small(capsys):
 
 
 def test_census_123_refuses_oversize_n_before_enumerating(capsys):
-    start = time.monotonic()
-    rc, out, err = run(capsys, "census", "--family", "av123", "--k", "3", "--max-n", "13")
-    assert time.monotonic() - start < 1.0
-    assert rc == EXIT_USAGE
-    assert out == ""
-    assert err.startswith("error:") and "limit 12" in err
+    # the cap is checked first, so a k that is also out of range waits for it
+    for k in ("3", "0"):
+        start = time.monotonic()
+        rc, out, err = run(capsys, "census", "--family", "av123", "--k", k, "--max-n", "13")
+        assert time.monotonic() - start < 1.0
+        assert rc == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --max-n is capped at 12 for --family av123, got 13\n"
+        assert "raise the limit" not in err
 
 
 @pytest.mark.parametrize(

@@ -80,8 +80,8 @@ def test_verify_catalog_reports_first_mismatch(monkeypatch, capsys):
         one = (0,) * len(poly.variables)
         return MultiPoly(poly.variables, {**poly.terms, one: poly.terms.get(one, 0) + 1})
 
-    def perturbed(n, limit):
-        poly = honest(n, limit)
+    def perturbed(n):
+        poly = honest(n)
         return plus_one(poly) if n == 3 else poly
 
     monkeypatch.setattr(funcrec, "brute_sigma_enum", perturbed)

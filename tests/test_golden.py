@@ -156,8 +156,11 @@ CORPUS = [
     "moments --family av123 --stat 213 --max-n 8 --mode full --r -1",
     "census --family av132 --k 2 --max-n 9",
     "census --family av123 --k 2 --prefix-len 12",
+    "census --family av123 --k 3 --max-n 13",
     "guess --kind algebraic --input catalan-from-1.json",
     "moments --family av132 --stat 12 --max-n 3 --out missing/m.txt",
+    "oracle verify --max-n 13",
+    "oracle verify --max-n 3 --limit 2",
     # refusals raised below the CLI
     "wenum --family av132 --stat 999 --n 3",
     "wenum --family av123 --stat 213 --n 19",
@@ -171,7 +174,6 @@ CORPUS = [
     "census --k 0",
     "census --k 3 --prefix-len 5",
     "census --k 9 --prefix-len 1000",
-    "census --family av123 --k 3 --max-n 13",
     "census --family av123 --k 4 --max-n 3",
     "guess --kind p-recursive --input missing.json",
     "guess --kind p-recursive --input broken.json",
@@ -187,8 +189,6 @@ CORPUS = [
     "abnormal --family av132 --stat 21 --r 3",
     "abnormal --family av132 --stat 21 --n-max 60 --order 5",
     "abnormal --family av123 --stat 213 --n-max 10",
-    "oracle verify --max-n 13",
-    "oracle verify --max-n 3 --limit 2",
     # argparse's own refusals
     "",
     "wenum --family av999 --stat 21 --n 3",
@@ -207,7 +207,7 @@ CORPUS += [
 ]
 
 
-def _fake_verify_catalog(max_n, limit):
+def _fake_verify_catalog(max_n):
     return {
         "av132:21": None,
         "av132:12": (2, "1 + t^2", "2t"),

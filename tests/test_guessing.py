@@ -7,6 +7,7 @@ from catstats.errors import UsageError
 from catstats.funcrec import builtin_spec, eval_truncated
 from catstats.guessing import (
     MAX_CLOSED_FORM_N,
+    _sees_every_term,
     fit_closed_form,
     guess_algebraic,
     guess_p_recursive,
@@ -180,6 +181,17 @@ def test_algebraic_fit_sees_a_raised_last_term(pattern):
     raised = _off_by_one_at(values, -1)
     eq = guess_algebraic(raised)
     assert eq is None or not any(algebraic_residual(eq, raised))
+
+
+def test_algebraic_candidate_needs_twice_its_valuation_below_the_term_count():
+    # z^2*y annihilates the zero series, and Phi_y = z^2 has valuation 2: four
+    # terms (2v = T) cannot show the last two terms entering any row; five can
+    cols = [(j, i) for j in range(2) for i in range(3)]
+    ints = [0, 0, 0, 0, 0, 1]
+    for terms, seen in ((4, False), (5, True)):
+        values = [0] * terms
+        powers = [[1] + [0] * (terms - 1), values]
+        assert _sees_every_term(ints, cols, values, powers) is seen
 
 
 def test_closed_form_holdout_refuses_a_corrupted_tail():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from catstats import seqio
 from catstats.errors import UsageError
 from catstats.seqio import (
     atomic_write_text,
@@ -14,20 +15,10 @@ from catstats.seqio import (
 
 
 def test_roundtrip_through_disk(tmp_path):
-    seq = sequence_file("demo", [1, 7, Fraction(3, 2)], offset=1, extra={"note": "x"})
+    seq = sequence_file("demo", [1, 7, Fraction(3, 2)], offset=1)
     path = tmp_path / "demo.json"
     atomic_write_text(path, json.dumps(seq.to_json_obj()))
-    back = load_sequence(path)
-    assert back == seq
-    assert back.extra["note"] == "x"
-
-
-def test_sequences_built_without_extra_do_not_share_one_dict():
-    a, b = sequence_file("a", [1]), sequence_file("b", [2])
-    a.extra["note"] = "x"
-    assert a.extra is not b.extra
-    assert b.extra == {}
-    assert sequence_file("c", [3]).to_json_obj() == {"name": "c", "offset": 0, "values": [3]}
+    assert load_sequence(path) == seq
 
 
 def test_integer_values_serialize_as_ints():
@@ -35,6 +26,7 @@ def test_integer_values_serialize_as_ints():
     assert obj["values"] == [0, 2, 817, 2]
     obj = sequence_file("d", [Fraction(1, 2)]).to_json_obj()
     assert obj["values"] == ["1/2"]
+    assert sequence_file("c", [3]).to_json_obj() == {"name": "c", "offset": 0, "values": [3]}
 
 
 def test_parse_accepts_int_and_fraction_strings():
@@ -79,13 +71,11 @@ def test_parse_refuses_a_zero_denominator():
         parse_sequence_obj({"name": "s", "offset": 0, "values": ["1/0"]}, "mem")
 
 
-def test_extra_keys_survive_roundtrip(tmp_path):
+def test_unknown_keys_are_ignored_on_load():
     obj = {"name": "s", "offset": 0, "values": [1, 2], "tool": "catstats", "k": 3}
     seq = parse_sequence_obj(obj, "mem")
-    assert seq.extra == {"tool": "catstats", "k": 3}
-    path = tmp_path / "s.json"
-    atomic_write_text(path, json.dumps(seq.to_json_obj()))
-    assert json.loads(path.read_text())["tool"] == "catstats"
+    assert seq == sequence_file("s", [1, 2])
+    assert seq.to_json_obj() == {"name": "s", "offset": 0, "values": [1, 2]}
 
 
 def test_load_rejects_malformed_file(tmp_path):
@@ -118,6 +108,20 @@ def test_atomic_write_replaces_and_cleans_up(tmp_path):
     assert target.read_text() == "new contents"
     leftovers = [p for p in os.listdir(tmp_path) if p != "out.txt"]
     assert leftovers == []
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    target.write_text("old")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(seqio.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(target, "new contents")
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out.txt"]
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)], ids=["022", "002"])

@@ -368,9 +368,9 @@ def test_census_123_matches_the_deletion_pass_over_every_avoider():
 def test_census_123_enumerates_the_top_length_only_at_k_equal_n_max(monkeypatch, k, n_max, built):
     asked = []
 
-    def spy(forbidden, n, limit):
+    def spy(forbidden, n):
         asked.append((forbidden, n))
-        return enumerate_avoiders(forbidden, n, limit)
+        return enumerate_avoiders(forbidden, n)
 
     monkeypatch.setattr(splits, "enumerate_avoiders", spy)
     bona_census_123(k, n_max=n_max)
