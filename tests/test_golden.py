@@ -17,6 +17,7 @@ import io
 import json
 import os
 import shlex
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -54,6 +55,10 @@ INPUTS = {
     # an A_21-named file whose values int() reads but the number grammar
     # refuses
     "underscore.json": _sequence("av132:total:21", ["1_000"] * 40),
+    # c(n)/2^n for n <= 80 as "num/den" strings: rational terms, which the
+    # fitters scale to integer rows
+    "catalan-halved.json": _sequence(
+        "catalan/2^n", [Fraction(comb(2 * n, n) // (n + 1), 2**n) for n in range(81)]),
     "broken.json": '{"name": "catalan", "offset": 0, "values": [1, 1, 2',
     "two-line-name.json": _sequence("a\nb", CATALAN[:40]),
     "far.json": _sequence("catalan", CATALAN[:40], offset=10**30),
@@ -135,6 +140,8 @@ CORPUS = [
     "guess --kind closed-form --input noise.json --degree 1",
     *(f"guess --kind {kind} --input A2314.json --format json"
       for kind in ("p-recursive", "algebraic", "closed-form")),
+    "guess --kind p-recursive --input catalan-halved.json",
+    "guess --kind algebraic --input catalan-halved.json --format json",
     "guess --kind algebraic --input A2314-raised.json",
     "guess --kind algebraic --input A2314-last-raised.json",
     *(f"guess --kind {kind} --input zeros.json"
@@ -165,6 +172,7 @@ CORPUS = [
     "wenum --family av132 --stat 999 --n 3",
     "wenum --family av123 --stat 213 --n 19",
     "moments --family av132 --stat 21 --max-n -1",
+    "wenum --family av132 --stat 21 --n -1",
     "average --pattern 11",
     "average --pattern 12 --max-n 1001",
     "average --pattern 12 --max-n -1",
@@ -189,6 +197,8 @@ CORPUS = [
     "abnormal --family av132 --stat 21 --r 3",
     "abnormal --family av132 --stat 21 --n-max 60 --order 5",
     "abnormal --family av123 --stat 213 --n-max 10",
+    # a statistic of variance 0: av132 permutations never contain 132
+    "abnormal --family av132 --stat 132 --n-max 50",
     # argparse's own refusals
     "",
     "wenum --family av999 --stat 21 --n 3",
