@@ -22,10 +22,11 @@ form holds each term in its b column, and a recurrence window its last term
 through q_order(n).  A series row reads a term only v rows on, v the
 z-valuation of Phi_y, so the algebraic fitter checks v rows past the data.
 
-Normalization: coefficient vectors are scaled to coprime integers and the
-sign is fixed by the leading object (leading coefficient of the top-order
-polynomial for recurrences, coefficient of the graded-lex-greatest monomial
-for algebraic equations), so equal models always print identically.
+Normalization: coefficient vectors are the nullspace's primitive integer
+vectors, and the sign is fixed by the leading object (leading coefficient of
+the top-order polynomial for recurrences, which the nullspace already makes
+positive, and coefficient of the graded-lex-greatest monomial for algebraic
+equations), so equal models always print identically.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import UsageError
-from .linalg import integer_primitive, nullspace
+from .linalg import nullspace
 from .multipoly import coeff_to_str, join_signed, norm_coeff
 from .perms import catalan
 
@@ -77,17 +78,16 @@ def _graded(max_size: int, max_degree: int):
 
 
 def _fits(row: "Callable[[int], list]", train: int, total: int, ncols: int):
-    """Primitive integer x with row(s) . x = 0 for every s < total, one per
-    nullspace vector of the training rows row(0), ..., row(train - 1).
+    """The primitive integer nullspace vectors x of the training rows
+    row(0), ..., row(train - 1) with row(s) . x = 0 for every s < total.
 
     The training rows are built as the elimination reads them, and it stops
     reading once they have full rank."""
     basis = nullspace(map(row, range(train)), ncols)
     holdout = [row(s) for s in range(train, total)] if basis else []
     for vec in basis:
-        ints = integer_primitive(vec)
-        if not any(sum(map(mul, r, ints)) for r in holdout):
-            yield ints
+        if not any(sum(map(mul, r, vec)) for r in holdout):
+            yield vec
 
 
 def _times_powers(v, n: int, count: int) -> list:
@@ -173,11 +173,11 @@ def guess_p_recursive(
         need=(max_order + 1) * (max_degree + 1) + holdout + max_order,
         fits=f"terms for bounds (order {max_order}, degree {max_degree})",
     )
+    # `need` leaves windows - holdout >= (order + 1) * w training windows,
+    # at least one per unknown, at every (order, degree) searched
     for order, degree in _graded(max_order, max_degree):
         w = degree + 1
         windows = len(values) - order
-        if windows - holdout < (order + 1) * w:
-            continue  # fewer training windows than unknowns at these bounds
 
         def row(s):
             return [x for i in range(order + 1)
@@ -190,9 +190,8 @@ def guess_p_recursive(
 
 
 def _normalize_p_rec(ints: "list[int]", order: int, w: int, offset: int) -> PRecurrence:
-    lead_j = max(j for j in range(w) if ints[order * w + j])
-    if ints[order * w + lead_j] < 0:
-        ints = [-c for c in ints]
+    """A nullspace vector's last nonzero entry, at its free column, is
+    positive; it lies in the top-order block, so q_order leads with it."""
     degree = max(j for j in range(w) for i in range(order + 1) if ints[i * w + j])
     coeffs = tuple(tuple(ints[i * w : i * w + degree + 1]) for i in range(order + 1))
     return PRecurrence(order=order, degree=degree, coeffs=coeffs, offset=offset)

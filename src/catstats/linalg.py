@@ -23,14 +23,22 @@ no further row is read, so callers can pass rows that are built only when
 read.
 
 Nullspace bases are canonical: free columns are taken in increasing column
-order and each basis vector has value 1 at its free column and 0 at the
-other free columns.  That basis depends only on the nullspace and its free
-columns, so downstream normalization is deterministic.
+order, and each basis vector is primitive (integer entries with gcd 1),
+positive at its free column and 0 at the other free columns, so downstream
+normalization is deterministic.  The back-substitution stays in integers.
+With M the scaled kept rows, as read, at their pivot columns (they span
+every row read), the rational vector with 1 at a free column has pivot
+entries y with M y = -(those rows at the free column), so det(M) y is
+integral by Cramer's rule.  The last kept row's pivot entry is det(M) up
+to sign (Bareiss); starting from its absolute value D at the free column,
+each x[c] = -(row . x) / row[c] is D y_c and divides exactly, and dividing
+x by the gcd of its entries leaves the primitive vector.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import UsageError
@@ -54,8 +62,8 @@ def _int_rows(rows: "Iterable[Sequence]", ncols: int):
         yield list(row) if plain else [int(v * denom) for v in row]
 
 
-def nullspace(rows: "Iterable[Sequence]", ncols: int) -> "list[list[Fraction]]":
-    """Basis of {x : A x = 0}, one vector per free column, canonical form."""
+def nullspace(rows: "Iterable[Sequence]", ncols: int) -> "list[list[int]]":
+    """Basis of {x : A x = 0}, one primitive integer vector per free column."""
     kept = []  # (pivot column, row), in the order kept
     for row in _int_rows(rows, ncols):
         prev = 1
@@ -69,31 +77,16 @@ def nullspace(rows: "Iterable[Sequence]", ncols: int) -> "list[list[Fraction]]":
             if len(kept) == ncols:
                 return []
     pivot_cols = {c for c, _ in kept}
+    d = abs(kept[-1][1][kept[-1][0]]) if kept else 1
     basis = []
     for fc in (c for c in range(ncols) if c not in pivot_cols):
-        x = [Fraction(0)] * ncols
-        x[fc] = Fraction(1)
+        x = [0] * ncols
+        x[fc] = d
         for c, row in reversed(kept):
             if c > fc:
                 continue  # the row has entries only past c > fc, so x[c] = 0
-            s = Fraction(0)
-            for j in range(c + 1, ncols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            x[c] = -s / row[c]
-        basis.append(x)
+            # row is 0 before c, and x[c] is still 0
+            x[c] = -sum(map(mul, row, x)) // row[c]
+        g = gcd(*x)
+        basis.append([v // g for v in x])
     return basis
-
-
-def integer_primitive(vec: "Sequence[Fraction]") -> "list[int]":
-    """Scale a rational vector to coprime integers (empty/zero stays zero)."""
-    denom = 1
-    for v in vec:
-        denom = lcm(denom, Fraction(v).denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-    return ints

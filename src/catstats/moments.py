@@ -51,17 +51,12 @@ def stirling2_row(r: int) -> "list[int]":
 _STIRLING_ROWS: "list[list[int]]" = [[1]]
 
 
-def falling_factorial(i: int, r: int) -> int:
-    """i (i - 1) ... (i - r + 1), for i, r >= 0."""
-    return math.perm(i, r)
-
-
 def factorial_from_full(coeffs: "Sequence[int]", r_max: int) -> "list[int]":
     """[f_0 .. f_r_max] from the dense coefficients [c_0 .. c_d] of a
     univariate weight enumerator."""
     out = []
     for r in range(r_max + 1):
-        out.append(sum(c * falling_factorial(i, r) for i, c in enumerate(coeffs) if c))
+        out.append(sum(c * math.perm(i, r) for i, c in enumerate(coeffs) if c))
     return out
 
 

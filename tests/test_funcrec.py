@@ -415,6 +415,20 @@ def test_a_k_only_coefficient_is_folded_only_where_a_window_reads_it(images):
         assert eval_truncated(spec, 8, cap).values == [taylor(value, cap) for value in full]
 
 
+def test_a_right_index_no_window_reads_is_packed_as_a_placeholder():
+    # the k >= 2 term folds q^(k - 1) into its own left store, which holds a
+    # placeholder for Q_0, since its windows never read it; its right side
+    # varies, so that left store is the one packed, placeholder included
+    variables = ("t", "q")
+    k = IndexPoly({(0, 1): 1})
+    spec = FuncRecSpec("av132", "synthetic", variables, [
+        RecTerm(coef=(0, 0), k_high=1),
+        RecTerm(coef=(0, _K1), k_low=2, right=subst_matrix(variables, {"q": {"t": k, "q": 1}})),
+    ])
+    full, trunc = _values_of_both_modes(spec)
+    assert trunc == [taylor(value, 4) for value in full]
+
+
 def _values_of_both_modes(spec, n_max=9, cap=4):
     return eval_full(spec, n_max).values, eval_truncated(spec, n_max, cap).values
 

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from catstats.errors import UsageError
-from catstats.linalg import integer_primitive, nullspace
+from catstats.linalg import nullspace
 
 # spare rows past the first ncols in the leading blocks the tall-system
 # tests build: blocks deep enough to hold repeated and zero rows
@@ -49,13 +50,19 @@ def rref_nullspace(rows, ncols):
     return basis
 
 
+def primitive(vec):
+    """A rational vector scaled by a positive rational to coprime integers."""
+    denom = lcm(*(Fraction(v).denominator for v in vec))
+    ints = [int(v * denom) for v in vec]
+    g = gcd(*ints)
+    return [v // g for v in ints]
+
+
 def test_known_nullspace():
-    # x + y + z = 0, x - z = 0 has the single line (1, -2, 1)
-    basis = nullspace([[1, 1, 1], [1, 0, -1]], 3)
-    assert len(basis) == 1
-    v = basis[0]
-    assert [v[0] - v[2], sum(v)] == [0, 0]
-    assert integer_primitive(v) in ([1, -2, 1], [-1, 2, -1])
+    # x + y + z = 0, x - z = 0 has the single line (1, -2, 1); its free
+    # column is the last
+    assert nullspace([[1, 1, 1], [1, 0, -1]], 3) == [[1, -2, 1]]
+    assert nullspace([[2, 0, 1]], 3) == [[0, 1, 0], [-1, 0, 2]]
 
 
 def test_nullspace_of_zero_matrix_is_full():
@@ -71,12 +78,7 @@ def test_nullspace_random_rank_nullity(rng):
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
             for _ in range(m)
         ]
-        basis = nullspace(rows, ncols)
-        assert len(basis) == ncols - rref_rank(rows, ncols)
-        for v in basis:
-            assert any(v)
-            for r in rows:
-                assert sum(a * b for a, b in zip(r, v)) == 0
+        _assert_canonical(nullspace(rows, ncols), rows, ncols)
 
 
 def test_int_rows_match_fraction_rows_and_stay_untouched(rng):
@@ -105,9 +107,24 @@ def _tall(rng, ncols, rank, nrows):
     ]
 
 
+def _assert_canonical(basis, rows, ncols):
+    """Each vector is a primitive integer solution, positive at its free
+    column and 0 at the other free columns."""
+    free = [c for c in range(ncols) if c not in rref(rows, ncols)[1]]
+    assert len(basis) == len(free)
+    for fc, v in zip(free, basis):
+        assert all(type(a) is int for a in v)
+        assert gcd(*v) == 1
+        assert v[fc] > 0 and not any(v[c] for c in free if c != fc)
+        for r in rows:
+            assert sum(a * b for a, b in zip(r, v)) == 0
+
+
 def _assert_reference_basis(rows, ncols):
     before = [list(r) for r in rows]
-    assert nullspace(rows, ncols) == rref_nullspace(rows, ncols)
+    basis = nullspace(rows, ncols)
+    assert basis == [primitive(v) for v in rref_nullspace(rows, ncols)]
+    _assert_canonical(basis, rows, ncols)
     assert rows == before
 
 
@@ -182,7 +199,7 @@ def test_pivots_out_of_column_order_match_gauss_jordan(rng):
         _assert_reference_basis(rows, ncols)
     assert nullspace([[0, 0, 1], [0, 1, 1]], 3) == [[1, 0, 0]]
     assert nullspace([[0, 0, 2], [0, 3, 1], [3, 1, 0]], 3) == []
-    assert nullspace([[0, 2, 1], [1, 1, 1]], 3) == rref_nullspace([[0, 2, 1], [1, 1, 1]], 3)
+    assert nullspace([[0, 2, 1], [1, 1, 1]], 3) == [[-1, -1, 2]]
 
 
 def test_nullspace_refuses_ragged_rows_and_non_numbers():
@@ -192,14 +209,3 @@ def test_nullspace_refuses_ragged_rows_and_non_numbers():
         nullspace([[1, 2.0]], 2)
     with pytest.raises(UsageError, match="got str"):
         nullspace([[Fraction(1, 2), "3"]], 2)
-
-
-def test_integer_primitive():
-    assert integer_primitive([Fraction(1, 2), Fraction(1, 3)]) == [3, 2]
-    assert integer_primitive([Fraction(0), Fraction(0)]) == [0, 0]
-    assert integer_primitive([]) == []
-    got = integer_primitive([Fraction(-4), Fraction(6)])
-    assert got in ([-2, 3], [2, -3])
-    from math import gcd
-
-    assert gcd(*map(abs, got)) == 1

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, perm
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from catstats.funcrec import (
 from catstats.multipoly import IndexPoly
 from catstats.moments import (
     factorial_from_full,
-    falling_factorial,
     moment_table_from_rows,
     moments_from_full,
     moments_from_truncated,
@@ -24,12 +23,9 @@ from catstats.perms import enumerate_avoiders
 from reference import central_from_raw, count_occurrences, raw_from_factorial, standardized
 
 
-def test_stirling_and_falling_factorial():
+def test_stirling2_row():
     assert stirling2_row(4) == [0, 1, 7, 6, 1]
     assert stirling2_row(0) == [1]
-    assert falling_factorial(7, 3) == 7 * 6 * 5
-    assert falling_factorial(3, 5) == 0
-    assert falling_factorial(4, 0) == 1
 
 
 def test_raw_and_central_conversions():
@@ -77,7 +73,7 @@ def test_moments_match_brute_distribution():
         row = tab.row(n)
         assert row.count == total
         assert row.m == raw
-        fact = [sum(falling_factorial(c, r) for c in counts) for r in range(5)]
+        fact = [sum(perm(c, r) for c in counts) for r in range(5)]
         assert row.f == fact
 
 
@@ -93,7 +89,7 @@ def test_factorial_from_full_is_derivative_data():
         coeffs = [values[n].get((i,), 0) for i in range(max(values[n])[0] + 1)]
         got = factorial_from_full(coeffs, 3)
         assert got == [
-            sum(falling_factorial(c, r) for c in occs) for r in range(4)
+            sum(perm(c, r) for c in occs) for r in range(4)
         ]
 
 
@@ -194,7 +190,7 @@ COUNTS = st.lists(st.integers(0, 30), min_size=1, max_size=12) | st.builds(
 @settings(max_examples=300, deadline=None)
 @given(COUNTS, st.integers(0, 8))
 def test_integer_rows_equal_the_fraction_definitions(counts, r_max):
-    frow = [sum(falling_factorial(c, r) for c in counts) for r in range(r_max + 1)]
+    frow = [sum(perm(c, r) for c in counts) for r in range(r_max + 1)]
     row = moment_table_from_rows("x", "y", "full", None, r_max, [frow], [7]).rows[0]
     m, M, alpha, note = _reference_row(frow)
     assert (row.n, row.f) == (7, frow)
