@@ -415,7 +415,7 @@ def test_a_k_only_coefficient_is_folded_only_where_a_window_reads_it(images):
         assert eval_truncated(spec, 8, cap).values == [taylor(value, cap) for value in full]
 
 
-def test_a_right_index_no_window_reads_is_packed_as_a_placeholder():
+def test_an_index_no_window_reads_is_packed_as_a_placeholder():
     # the k >= 2 term folds q^(k - 1) into its own left store, which holds a
     # placeholder for Q_0, since its windows never read it; its right side
     # varies, so that left store is the one packed, placeholder included
